@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class RunConfig:
     figure: str | None = None
     oracle_sizes: tuple[int, ...] = DEFAULT_ORACLE_SIZES
     tolerance: float = DEFAULT_ORACLE_TOL
-    extra_meta: list[str] = field(default_factory=list)
 
 
 def figure_preset(name: str) -> RunConfig:
@@ -106,7 +105,6 @@ def _meta_lines(config: RunConfig) -> list[str]:
         ]
     for ax in config.axes:
         lines.append(f"axis: {ax.name} start={_fmt(ax.start)} stop={_fmt(ax.stop)} points={ax.points}")
-    lines += config.extra_meta
     return lines
 
 
@@ -198,14 +196,8 @@ def _run_maximize(config: RunConfig, fh) -> int:
 
 def _run_figure(config: RunConfig, fh) -> int:
     preset = FIGURES[config.figure]
-    template = config.params
     if len(preset.axes) == 2:
-        cfg = RunConfig(
-            command=config.command, params=template, axes=preset.axes,
-            output_path=config.output_path, precision=config.precision,
-            figure=config.figure,
-        )
-        return _run_sweep(cfg, fh)
+        return _run_sweep(config, fh)
 
     axis = preset.axes[0]
     meta = _meta_lines(config)
@@ -213,7 +205,7 @@ def _run_figure(config: RunConfig, fh) -> int:
     columns = [axis.values()]
     for k, (dipole, detuning) in enumerate(preset.curves, start=1):
         meta.append(f"curve {k}: dipole_shift={_fmt(dipole)} detuning={_fmt(detuning)}")
-        curve_template = replace(template, dipole_shift=dipole, detuning=detuning)
+        curve_template = replace(config.params, dipole_shift=dipole, detuning=detuning)
         result = sweep(curve_template, (axis,), precision=config.precision)
         header += [f"c_{k}", f"c_ref1_{k}"]
         columns += [result.column("c"), result.column("c_ref1")]
@@ -249,9 +241,9 @@ def _run_oracle_check(config: RunConfig, fh) -> int:
                     )))
                     worst = max(worst, moment_err, rho_err)
                     rows.append((n, rabi, det, dip, moment_err, rho_err))
-    config.extra_meta.append(f"worst_error: {_fmt(worst)}")
-    config.extra_meta.append(f"tolerance: {_fmt(config.tolerance)}")
-    _write_csv(fh, _meta_lines(config), header, rows)
+    meta = _meta_lines(config) + [f"worst_error: {_fmt(worst)}",
+                                  f"tolerance: {_fmt(config.tolerance)}"]
+    _write_csv(fh, meta, header, rows)
     if worst > config.tolerance:
         print(f"error: NumericalFailure: oracle mismatch {worst:.3e} exceeds "
               f"{config.tolerance:.1e}", file=sys.stderr)

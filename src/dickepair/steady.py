@@ -8,8 +8,10 @@ The stationary density operator has the closed form
 
 with alpha, beta from :func:`dickepair.params.derive_params`. Tracing against
 ladder-operator products reduces every collective moment
-<(S+)^p Sz^r (S-)^f> to a double sum over combinatorial weights; the sums are
-evaluated entirely in log space because individual terms reach (2N+1)! scale.
+<(S+)^p Sz^r (S-)^f> to a double sum sum_n C_{n-f,n-p} sum_m w(n, m) q(n+m)
+over combinatorial weights. The inner sum does not depend on the parameters
+and closes in exact integers (:func:`_row_sums`), which leaves one O(N) sum
+over n, evaluated in log space because its terms reach (2N+1)! scale.
 
 Gamma-function ratios are evaluated as Pochhammer products
 Gamma(1+n+beta)/Gamma(1+beta) = prod_{k=1..n} (k+beta), which is exact and
@@ -35,7 +37,6 @@ __all__ = [
     "partition_z",
     "expectation",
     "expectation_set",
-    "coefficient_table",
 ]
 
 
@@ -93,33 +94,46 @@ def coefficient_c(n: int, m: int, derived: DerivedParams) -> LogComplex:
 
 
 @lru_cache(maxsize=None)
-def _ladder_tables(n_qubits: int):
-    """Parameter-independent combinatorics for one ensemble size.
+def _row_sums(n_qubits: int, poly: tuple[int, ...]):
+    """log|S_n| and sign(S_n) for n = 0..N, with S_n = sum_m w(n, m) q(n + m).
 
-    Returns (log_fact, log_weight, l_values, valid) where
-    log_weight[n, m] = ln[(N-m)! (m+n)! / ((N-m-n)! m!)] on the triangle
-    m <= N-n (else -inf) and l_values[n, m] = N/2 - m - n, the Sz eigenvalue
-    reached after m + n lowerings from the top of the ladder.
+    w(n, m) = (N-m)! (m+n)! / ((N-m-n)! m!) for m <= N-n is the ladder weight
+    of the trace, and q, given by its integer coefficients in ascending powers,
+    is a polynomial in the lowering count d = n + m (Sz = N/2 - d). Written in
+    rising factorials, q(d) = sum_j c_j (d+1)(d+2)...(d+j), each term closes
+    by Vandermonde's identity
+        sum_m C(N-m, n) C(m+n+j, n+j) = C(N+n+j+1, 2n+j+1),
+    so S_n = n! sum_j c_j (n+j)! C(N+n+j+1, 2n+j+1) in exact integers: rows
+    whose weights vanish come out exactly zero and signed terms cancel
+    without rounding.
     """
     N = n_qubits
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(2 * N + 3)])
-    n = np.arange(N + 1)[:, None]
-    m = np.arange(N + 1)[None, :]
-    valid = m <= (N - n)
-    safe_nmn = np.where(valid, N - m - n, 0)
-    log_weight = np.where(
-        valid,
-        log_fact[N - m] + log_fact[m + n] - log_fact[safe_nmn] - log_fact[m],
-        LOG_ZERO,
-    )
-    l_values = (N / 2.0 - m - n) * np.ones_like(log_weight)
-    for arr in (log_fact, log_weight, l_values, valid):
+    rising, rest = [], list(reversed(poly))
+    for k in range(1, len(poly) + 1):
+        # synthetic division by (d + k); the remainder q(-k) is the next c_j
+        acc, quotient = 0, []
+        for a in rest:
+            acc = acc * -k + a
+            quotient.append(acc)
+        rising.append(quotient.pop())
+        rest = quotient
+    log_s = np.full(N + 1, LOG_ZERO)
+    sign = np.ones(N + 1)
+    for n in range(N + 1):
+        s = math.factorial(n) * sum(
+            c * math.factorial(n + j) * math.comb(N + n + j + 1, 2 * n + j + 1)
+            for j, c in enumerate(rising) if c
+        )
+        if s:
+            log_s[n] = math.log(abs(s))
+            sign[n] = -1.0 if s < 0 else 1.0
+    for arr in (log_s, sign):
         arr.setflags(write=False)
-    return log_fact, log_weight, l_values, valid
+    return log_s, sign
 
 
 class _SteadyTables:
-    """Per-operating-point coefficient tables shared by all moments.
+    """Per-operating-point coefficients shared by all moments.
 
     Pure after construction: concurrent reads are safe.
     """
@@ -131,87 +145,42 @@ class _SteadyTables:
         self.precision = precision
         self.derived = derive_params(params)
         N = params.n_qubits
-        self.log_fact, self.log_weight, self.l_values, self.valid = _ladder_tables(N)
 
-        ks = np.arange(1, N + 1) + self.derived.beta
-        self.poch_log = np.concatenate([[0.0], np.cumsum(np.log(np.abs(ks)))])
-        self.poch_phase = np.concatenate([[0.0], np.cumsum(np.angle(ks))])
+        # a_n = prod_{k=1..n} (1 + beta/k) = Gamma(1+n+beta) / (Gamma(1+beta) n!)
+        ratios = 1.0 + self.derived.beta / np.arange(1, N + 1)
+        self.a_log = np.concatenate([[0.0], np.cumsum(np.log(np.abs(ratios)))])
+        self.a_phase = np.concatenate([[0.0], np.cumsum(np.angle(ratios))])
 
         alpha = self.derived.alpha
         self.log_alpha = math.log(abs(alpha))
         self.arg_alpha = math.atan2(alpha.imag, alpha.real)
+        self.log_z = self._ladder_sum(0, 0, (1,)).log_mag
 
-        # Z = sum_n a_nn |alpha|^-2n (N+n+1)! (n!)^2 / ((N-n)! (2n+1)!); the
-        # (n!)^2 cancels against the denominator of a_nn, leaving positive terms.
-        n = np.arange(N + 1)
-        z_terms = (
-            2.0 * self.poch_log
-            - 2.0 * n * self.log_alpha
-            + self.log_fact[N + n + 1]
-            - self.log_fact[N - n]
-            - self.log_fact[2 * n + 1]
-        )
-        self.log_z = logsum_complex(z_terms, np.zeros_like(z_terms), precision).log_mag
+    def _ladder_sum(self, p: int, f: int, poly: tuple[int, ...]) -> LogComplex:
+        """sum_{n >= max(p, f)} C_{n-f, n-p} S_n, unnormalized; S_n from _row_sums.
 
-    def coefficient_log_table(self):
-        """(N+1)x(N+1) arrays of log|C_nm| and arg(C_nm)."""
+        This is Z * <(S+)^p q(N/2 - Sz) (S-)^f>. The sign of C_{n-f, n-p},
+        (-1)^(p+f), is carried as an exact sign, not a pi phase offset.
+        """
         N = self.params.n_qubits
-        n = np.arange(N + 1)
-        lf = self.log_fact[: N + 1]
-        log_mag = (
-            (self.poch_log - lf)[:, None]
-            + (self.poch_log - lf)[None, :]
-            - (n[:, None] + n[None, :]) * self.log_alpha
-        )
-        phase = (
-            self.poch_phase[:, None]
-            - self.poch_phase[None, :]
-            + math.pi * (n[:, None] + n[None, :])
-            - (n[:, None] - n[None, :]) * self.arg_alpha
-        )
-        return log_mag, phase
+        n = np.arange(max(p, f), N + 1)
+        log_s, sign_s = _row_sums(N, poly)
+        c_mag = self.a_log[n - f] + self.a_log[n - p] - (2 * n - p - f) * self.log_alpha
+        c_phase = self.a_phase[n - f] - self.a_phase[n - p] - (p - f) * self.arg_alpha
+        sign = -1.0 if (p + f) % 2 else 1.0
+        return logsum_complex(c_mag + log_s[n], c_phase, self.precision,
+                              signs=sign * sign_s[n])
 
     def moment(self, p: int, r: int, f: int) -> complex:
-        """<(S+)^p Sz^r (S-)^f> by a flat log-space sum over the (n, m) grid."""
+        """<(S+)^p Sz^r (S-)^f>, with Sz^r = (N - 2d)^r / 2^r as the ladder polynomial."""
         N = self.params.n_qubits
         for name, v in (("p", p), ("r", r), ("f", f)):
             if v < 0 or v > N:
                 raise IndexRange(f"moment index {name}={v} outside 0..{N}")
-        nmin = max(p, f)
-        n = np.arange(nmin, N + 1)
-        # C_{n-f, n-p}; the sign factor (-1)^((n-f)+(n-p)) reduces to (-1)^(p+f)
-        # and is carried as an exact sign, not a pi phase offset
-        c_mag = (
-            self.poch_log[n - f]
-            + self.poch_log[n - p]
-            - self.log_fact[n - f]
-            - self.log_fact[n - p]
-            - (2 * n - p - f) * self.log_alpha
-        )
-        c_phase = (
-            self.poch_phase[n - f]
-            - self.poch_phase[n - p]
-            - (p - f) * self.arg_alpha
-        )
-        sign = -1.0 if (p + f) % 2 else 1.0
-
-        log_w = self.log_weight[nmin:, :]
-        lvals = self.l_values[nmin:, :]
-        term_log = log_w + c_mag[:, None]
-        term_phase = np.broadcast_to(c_phase[:, None], term_log.shape)
-        if r > 0:
-            with np.errstate(divide="ignore"):
-                term_log = term_log + r * np.log(np.abs(lvals))
-        if r % 2 == 1:
-            term_sign = np.where(lvals < 0.0, -sign, sign)
-        else:
-            term_sign = np.full(term_log.shape, sign)
-
-        total = logsum_complex(
-            term_log.ravel(), np.ravel(term_phase), self.precision,
-            signs=term_sign.ravel(),
-        )
-        return LogComplex(total.log_mag - self.log_z, total.phase).to_complex()
+        poly = tuple(math.comb(r, k) * N ** (r - k) * (-2) ** k for k in range(r + 1))
+        total = self._ladder_sum(p, f, poly)
+        return LogComplex(total.log_mag - self.log_z - r * math.log(2.0),
+                          total.phase).to_complex()
 
     def moment_set(self) -> ExpectationSet:
         return ExpectationSet(
@@ -227,8 +196,9 @@ class _SteadyTables:
         """The six independent pair-matrix entries as dedicated ladder sums.
 
         Each entry is the expectation of an operator combination whose ladder
-        weight polynomial is nonnegative on the whole grid, e.g.
-        rho11 ~ <(Sz+N/2)(Sz+N/2-1)> with weights (N-m-n)(N-m-n-1) >= 0.
+        polynomial in d = N/2 - Sz is nonnegative wherever its weight is not
+        zero: rho11 ~ (N-d)(N-d-1), rho22 ~ d(N-d), rho44 ~ d(d-1),
+        rho12 ~ N-d, rho24 ~ d-1 (rows n >= 1, so d >= 1) and rho14 ~ 1.
         This avoids the catastrophic cancellation that assembling the entries
         from separately computed <Sz>, <Sz^2> moments suffers in the
         weak-drive regime, where the entries are tiny differences of
@@ -236,53 +206,24 @@ class _SteadyTables:
         Returns (r11, r12, r14, r22, r24, r44).
         """
         N = self.params.n_qubits
-        lf = self.log_fact
-        log_pair = math.log(N) + math.log(N - 1)
-        up = self.l_values + N / 2.0     # N - m - n on the valid triangle
-        down = N / 2.0 - self.l_values   # m + n
+        log_norm = self.log_z + math.log(N) + math.log(N - 1)
 
-        def entry(row0, coeff_mag, coeff_phase, sign, poly):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                poly_log = np.where(poly > 0.0, np.log(np.where(poly > 0, poly, 1.0)),
-                                    LOG_ZERO)
-            tl = coeff_mag[:, None] + self.log_weight[row0:, :] + poly_log[row0:, :]
-            tp = np.broadcast_to(coeff_phase[:, None], tl.shape)
-            total = logsum_complex(tl.ravel(), np.ravel(tp), self.precision,
-                                   signs=np.full(tl.size, sign))
-            return LogComplex(total.log_mag - self.log_z - log_pair,
-                              total.phase).to_complex()
+        def entry(p, poly):
+            total = self._ladder_sum(p, 0, poly)
+            return LogComplex(total.log_mag - log_norm, total.phase).to_complex()
 
-        n = np.arange(N + 1)
-        diag_mag = 2.0 * self.poch_log - 2.0 * lf[: N + 1] - 2.0 * n * self.log_alpha
-        zero_phase = np.zeros(N + 1)
-        r11 = entry(0, diag_mag, zero_phase, 1.0, up * (up - 1.0)).real
-        r22 = entry(0, diag_mag, zero_phase, 1.0, down * up).real
-        r44 = entry(0, diag_mag, zero_phase, 1.0, down * (down - 1.0)).real
-
-        n1 = np.arange(1, N + 1)
-        c1_mag = (self.poch_log[n1] + self.poch_log[n1 - 1] - lf[n1] - lf[n1 - 1]
-                  - (2 * n1 - 1) * self.log_alpha)
-        c1_phase = self.poch_phase[n1] - self.poch_phase[n1 - 1] - self.arg_alpha
-        r12 = entry(1, c1_mag, c1_phase, -1.0, up)
-        r24 = entry(1, c1_mag, c1_phase, -1.0, down - 1.0)
-
-        n2 = np.arange(2, N + 1)
-        c2_mag = (self.poch_log[n2] + self.poch_log[n2 - 2] - lf[n2] - lf[n2 - 2]
-                  - (2 * n2 - 2) * self.log_alpha)
-        c2_phase = self.poch_phase[n2] - self.poch_phase[n2 - 2] - 2.0 * self.arg_alpha
-        r14 = entry(2, c2_mag, c2_phase, 1.0, np.ones_like(up))
-
+        r11 = entry(0, (N * (N - 1), 1 - 2 * N, 1)).real
+        r22 = entry(0, (0, N, -1)).real
+        r44 = entry(0, (0, -1, 1)).real
+        r12 = entry(1, (N, -1))
+        r24 = entry(1, (-1, 1))
+        r14 = entry(2, (1,))
         return r11, r12, r14, r22, r24, r44
 
 
 @lru_cache(maxsize=128)
 def _steady_tables(params: SystemParams, precision: str) -> _SteadyTables:
     return _SteadyTables(params, precision)
-
-
-def coefficient_table(params: SystemParams, precision: str = "standard"):
-    """Log-magnitude and phase arrays of the full C_nm table for one point."""
-    return _steady_tables(params, precision).coefficient_log_table()
 
 
 def partition_z(params: SystemParams, precision: str = "standard") -> LogComplex:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GridTooCoarse
 from .pairwise import concurrence, steady_pair_density
-from .params import SystemParams
+from .params import SystemParams, derive_params
 from .steady import expectation
 
 __all__ = [
@@ -45,8 +45,9 @@ RECORD_FIELDS = [
 
 MAX_SWEEP_POINTS = 10**6
 
-# |d(<Sz>/N)/d pump| above this flags a sharp transition candidate; smooth
-# small-N curves stay well below 1 while collective kinks exceed it.
+# |d(<Sz>/N)/dx| on x = pump / |1 + i delta/gamma| above this flags a sharp
+# transition candidate; smooth small-N curves stay well below 1 while
+# collective kinks exceed it.
 SHARPNESS_THRESHOLD = 1.0
 
 
@@ -82,18 +83,23 @@ def _apply_axis(params: SystemParams, name: str, value: float) -> SystemParams:
 
 
 def evaluate_point(params: SystemParams, precision: str = "standard") -> tuple:
-    """One pipeline evaluation; returns the RECORD_FIELDS tuple."""
+    """One pipeline evaluation; returns the RECORD_FIELDS tuple.
+
+    <Sz>/N and <S+S->/N^2 come from the pair matrix: one emitter's
+    <sigma_z>/2 is (rho11 - rho44)/2, and <S+S-> = N <sigma+ sigma-> +
+    N(N-1) <sigma+_1 sigma-_2> with <sigma+ sigma-> = rho11 + rho22 and the
+    pair coherence rho23 = rho22.
+    """
     rho = steady_pair_density(params, precision=precision)
     res = concurrence(rho)
     n = params.n_qubits
-    sz = expectation(params, 0, 1, 0, precision=precision).real
-    spsm = expectation(params, 1, 0, 1, precision=precision).real
+    r11, r22, r44 = rho[0, 0].real, rho[1, 1].real, rho[3, 3].real
     return (
         res.concurrence,
         res.c_ref_1,
         res.c_ref_2,
-        sz / n,
-        spsm / n**2,
+        (r11 - r44) / 2.0,
+        (r11 + r22) / n + (n - 1) * r22 / n,
         *res.lambdas,
     )
 
@@ -246,10 +252,14 @@ def find_max_concurrence(
 class TransitionReport:
     """Location and character of the steepest steady-state response.
 
-    ``sharpness`` is max |d(<Sz>/N)/d pump| over the grid by central
-    differences; ``sharp`` flags values above SHARPNESS_THRESHOLD. The kind
-    labels follow the parameter regime (zero versus nonzero detuning and
-    dipole shift), not an independent thermodynamic criterion.
+    ``sharpness`` is max |d(<Sz>/N)/d x| over the grid by central
+    differences, on the axis x = pump / |1 + i delta/gamma|: at zero
+    effective detuning Delta + delta the curve is the resonant one with the
+    pump stretched by that factor, and on x both read the same. ``sharp``
+    flags values above SHARPNESS_THRESHOLD. The kind labels follow the
+    parameter regime (first order needs nonzero detuning, dipole shift and
+    effective detuning), not an independent thermodynamic criterion.
+    ``critical_pump`` is in ordinary pump units.
     """
 
     critical_pump: float
@@ -280,8 +290,10 @@ def detect_transition(
     ])
     deriv = np.gradient(sz, pumps)
     idx = int(np.argmax(np.abs(deriv)))
-    sharpness = float(np.abs(deriv[idx]))
-    first_order = template.dipole_shift != 0.0 and template.detuning != 0.0
+    stretch = abs(complex(template.decay, template.dipole_shift)) / template.decay
+    sharpness = float(np.abs(deriv[idx])) * stretch
+    first_order = (template.dipole_shift != 0.0 and template.detuning != 0.0
+                   and derive_params(template).tilde_detuning != 0.0)
     return TransitionReport(
         critical_pump=float(pumps[idx]),
         kind="first_order_candidate" if first_order else "second_order_candidate",

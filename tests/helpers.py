@@ -169,5 +169,62 @@ def dense_ladder_steady_state(params: SystemParams):
     return vec.reshape(dim, dim), float(np.abs(drift).max())
 
 
+def pair_polynomials(n):
+    """(p, q) of the six pair entries r11, r12, r14, r22, r24, r44.
+
+    Entry = <(S+)^p q(d)> / (N (N-1)) with d = N/2 - Sz the lowering count
+    and q given by integer coefficients in ascending powers of d: the pair
+    populations count ordered pairs of excited (N - d) and ground (d)
+    emitters, and the coherences shift one or two excitations.
+    """
+    return ((0, (n * (n - 1), 1 - 2 * n, 1)), (1, (n, -1)), (2, (1,)),
+            (0, (0, n, -1)), (1, (-1, 1)), (0, (0, -1, 1)))
+
+
+def ladder_row_sum(n_qubits, n, poly):
+    """sum_m w(n, m) q(n + m) by the literal m loop, in exact integers.
+
+    w(n, m) = (N-m)! (m+n)! / ((N-m-n)! m!) is the trace weight of
+    (S-)^n ... (S+)^n on the ladder state m steps below the top.
+    """
+    f = math.factorial
+    return sum(
+        f(n_qubits - m) * f(m + n) // (f(n_qubits - m - n) * f(m))
+        * sum(c * (n + m) ** k for k, c in enumerate(poly))
+        for m in range(n_qubits - n + 1)
+    )
+
+
+def closed_form_pair_entries(params: SystemParams, dps=30):
+    """The six pair entries (r11, r12, r14, r22, r24, r44) in mpmath.
+
+    The closed form (Puri & Lawande, Phys. Lett. A 72, 200 (1979)) as the
+    literal double sum over (n, m): C_{n, n-p} from direct Pochhammer
+    products at ``dps`` digits, the inner m sums from ``ladder_row_sum``.
+    No log space, no Vandermonde closure and no package code.
+    """
+    n_qubits = params.n_qubits
+    with mpmath.workdps(dps):
+        denom = mpmath.mpc(params.decay, params.dipole_shift)
+        alpha = 1j * mpmath.mpf(params.rabi) / denom
+        beta = 1j * (mpmath.mpf(params.detuning) + params.dipole_shift) / denom
+        poch = [mpmath.mpc(1)]
+        for k in range(1, n_qubits + 1):
+            poch.append(poch[-1] * (k + beta))
+
+        def coeff(a, b):
+            return ((-1) ** (a + b) * alpha ** -a * mpmath.conj(alpha) ** -b
+                    * poch[a] * mpmath.conj(poch[b])
+                    / (mpmath.factorial(a) * mpmath.factorial(b)))
+
+        def ladder(p, poly):
+            return mpmath.fsum(coeff(n, n - p) * ladder_row_sum(n_qubits, n, poly)
+                               for n in range(p, n_qubits + 1))
+
+        norm = ladder(0, (1,)) * n_qubits * (n_qubits - 1)
+        return tuple(complex(ladder(p, poly) / norm)
+                     for p, poly in pair_polynomials(n_qubits))
+
+
 def steady_rho(params: SystemParams):
     return steady_state_null_space(build_liouvillian(params))

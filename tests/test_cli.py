@@ -185,6 +185,18 @@ def test_oracle_check_command(tmp_path):
     assert errs.max() < 1e-8
 
 
+def test_oracle_check_config_reruns_with_one_metadata_block(tmp_path):
+    from dickepair.cli import RunConfig, run
+
+    out = tmp_path / "oracle.csv"
+    config = RunConfig(command="oracle-check", oracle_sizes=(2,), output_path=str(out))
+    for _ in range(2):
+        assert run(config) == 0
+        meta, _, _ = read_csv(out)
+        assert sum(line.startswith("worst_error:") for line in meta) == 1
+        assert sum(line.startswith("tolerance:") for line in meta) == 1
+
+
 def test_two_axis_figure_output(tmp_path, monkeypatch):
     from dickepair.cli import AxisSpec, FigurePreset
 

@@ -1,7 +1,8 @@
-"""Coefficient-level checks: Pochhammer products, a_nm, C_nm and Z."""
+"""Coefficient-level checks: Pochhammer products, a_nm, C_nm, Z and the ladder row sums."""
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from dickepair import (
@@ -16,6 +17,7 @@ from dickepair import (
     pochhammer_ratio,
 )
 from dickepair.oracle import DickeBasisOperators
+from helpers import ladder_row_sum, pair_polynomials
 
 
 def direct_pochhammer(n, beta):
@@ -158,15 +160,18 @@ def test_partition_precision_modes_agree():
         partition_z(params, precision="double")
 
 
-def test_coefficient_table_matches_scalar_entries():
-    from dickepair.steady import coefficient_table
+def test_row_sums_match_literal_double_loop():
+    # the closed-form O(N) row sums against the literal m loop in exact integers
+    from dickepair.steady import _row_sums
 
-    params = SystemParams(n_qubits=5, rabi=1.4, detuning=-3.0, dipole_shift=2.0)
-    d = derive_params(params)
-    log_mag, phase = coefficient_table(params)
-    assert log_mag.shape == (6, 6) and phase.shape == (6, 6)
-    for n in range(6):
-        for m in range(6):
-            direct = coefficient_c(n, m, d)
-            table = np.exp(log_mag[n, m]) * np.exp(1j * phase[n, m])
-            assert table == pytest.approx(direct.to_complex(), rel=1e-12)
+    for n_qubits in range(1, 13):
+        polys = [tuple(int(c) for c in P.polypow([n_qubits, -2], r)) for r in range(4)]
+        polys += [poly for _, poly in pair_polynomials(n_qubits)]
+        for poly in polys:
+            log_s, sign = _row_sums(n_qubits, poly)
+            for n in range(n_qubits + 1):
+                exact = ladder_row_sum(n_qubits, n, poly)
+                if exact == 0:
+                    assert log_s[n] == -math.inf
+                else:
+                    assert sign[n] * math.exp(log_s[n]) == pytest.approx(exact, rel=1e-14)

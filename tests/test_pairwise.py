@@ -16,6 +16,7 @@ from dickepair import (
 from dickepair.steady import ExpectationSet
 from helpers import (
     charpoly_concurrence,
+    closed_form_pair_entries,
     ladder_pair_density,
     pair_partial_trace,
     random_symmetric_rho,
@@ -115,6 +116,18 @@ def test_conditioned_path_weak_drive_accuracy():
     assert res.c_ref_2 == pytest.approx(-6.9095099e-9, rel=1e-5)
     rho = steady_pair_density(params)
     assert np.linalg.eigvalsh(rho).min() >= -1e-15
+
+
+@pytest.mark.parametrize("n", [74, 200])
+@pytest.mark.parametrize("pump", [0.3, 1.0, 2.0])
+def test_pair_entries_match_high_precision_closed_form(n, pump):
+    # beyond the dense oracle: a 30-digit literal double sum of the closed form
+    params = SystemParams(n_qubits=n, rabi=1.0, detuning=-3.0,
+                          dipole_shift=2.0).with_pump(pump)
+    rho = steady_pair_density(params)
+    got = (rho[0, 0], rho[0, 1], rho[0, 3], rho[1, 1], rho[1, 3], rho[3, 3])
+    for value, ref in zip(got, closed_form_pair_entries(params)):
+        assert abs(value - ref) <= 1e-10 * abs(ref)
 
 
 def test_conditioned_path_needs_two_qubits():

@@ -7,6 +7,7 @@ from dickepair import (
     GridTooCoarse,
     SystemParams,
     detect_transition,
+    expectation,
     find_max_concurrence,
     sweep,
 )
@@ -46,6 +47,14 @@ def test_sweep_records_equal_direct_calls():
 
         direct = evaluate_point(replace(t, rabi=float(value)))
         assert tuple(rec) == pytest.approx(direct, abs=0)
+    # the normalized moments read off the pair matrix equal the moment sums
+    for n in (2, 6, 50, 200):
+        for pump in (0.05, 0.9, 2.0):
+            params = SystemParams(n_qubits=n, rabi=1.0, detuning=-2.0,
+                                  dipole_shift=1.5).with_pump(pump)
+            rec = evaluate_point(params)
+            assert abs(rec[3] - expectation(params, 0, 1, 0).real / n) <= 1e-12
+            assert abs(rec[4] - expectation(params, 1, 0, 1).real / n**2) <= 1e-12
 
 
 def test_pump_axis_converts_to_rabi():
@@ -152,10 +161,28 @@ def test_small_system_is_not_sharp():
 
 def test_transition_kind_classification():
     resonant = SystemParams(n_qubits=20, rabi=1.0)
-    shifted = SystemParams(n_qubits=20, rabi=1.0, detuning=-2.0, dipole_shift=2.0)
+    shifted = SystemParams(n_qubits=20, rabi=1.0, detuning=-4.0, dipole_shift=2.0)
+    # detuning = -dipole_shift zeroes the effective detuning: a stretched resonant curve
+    cancelled = SystemParams(n_qubits=20, rabi=1.0, detuning=-2.0, dipole_shift=2.0)
     axis = AxisSpec("pump", 0.05, 2.0, 200)
     assert detect_transition(resonant, axis).kind == "second_order_candidate"
     assert detect_transition(shifted, axis).kind == "first_order_candidate"
+    assert detect_transition(cancelled, axis).kind == "second_order_candidate"
+
+
+def test_cancelled_detuning_reads_as_resonant_curve():
+    # at Delta = -delta the curve is the resonant one with the pump stretched by
+    # |1 + i delta/gamma|; on the stretched axis kind, sharpness and flag agree
+    stretch = abs(complex(1.0, 5.0))
+    axis = AxisSpec("pump", 0.05, 6.0 / stretch, 800)
+    stretched = AxisSpec("pump", axis.start * stretch, axis.stop * stretch, axis.points)
+    resonant = detect_transition(SystemParams(n_qubits=50, rabi=1.0), axis)
+    shifted = detect_transition(
+        SystemParams(n_qubits=50, rabi=1.0, detuning=-5.0, dipole_shift=5.0), stretched)
+    assert resonant.kind == shifted.kind == "second_order_candidate"
+    assert resonant.sharp and shifted.sharp
+    assert shifted.sharpness == pytest.approx(resonant.sharpness, rel=0.01)
+    assert shifted.critical_pump == pytest.approx(resonant.critical_pump * stretch, rel=1e-12)
 
 
 def test_collective_kink_sharpens_with_size():

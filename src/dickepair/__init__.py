@@ -21,16 +21,13 @@ from .errors import (
     UnknownFigure,
     ZeroDrive,
 )
-from .logcomplex import LogComplex, logsum_complex
+from .logcomplex import logsum_complex
 from .params import DerivedParams, SystemParams, derive_params
 from .steady import (
     ExpectationSet,
-    coefficient_a,
-    coefficient_c,
     expectation,
     expectation_set,
     partition_z,
-    pochhammer_ratio,
 )
 from .pairwise import (
     ConcurrenceResult,
@@ -59,9 +56,8 @@ from .sweep import (
 __all__ = [
     "__version__",
     "SystemParams", "DerivedParams", "derive_params",
-    "LogComplex", "logsum_complex",
-    "ExpectationSet", "pochhammer_ratio", "coefficient_a", "coefficient_c",
-    "partition_z", "expectation", "expectation_set",
+    "logsum_complex",
+    "ExpectationSet", "partition_z", "expectation", "expectation_set",
     "ConcurrenceResult", "two_qubit_rho", "steady_pair_density", "concurrence",
     "concurrence_ref",
     "DickeBasisOperators", "build_liouvillian", "steady_state_null_space",

@@ -1,15 +1,14 @@
-"""Complex numbers in log-polar form and stable log-space summation.
+"""Stable log-space summation of complex terms.
 
 The closed-form steady state multiplies factorial-scale quantities whose
 magnitudes reach ~10^300 before normalization, far beyond double range.
-Every coefficient and sum term is therefore carried as (log magnitude,
-phase); sums rescale by the maximum log magnitude before accumulating.
+Every coefficient and sum term is therefore carried as a (log magnitude,
+phase) pair of floats; sums rescale by the maximum log magnitude before
+accumulating.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,94 +22,18 @@ CANCELLATION_TRIGGER = 1e-8
 PRECISION_MODES = ("standard", "extended")
 
 
-def wrap_phase(phi: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    out = math.remainder(phi, 2.0 * math.pi)
-    if out <= -math.pi:
-        out = math.pi
-    return out
-
-
-@dataclass(frozen=True)
-class LogComplex:
-    """A complex value stored as natural-log magnitude plus phase.
-
-    ``log_mag`` is -inf for an exact zero; ``phase`` lies in (-pi, pi].
-    Multiplication adds log magnitudes and wraps phases, so products of
-    astronomically large or small factors stay exact in range.
-    """
-
-    log_mag: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.log_mag == LOG_ZERO:
-            object.__setattr__(self, "phase", 0.0)
-        else:
-            object.__setattr__(self, "phase", wrap_phase(self.phase))
-
-    @classmethod
-    def zero(cls) -> "LogComplex":
-        return cls(LOG_ZERO, 0.0)
-
-    @classmethod
-    def one(cls) -> "LogComplex":
-        return cls(0.0, 0.0)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "LogComplex":
-        z = complex(z)
-        if z == 0:
-            return cls.zero()
-        return cls(math.log(abs(z)), cmath.phase(z))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_mag == LOG_ZERO
-
-    def to_complex(self) -> complex:
-        """Ordinary complex value; exact while log_mag stays below overflow."""
-        if self.is_zero:
-            return 0j
-        mag = math.exp(self.log_mag)
-        return complex(mag * math.cos(self.phase), mag * math.sin(self.phase))
-
-    def conjugate(self) -> "LogComplex":
-        return LogComplex(self.log_mag, -self.phase)
-
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        if self.is_zero or other.is_zero:
-            return LogComplex.zero()
-        return LogComplex(self.log_mag + other.log_mag, self.phase + other.phase)
-
-    def __truediv__(self, other: "LogComplex") -> "LogComplex":
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogComplex zero")
-        if self.is_zero:
-            return LogComplex.zero()
-        return LogComplex(self.log_mag - other.log_mag, self.phase - other.phase)
-
-    def __pow__(self, k: int) -> "LogComplex":
-        if not isinstance(k, int):
-            raise TypeError("LogComplex powers must be integers")
-        if self.is_zero:
-            if k <= 0:
-                raise ZeroDivisionError("zero to a non-positive power")
-            return LogComplex.zero()
-        return LogComplex(k * self.log_mag, k * self.phase)
-
-
 def logsum_complex(log_mags, phases, precision: str = "standard",
-                   signs=None) -> LogComplex:
+                   signs=None) -> tuple[float, float]:
     """Sum of terms signs * exp(log_mags) * exp(i*phases), rescaled for stability.
 
-    The largest log magnitude is factored out before accumulation, so the
-    summed terms have magnitude <= 1. Exact sign flips should be passed via
-    ``signs`` (+-1 factors) rather than folded into the phases as pi offsets:
-    sin(pi) is only zero to machine precision, and under heavy cancellation
-    that residue would contaminate the small surviving component. In
-    ``standard`` mode the sum is a plain vector sum, upgraded to exact
-    summation when the accumulated magnitude falls below
+    Returns the sum as (log magnitude, phase) with the phase in (-pi, pi]; an
+    exact zero is (LOG_ZERO, 0.0). The largest log magnitude is factored out
+    before accumulation, so the summed terms have magnitude <= 1. Exact sign
+    flips should be passed via ``signs`` (+-1 factors) rather than folded into
+    the phases as pi offsets: sin(pi) is only zero to machine precision, and
+    under heavy cancellation that residue would contaminate the small
+    surviving component. In ``standard`` mode the sum is a plain vector sum,
+    upgraded to exact summation when the accumulated magnitude falls below
     CANCELLATION_TRIGGER times the largest term; ``extended`` forces the
     exact accumulator everywhere.
     """
@@ -119,10 +42,10 @@ def logsum_complex(log_mags, phases, precision: str = "standard",
     log_mags = np.asarray(log_mags, dtype=float)
     phases = np.asarray(phases, dtype=float)
     if log_mags.size == 0:
-        return LogComplex.zero()
+        return LOG_ZERO, 0.0
     top = float(np.max(log_mags))
     if top == LOG_ZERO:
-        return LogComplex.zero()
+        return LOG_ZERO, 0.0
     w = np.exp(log_mags - top)
     if signs is not None:
         w = w * np.asarray(signs, dtype=float)
@@ -136,5 +59,6 @@ def logsum_complex(log_mags, phases, precision: str = "standard",
             sr, si = math.fsum(re), math.fsum(im)
     mag = math.hypot(sr, si)
     if mag == 0.0:
-        return LogComplex.zero()
-    return LogComplex(top + math.log(mag), math.atan2(si, sr))
+        return LOG_ZERO, 0.0
+    phase = math.atan2(si, sr)
+    return top + math.log(mag), math.pi if phase == -math.pi else phase

@@ -3,7 +3,10 @@
 For a permutation-symmetric N-qubit state the reduced state of any pair is
 the same 4x4 matrix in the basis {|ee>, |eg>, |ge>, |gg>}, and every entry is
 a linear combination of collective moments. The concurrence follows from the
-spin-flip construction R = rho (sy x sy) rho* (sy x sy).
+spin-flip construction R = rho (sy x sy) rho* (sy x sy), whose eigenvalues
+are taken from one Hermitian route: an ``eigh`` of rho, which also validates
+it (finite, Hermitian, positive semidefinite), then the ``svd`` of
+sqrt(rho) (sy x sy) sqrt(rho)^T.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ SIGMA_YY = np.array(
     dtype=complex,
 )
 
-EIG_IMAG_TOL = 1e-9
+HERMITIAN_TOL = 1e-9
 EIG_NEG_TOL = -1e-9
 
 
@@ -108,72 +111,42 @@ def steady_pair_density(params: SystemParams, precision: str = "standard") -> np
     return _assemble(*_steady_tables(params, precision).pair_entries())
 
 
-def _charpoly_eigvals(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues via the characteristic quartic (Faddeev-LeVerrier)."""
-    coeffs = np.zeros(5, dtype=complex)
-    coeffs[0] = 1.0
-    work = np.eye(4, dtype=complex)
-    for k in range(1, 5):
-        work = mat @ work
-        coeffs[k] = -np.trace(work) / k
-        work += coeffs[k] * np.eye(4)
-    return np.roots(coeffs)
-
-
-def _spin_flip_eigvals(rho: np.ndarray) -> np.ndarray:
-    r_mat = rho @ SIGMA_YY @ rho.conj() @ SIGMA_YY
-    try:
-        return np.linalg.eigvals(r_mat)
-    except np.linalg.LinAlgError:
-        return _charpoly_eigvals(r_mat)
-
-
-def _hermitian_lambdas(rho: np.ndarray) -> np.ndarray:
-    """Spin-flip lambdas via the equivalent Hermitian problem.
-
-    The eigenvalues of R are the squared singular values of
-    sqrt(rho) (sy x sy) sqrt(rho)^T; singular values are perfectly
-    conditioned, so this avoids the error amplification of the non-normal
-    eigenproblem when R has near-zero eigenvalues. Round-off negatives in
-    the spectrum of rho clamp to zero before the square root.
-    """
-    evals, vecs = np.linalg.eigh(rho)
-    sqrt_rho = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-    return np.linalg.svd(sqrt_rho @ SIGMA_YY @ sqrt_rho.conj(), compute_uv=False)
-
-
 def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     """Wootters concurrence of a two-qubit density matrix.
 
-    The input is renormalized to unit trace before forming the spin-flip
-    product R, guarding against accumulated round-off in the moments. The
-    direct eigenvalues of R validate the input (real to 1e-9, no more
-    negative than -1e-9, else NumericalFailure); the reported lambdas come
-    from the equivalent Hermitian problem for full accuracy.
+    The input is renormalized to unit trace, guarding against accumulated
+    round-off in the moments, and then validated: it must be finite,
+    Hermitian within 1e-9 and positive semidefinite within -1e-9, else
+    NumericalFailure. The spin-flip lambdas come from the equivalent
+    Hermitian problem: the eigenvalues of R = rho (sy x sy) rho* (sy x sy)
+    are the squared singular values of sqrt(rho) (sy x sy) sqrt(rho)^T, and
+    singular values are perfectly conditioned, which avoids the error
+    amplification of the non-normal eigenproblem when R has near-zero
+    eigenvalues. Round-off negatives in the spectrum of rho clamp to zero
+    before the square root.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise NumericalFailure("density matrix has non-finite entries")
     trace = np.trace(rho).real
     if trace <= 0:
         raise NumericalFailure(f"density matrix has non-positive trace {trace}")
     rho = rho / trace
 
-    ev = _spin_flip_eigvals(rho)
-    max_imag = float(np.max(np.abs(ev.imag)))
-    if max_imag > EIG_IMAG_TOL:
+    asym = float(np.abs(rho - rho.conj().T).max())
+    if asym > HERMITIAN_TOL:
         raise NumericalFailure(
-            f"spin-flip eigenvalues have imaginary part {max_imag:.3e} > {EIG_IMAG_TOL}"
+            f"density matrix departs from Hermitian by {asym:.3e} > {HERMITIAN_TOL}"
         )
-    if ev.real.min() < EIG_NEG_TOL:
+    evals, vecs = np.linalg.eigh(rho)
+    if evals[0] < EIG_NEG_TOL:
         raise NumericalFailure(
-            f"spin-flip eigenvalue {ev.real.min():.3e} below tolerance {EIG_NEG_TOL}"
+            f"density matrix eigenvalue {evals[0]:.3e} below tolerance {EIG_NEG_TOL}"
         )
-    try:
-        lams = _hermitian_lambdas(rho)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigenvalue iteration failed: {exc}") from None
-    lams = np.sort(lams)[::-1]
+    sqrt_rho = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
+    lams = np.linalg.svd(sqrt_rho @ SIGMA_YY @ sqrt_rho.conj(), compute_uv=False)
     c = max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
     ref1, ref2 = concurrence_ref(rho)
     return ConcurrenceResult(

@@ -26,14 +26,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IndexRange, ZeroDrive
-from .logcomplex import LOG_ZERO, LogComplex, logsum_complex, wrap_phase
-from .params import DerivedParams, SystemParams, derive_params
+from .logcomplex import LOG_ZERO, logsum_complex
+from .params import SystemParams, derive_params
 
 __all__ = [
     "ExpectationSet",
-    "pochhammer_ratio",
-    "coefficient_a",
-    "coefficient_c",
     "partition_z",
     "expectation",
     "expectation_set",
@@ -56,41 +53,12 @@ class ExpectationSet:
     s_plus_s_minus: float
 
 
-def pochhammer_ratio(n: int, beta: complex) -> LogComplex:
-    """prod_{k=1..n} (k + beta) in log-polar form; exactly 1 for n = 0."""
-    if n < 0:
-        raise IndexRange(f"pochhammer order must be >= 0, got {n}")
-    log_mag = 0.0
-    phase = 0.0
-    for k in range(1, n + 1):
-        z = k + beta
-        log_mag += math.log(abs(z))
-        phase = wrap_phase(phase + math.atan2(z.imag, z.real))
-    return LogComplex(log_mag, phase)
-
-
-def coefficient_a(n: int, m: int, beta: complex) -> LogComplex:
-    """a_nm = poch(n, beta) * conj(poch(m, beta)) / (n! m!).
-
-    Satisfies a_nm = conj(a_mn); a_nn is real and positive.
-    """
-    if n < 0 or m < 0:
-        raise IndexRange(f"coefficient indices must be >= 0, got ({n}, {m})")
-    prod = pochhammer_ratio(n, beta) * pochhammer_ratio(m, beta).conjugate()
-    return LogComplex(prod.log_mag - math.lgamma(n + 1) - math.lgamma(m + 1), prod.phase)
-
-
-def coefficient_c(n: int, m: int, derived: DerivedParams) -> LogComplex:
-    """C_nm = (-1)^(n+m) alpha^-n (alpha*)^-m a_nm in log-polar form."""
-    if n < 0 or m < 0:
-        raise IndexRange(f"coefficient indices must be >= 0, got ({n}, {m})")
-    alpha = derived.alpha
-    if alpha == 0:
-        raise ZeroDrive("C_nm requires a nonzero drive (alpha != 0)")
-    a = coefficient_a(n, m, derived.beta)
-    log_mag = a.log_mag - (n + m) * math.log(abs(alpha))
-    phase = a.phase + math.pi * (n + m) - (n - m) * math.atan2(alpha.imag, alpha.real)
-    return LogComplex(log_mag, phase)
+def _to_complex(log_mag: float, phase: float) -> complex:
+    """exp(log_mag + i*phase) as an ordinary complex; exactly 0j for LOG_ZERO."""
+    if log_mag == LOG_ZERO:
+        return 0j
+    mag = math.exp(log_mag)
+    return complex(mag * math.cos(phase), mag * math.sin(phase))
 
 
 @lru_cache(maxsize=None)
@@ -154,13 +122,16 @@ class _SteadyTables:
         alpha = self.derived.alpha
         self.log_alpha = math.log(abs(alpha))
         self.arg_alpha = math.atan2(alpha.imag, alpha.real)
-        self.log_z = self._ladder_sum(0, 0, (1,)).log_mag
+        # the diagonal coefficients C_nn are real and positive: phase exactly 0
+        self.log_z = self._ladder_sum(0, 0, (1,))[0]
 
-    def _ladder_sum(self, p: int, f: int, poly: tuple[int, ...]) -> LogComplex:
-        """sum_{n >= max(p, f)} C_{n-f, n-p} S_n, unnormalized; S_n from _row_sums.
+    def _ladder_sum(self, p: int, f: int, poly: tuple[int, ...]) -> tuple[float, float]:
+        """sum_{n >= max(p, f)} C_{n-f, n-p} S_n as (log magnitude, phase).
 
-        This is Z * <(S+)^p q(N/2 - Sz) (S-)^f>. The sign of C_{n-f, n-p},
-        (-1)^(p+f), is carried as an exact sign, not a pi phase offset.
+        Unnormalized, with S_n from _row_sums: this is
+        Z * <(S+)^p q(N/2 - Sz) (S-)^f>, and exactly zero (an empty sum) when
+        p or f exceeds N. The sign of C_{n-f, n-p}, (-1)^(p+f), is carried as
+        an exact sign, not a pi phase offset.
         """
         N = self.params.n_qubits
         n = np.arange(max(p, f), N + 1)
@@ -175,12 +146,11 @@ class _SteadyTables:
         """<(S+)^p Sz^r (S-)^f>, with Sz^r = (N - 2d)^r / 2^r as the ladder polynomial."""
         N = self.params.n_qubits
         for name, v in (("p", p), ("r", r), ("f", f)):
-            if v < 0 or v > N:
-                raise IndexRange(f"moment index {name}={v} outside 0..{N}")
+            if v < 0:
+                raise IndexRange(f"moment index {name}={v} is negative")
         poly = tuple(math.comb(r, k) * N ** (r - k) * (-2) ** k for k in range(r + 1))
-        total = self._ladder_sum(p, f, poly)
-        return LogComplex(total.log_mag - self.log_z - r * math.log(2.0),
-                          total.phase).to_complex()
+        log_mag, phase = self._ladder_sum(p, f, poly)
+        return _to_complex(log_mag - self.log_z - r * math.log(2.0), phase)
 
     def moment_set(self) -> ExpectationSet:
         return ExpectationSet(
@@ -209,8 +179,8 @@ class _SteadyTables:
         log_norm = self.log_z + math.log(N) + math.log(N - 1)
 
         def entry(p, poly):
-            total = self._ladder_sum(p, 0, poly)
-            return LogComplex(total.log_mag - log_norm, total.phase).to_complex()
+            log_mag, phase = self._ladder_sum(p, 0, poly)
+            return _to_complex(log_mag - log_norm, phase)
 
         r11 = entry(0, (N * (N - 1), 1 - 2 * N, 1)).real
         r22 = entry(0, (0, N, -1)).real
@@ -226,14 +196,19 @@ def _steady_tables(params: SystemParams, precision: str) -> _SteadyTables:
     return _SteadyTables(params, precision)
 
 
-def partition_z(params: SystemParams, precision: str = "standard") -> LogComplex:
-    """Normalization Z in log form; real and strictly positive."""
-    return LogComplex(_steady_tables(params, precision).log_z, 0.0)
+def partition_z(params: SystemParams, precision: str = "standard") -> float:
+    """log Z of the normalization Z, which is real and strictly positive."""
+    return _steady_tables(params, precision).log_z
 
 
 def expectation(params: SystemParams, p: int, r: int, f: int,
                 precision: str = "standard") -> complex:
-    """Steady-state <(S+)^p Sz^r (S-)^f> for 0 <= p, r, f <= N."""
+    """Steady-state <(S+)^p Sz^r (S-)^f> for any p, r, f >= 0.
+
+    Sz^r is defined for every r; for p or f above N the ladder operator power
+    vanishes on the N-qubit ladder and the moment is exactly 0. Negative
+    indices raise IndexRange.
+    """
     return _steady_tables(params, precision).moment(p, r, f)
 
 

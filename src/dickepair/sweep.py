@@ -45,6 +45,10 @@ RECORD_FIELDS = [
 
 MAX_SWEEP_POINTS = 10**6
 
+# find_max_concurrence stops refining once both parameters move by less than
+# this, in pump units.
+MAXIMIZE_TOL_PUMP = 1e-4
+
 # |d(<Sz>/N)/dx| on x = pump / |1 + i delta/gamma| above this flags a sharp
 # transition candidate; smooth small-N curves stay well below 1 while
 # collective kinks exceed it.
@@ -179,25 +183,21 @@ def find_max_concurrence(
     rabi_bounds: tuple[float, float],
     detuning_bounds: tuple[float, float] | None = None,
     coarse_points: int = 33,
-    tol_pump: float = 1e-4,
     precision: str = "standard",
-    objective: Callable[[SystemParams], float] | None = None,
 ) -> tuple[SystemParams, float]:
     """Maximize concurrence over rabi (and optionally detuning).
 
     A coarse grid (at least 32 points per free axis) brackets the optimum;
     alternating per-axis golden-section refinement then runs until both
-    parameters move by less than ``tol_pump`` in pump units
-    (tol = tol_pump * n_qubits * decay / 2 on either axis). Bounds with
-    equal endpoints pin that axis. A custom scalar ``objective`` may replace
-    the concurrence pipeline.
+    parameters move by less than MAXIMIZE_TOL_PUMP in pump units
+    (tol = MAXIMIZE_TOL_PUMP * n_qubits * decay / 2 on either axis). Bounds
+    with equal endpoints pin that axis.
     """
-    if objective is None:
-        def objective(p: SystemParams) -> float:
-            return evaluate_point(p, precision)[0]
+    def objective(p: SystemParams) -> float:
+        return evaluate_point(p, precision)[0]
 
     coarse_points = max(32, coarse_points)
-    tol = tol_pump * template.n_qubits * template.decay / 2.0
+    tol = MAXIMIZE_TOL_PUMP * template.n_qubits * template.decay / 2.0
 
     w_lo, w_hi = map(float, rabi_bounds)
     if detuning_bounds is None:

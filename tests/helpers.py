@@ -11,7 +11,7 @@ from itertools import combinations
 import mpmath
 import numpy as np
 
-from dickepair import SystemParams, build_liouvillian, steady_state_null_space
+from dickepair import SystemParams, build_liouvillian, derive_params, steady_state_null_space
 
 SIGMA_YY = np.array(
     [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
@@ -224,6 +224,22 @@ def closed_form_pair_entries(params: SystemParams, dps=30):
         norm = ladder(0, (1,)) * n_qubits * (n_qubits - 1)
         return tuple(complex(ladder(p, poly) / norm)
                      for p, poly in pair_polynomials(n_qubits))
+
+
+def coefficient_c(n, m, params: SystemParams):
+    """C_nm = (-1)^(n+m) alpha^-n (alpha*)^-m a_n conj(a_m) as a plain complex.
+
+    a_n = prod_{k=1..n} (1 + beta/k) by direct multiplication, with alpha and
+    beta from ``derive_params``; no log space. Fine while |alpha|^-(n+m)
+    stays in double range (small N).
+    """
+    d = derive_params(params)
+
+    def a(k):
+        return math.prod((1 + d.beta / j for j in range(1, k + 1)), start=1 + 0j)
+
+    return ((-1) ** (n + m) * d.alpha ** -n * np.conj(d.alpha) ** -m
+            * a(n) * np.conj(a(m)))
 
 
 def steady_rho(params: SystemParams):

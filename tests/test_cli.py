@@ -112,6 +112,16 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert by_name["s_plus_s_minus"] == m.s_plus_s_minus
 
 
+def test_expect_single_emitter(tmp_path):
+    # one emitter: <Sz^2> = 1/4 and (S+)^2 = 0 on the two-level ladder
+    out = tmp_path / "one.csv"
+    assert main(["expect", "--n", "1", "--rabi", "1", "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    by_name = dict(zip(header, rows[0]))
+    assert by_name["s_z2"] == pytest.approx(0.25, rel=1e-14)
+    assert by_name["s_plus2_re"] == 0.0 and by_name["s_plus2_im"] == 0.0
+
+
 def test_pump_flag_converts(tmp_path):
     out_pump = tmp_path / "a.csv"
     out_rabi = tmp_path / "b.csv"

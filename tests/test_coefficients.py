@@ -1,4 +1,4 @@
-"""Coefficient-level checks: Pochhammer products, a_nm, C_nm, Z and the ladder row sums."""
+"""Coefficient-level checks: the Pochhammer prefix, C_nm in the ladder sums, Z and the row sums."""
 import math
 
 import numpy as np
@@ -6,18 +6,14 @@ import numpy.polynomial.polynomial as P
 import pytest
 
 from dickepair import (
-    DerivedParams,
-    IndexRange,
     SystemParams,
     ZeroDrive,
-    coefficient_a,
-    coefficient_c,
     derive_params,
     partition_z,
-    pochhammer_ratio,
 )
 from dickepair.oracle import DickeBasisOperators
-from helpers import ladder_row_sum, pair_polynomials
+from dickepair.steady import _SteadyTables, _to_complex
+from helpers import coefficient_c, ladder_row_sum, pair_polynomials
 
 
 def direct_pochhammer(n, beta):
@@ -27,96 +23,129 @@ def direct_pochhammer(n, beta):
     return out
 
 
+def params_for_beta(beta, n_qubits):
+    """An operating point whose derived beta = i(Delta + delta)/(1 + i delta) is ``beta``.
+
+    Reachable are beta = 0 and every beta with a nonzero imaginary part:
+    delta = Re(beta)/Im(beta) and Delta + delta = |beta|^2 / Im(beta).
+    """
+    if beta == 0:
+        return SystemParams(n_qubits=n_qubits, rabi=1.0)
+    dipole = beta.real / beta.imag
+    return SystemParams(n_qubits=n_qubits, rabi=1.0, dipole_shift=dipole,
+                        detuning=abs(beta) ** 2 / beta.imag - dipole)
+
+
+def prefix(tables, n):
+    """a_n = prod_{k<=n} (1 + beta/k) from the log-polar prefix arrays."""
+    return _to_complex(tables.a_log[n], tables.a_phase[n])
+
+
 def test_pochhammer_empty_product():
     for beta in (0.0, 1j, -2.3 + 0.7j):
-        assert pochhammer_ratio(0, beta).to_complex() == 1.0
+        tables = _SteadyTables(params_for_beta(beta, 3))
+        assert tables.a_log[0] == 0.0 and tables.a_phase[0] == 0.0
 
 
 def test_pochhammer_real_factorial():
-    assert pochhammer_ratio(3, 0.0).to_complex() == pytest.approx(6.0, rel=1e-14)
+    # beta = 0: Gamma(1+n)/(Gamma(1) n!) = 1 for every n, exactly
+    tables = _SteadyTables(params_for_beta(0, 6))
+    assert derive_params(tables.params).beta == 0
+    assert (tables.a_log == 0.0).all() and (tables.a_phase == 0.0).all()
 
 
 def test_pochhammer_complex_example():
-    # (1+i)(2+i) = 1+3i
-    assert pochhammer_ratio(2, 1j).to_complex() == pytest.approx(1 + 3j, rel=1e-14)
+    # beta = i: (1+i)(2+i)/2! = (1+3i)/2
+    tables = _SteadyTables(SystemParams(n_qubits=2, rabi=1.0, detuning=1.0))
+    assert derive_params(tables.params).beta == 1j
+    assert prefix(tables, 2) == pytest.approx((1 + 3j) / 2, rel=1e-14)
 
 
 def test_pochhammer_against_direct_product():
     rng = np.random.default_rng(23)
     for _ in range(50):
-        n = int(rng.integers(0, 25))
-        beta = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        got = pochhammer_ratio(n, beta).to_complex()
-        assert got == pytest.approx(direct_pochhammer(n, beta), rel=1e-12)
-
-
-def test_pochhammer_rejects_negative_order():
-    with pytest.raises(IndexRange):
-        pochhammer_ratio(-1, 0.0)
-
-
-def test_coefficient_a_trivial():
-    assert coefficient_a(0, 0, 0.7 - 0.2j).to_complex() == 1.0
-    assert coefficient_a(1, 1, 0.0).to_complex() == pytest.approx(1.0, rel=1e-14)
+        n = int(rng.integers(0, 26))
+        tables = _SteadyTables(params_for_beta(
+            complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), max(n, 1)))
+        beta = derive_params(tables.params).beta
+        expected = direct_pochhammer(n, beta) / math.factorial(n)
+        assert prefix(tables, n) == pytest.approx(expected, rel=1e-12)
 
 
 def test_coefficient_a_complex_example():
-    beta = 1 + 1j
-    expected = direct_pochhammer(2, beta) * np.conj(direct_pochhammer(1, beta)) / 2.0
-    got = coefficient_a(2, 1, beta).to_complex()
-    assert expected == pytest.approx(7.5 + 2.5j)
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_coefficient_a_conjugate_symmetry():
-    rng = np.random.default_rng(31)
-    for _ in range(30):
-        n, m = int(rng.integers(0, 12)), int(rng.integers(0, 12))
-        beta = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        a_nm = coefficient_a(n, m, beta).to_complex()
-        a_mn = coefficient_a(m, n, beta).to_complex()
-        assert a_nm == pytest.approx(np.conj(a_mn), rel=1e-12)
+    # a_21 = a_2 conj(a_1), the product the ladder sums form from the prefix
+    tables = _SteadyTables(SystemParams(n_qubits=2, rabi=1.0, detuning=1.0,
+                                        dipole_shift=1.0))
+    beta = derive_params(tables.params).beta
+    assert beta == pytest.approx(1 + 1j, rel=1e-15)
+    got = prefix(tables, 2) * np.conj(prefix(tables, 1))
+    assert got == pytest.approx(7.5 + 2.5j, rel=1e-12)
 
 
 def test_coefficient_c_trivial():
-    d = DerivedParams(alpha=1j, beta=0.0, tilde_detuning=0.0)
-    assert coefficient_c(0, 0, d).to_complex() == pytest.approx(1.0)
-    # (-1) * i^-1 * a_10 = i
-    assert coefficient_c(1, 0, d).to_complex() == pytest.approx(1j, rel=1e-14)
+    # alpha = i, beta = 0, N = 1: C_00 = C_11 = 1 and C_10 = i; the row sums
+    # are S_0 = 2, S_1 = 1, so Z = 3 and the (S+) ladder sum is C_10 = i
+    tables = _SteadyTables(SystemParams(n_qubits=1, rabi=1.0))
+    assert derive_params(tables.params).alpha == 1j
+    assert math.exp(tables.log_z) == pytest.approx(3.0, rel=1e-14)
+    assert _to_complex(*tables._ladder_sum(1, 0, (1,))) == pytest.approx(1j, rel=1e-14)
 
 
 def test_coefficient_c_diagonal_real_positive():
-    d = derive_params(SystemParams(n_qubits=5, rabi=1.3, detuning=-2.0, dipole_shift=1.5))
-    for n in range(5):
-        c_nn = coefficient_c(n, n, d).to_complex()
-        assert abs(c_nn.imag) < 1e-12 * abs(c_nn)
-        assert c_nn.real > 0.0
+    # C_nn is real and positive, so every diagonal ladder sum has phase 0
+    tables = _SteadyTables(SystemParams(n_qubits=5, rabi=1.3, detuning=-2.0,
+                                        dipole_shift=1.5))
+    for p in range(4):
+        for poly in ((1,), (0, 1), (5, -1)):
+            log_mag, phase = tables._ladder_sum(p, p, poly)
+            assert phase == 0.0 and math.isfinite(log_mag)
 
 
 def test_coefficient_c_conjugate_symmetry():
-    d = derive_params(SystemParams(n_qubits=4, rabi=0.7, detuning=3.0, dipole_shift=-2.0))
-    for n in range(4):
-        for m in range(4):
-            c_nm = coefficient_c(n, m, d).to_complex()
-            c_mn = coefficient_c(m, n, d).to_complex()
-            assert c_nm == pytest.approx(np.conj(c_mn), rel=1e-12)
+    # C_{n-f, n-p} = conj(C_{n-p, n-f}), so swapping p and f conjugates the sum
+    tables = _SteadyTables(SystemParams(n_qubits=4, rabi=0.7, detuning=3.0,
+                                        dipole_shift=-2.0))
+    for p in range(4):
+        for f in range(4):
+            for poly in ((1,), (0, 1), (2, -3, 1)):
+                a = _to_complex(*tables._ladder_sum(p, f, poly))
+                b = _to_complex(*tables._ladder_sum(f, p, poly))
+                assert a == pytest.approx(np.conj(b), rel=1e-12)
 
 
 def test_coefficient_c_zero_drive():
-    d = derive_params(SystemParams(n_qubits=2, rabi=0.0))
     with pytest.raises(ZeroDrive):
-        coefficient_c(1, 1, d)
+        _SteadyTables(SystemParams(n_qubits=2, rabi=0.0))
+
+
+def test_ladder_sums_match_direct_coefficients():
+    # the log-space coefficient assembly against plain complex C_nm products
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        params = SystemParams(n_qubits=int(rng.integers(1, 9)), rabi=rng.uniform(0.2, 4.0),
+                              detuning=rng.uniform(-5, 5), dipole_shift=rng.uniform(-5, 5))
+        tables = _SteadyTables(params)
+        n_qubits = params.n_qubits
+        for p, f, poly in ((0, 0, (1,)), (1, 0, (0, 1)), (0, 2, (3, -1)), (2, 1, (1, 1, 1))):
+            direct = sum(coefficient_c(n - f, n - p, params)
+                         * ladder_row_sum(n_qubits, n, poly)
+                         for n in range(max(p, f), n_qubits + 1))
+            got = _to_complex(*tables._ladder_sum(p, f, poly))
+            assert abs(got - direct) <= 1e-12 * max(abs(direct), math.exp(tables.log_z))
 
 
 def test_partition_strong_drive_limit():
     # only the n=0 term survives as |alpha| grows; for N=1 that term is 2
-    z = partition_z(SystemParams(n_qubits=1, rabi=1000.0))
-    assert z.to_complex() == pytest.approx(2.0, rel=1e-5)
+    log_z = partition_z(SystemParams(n_qubits=1, rabi=1000.0))
+    assert math.exp(log_z) == pytest.approx(2.0, rel=1e-5)
 
 
 def test_partition_exactly_real():
-    z = partition_z(SystemParams(n_qubits=7, rabi=1.1, detuning=-3.0, dipole_shift=2.0))
-    assert z.phase == 0.0
+    # partition_z returns log Z alone; the phase it drops is exactly zero
+    params = SystemParams(n_qubits=7, rabi=1.1, detuning=-3.0, dipole_shift=2.0)
+    log_z = partition_z(params)
+    assert isinstance(log_z, float)
+    assert _SteadyTables(params)._ladder_sum(0, 0, (1,)) == (log_z, 0.0)
 
 
 def test_partition_zero_drive():
@@ -132,29 +161,27 @@ def test_partition_against_ladder_trace():
         SystemParams(n_qubits=4, rabi=0.6, detuning=-2.5, dipole_shift=1.0),
         SystemParams(n_qubits=6, rabi=2.0, detuning=4.0, dipole_shift=-3.0),
     ):
-        d = derive_params(params)
         ops = DickeBasisOperators.build(params.n_qubits)
         direct = 0.0
         for n in range(params.n_qubits + 1):
             ladder = np.linalg.matrix_power(ops.s_minus, n) @ np.linalg.matrix_power(
                 ops.s_plus, n
             )
-            direct += (coefficient_c(n, n, d).to_complex() * np.trace(ladder)).real
-        z = partition_z(params).to_complex().real
-        assert z == pytest.approx(direct, rel=1e-12)
+            direct += (coefficient_c(n, n, params) * np.trace(ladder)).real
+        assert math.exp(partition_z(params)) == pytest.approx(direct, rel=1e-12)
 
 
 def test_partition_log_scale_large_ensemble():
     # the N=74 normalization overflows doubles; its log must stay finite
-    z = partition_z(SystemParams(n_qubits=74, rabi=0.05 * 74 / 2))
-    assert math.isfinite(z.log_mag)
-    assert z.log_mag > 400.0
+    log_z = partition_z(SystemParams(n_qubits=74, rabi=0.05 * 74 / 2))
+    assert math.isfinite(log_z)
+    assert log_z > 400.0
 
 
 def test_partition_precision_modes_agree():
     params = SystemParams(n_qubits=40, rabi=7.0, detuning=-2.0, dipole_shift=3.0)
-    a = partition_z(params, precision="standard").log_mag
-    b = partition_z(params, precision="extended").log_mag
+    a = partition_z(params, precision="standard")
+    b = partition_z(params, precision="extended")
     assert a == pytest.approx(b, rel=1e-14)
     with pytest.raises(ValueError):
         partition_z(params, precision="double")

@@ -68,12 +68,13 @@ def test_hermitian_moments_are_real():
 
 def test_index_validation():
     params = SystemParams(n_qubits=3, rabi=1.0)
-    with pytest.raises(IndexRange):
-        expectation(params, -1, 0, 0)
-    with pytest.raises(IndexRange):
-        expectation(params, 0, 4, 0)
-    with pytest.raises(IndexRange):
-        expectation(params, 0, 0, 5)
+    for p, r, f in ((-1, 0, 0), (0, -1, 0), (0, 0, -2)):
+        with pytest.raises(IndexRange):
+            expectation(params, p, r, f)
+    # (S-)^5 vanishes on the 3-qubit ladder; Sz^4 is an ordinary moment
+    assert expectation(params, 0, 0, 5) == 0
+    assert expectation(params, 5, 1, 0) == 0
+    assert expectation(params, 0, 4, 0).real > 0.0
 
 
 def test_zero_drive_rejected():
@@ -92,6 +93,7 @@ def test_expectation_set_ground_limit():
 
 def test_expectation_set_matches_dense_solver():
     cases = [
+        SystemParams(n_qubits=1, rabi=1.0),
         SystemParams(n_qubits=6, rabi=0.5 * 6 / 2),
         SystemParams(n_qubits=3, rabi=2.0, detuning=-1.0, dipole_shift=2.0),
         SystemParams(n_qubits=4, rabi=1.2, detuning=3.0, dipole_shift=-2.0),

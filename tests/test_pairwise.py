@@ -198,6 +198,22 @@ def test_non_hermitian_input_rejected():
         concurrence(bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.1, np.nan)])
+def test_non_finite_input_rejected(value):
+    bad = np.eye(4, dtype=complex) / 4
+    bad[1, 2] = value
+    with pytest.raises(NumericalFailure):
+        concurrence(bad)
+    with pytest.raises(NumericalFailure):
+        concurrence(np.full((4, 4), value))
+
+
+def test_non_psd_input_rejected():
+    # unit trace and Hermitian, but an eigenvalue of -0.5
+    with pytest.raises(NumericalFailure):
+        concurrence(np.diag([1.5, -0.5, 0.0, 0.0]))
+
+
 def test_reference_concurrences():
     ref1, ref2 = concurrence_ref(bell_phi_plus())
     assert ref1 == pytest.approx(1.0)

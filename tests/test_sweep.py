@@ -1,4 +1,6 @@
 """Grid sweeps, maximization and transition detection."""
+import importlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,10 @@ from dickepair import (
     find_max_concurrence,
     sweep,
 )
-from dickepair.sweep import SHARPNESS_THRESHOLD, evaluate_point
+from dickepair.sweep import RECORD_FIELDS, SHARPNESS_THRESHOLD, evaluate_point
+
+# the package re-exports the function ``sweep`` under the module's name
+sweep_module = importlib.import_module("dickepair.sweep")
 
 
 def test_axis_validation():
@@ -126,11 +131,12 @@ def test_find_max_fixed_detuning_bounds():
     assert cmax > 0.3
 
 
-def test_find_max_constant_landscape():
+def test_find_max_constant_landscape(monkeypatch):
+    # a flat concurrence landscape: the search still ends inside the bounds
+    monkeypatch.setattr(sweep_module, "evaluate_point",
+                        lambda p, precision: (0.7,) + (0.0,) * (len(RECORD_FIELDS) - 1))
     t = SystemParams(n_qubits=2, rabi=1.0)
-    argmax, val = find_max_concurrence(
-        t, (0.5, 2.0), (-1.0, 1.0), objective=lambda p: 0.7
-    )
+    argmax, val = find_max_concurrence(t, (0.5, 2.0), (-1.0, 1.0))
     assert val == 0.7
     assert 0.5 <= argmax.rabi <= 2.0
     assert -1.0 <= argmax.detuning <= 1.0

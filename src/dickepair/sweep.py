@@ -6,6 +6,7 @@ order and repeated runs are bit-identical.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -112,21 +113,16 @@ def evaluate_point(params: SystemParams, precision: str = "standard") -> tuple:
 class SweepResult:
     """Grid coordinates plus per-point records, row-major over the axes."""
 
-    template: SystemParams
     axes: tuple[AxisSpec, ...]
     coords: tuple[np.ndarray, ...]
     data: np.ndarray
-    precision: str
 
     def column(self, field: str) -> np.ndarray:
         return self.data[field]
 
     def axis_columns(self) -> list[np.ndarray]:
         """Per-record coordinate columns matching the data layout."""
-        if len(self.axes) == 1:
-            return [self.coords[0]]
-        a, b = self.coords
-        return [np.repeat(a, len(b)), np.tile(b, len(a))]
+        return [c.ravel() for c in np.meshgrid(*self.coords, indexing="ij")]
 
 
 def sweep(
@@ -146,18 +142,12 @@ def sweep(
 
     coords = tuple(a.values() for a in axes)
     data = np.zeros(total, dtype=RECORD_FIELDS)
-    if len(axes) == 1:
-        for i, v in enumerate(coords[0]):
-            data[i] = evaluate_point(_apply_axis(template, axes[0].name, v), precision)
-    else:
-        idx = 0
-        for va in coords[0]:
-            pa = _apply_axis(template, axes[0].name, va)
-            for vb in coords[1]:
-                data[idx] = evaluate_point(_apply_axis(pa, axes[1].name, vb), precision)
-                idx += 1
-    return SweepResult(template=template, axes=axes, coords=coords, data=data,
-                       precision=precision)
+    for i, point in enumerate(itertools.product(*coords)):
+        params = template
+        for axis, value in zip(axes, point):
+            params = _apply_axis(params, axis.name, value)
+        data[i] = evaluate_point(params, precision)
+    return SweepResult(axes=axes, coords=coords, data=data)
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
@@ -187,65 +177,46 @@ def find_max_concurrence(
 ) -> tuple[SystemParams, float]:
     """Maximize concurrence over rabi (and optionally detuning).
 
-    A coarse grid (at least 32 points per free axis) brackets the optimum;
-    alternating per-axis golden-section refinement then runs until both
-    parameters move by less than MAXIMIZE_TOL_PUMP in pump units
-    (tol = MAXIMIZE_TOL_PUMP * n_qubits * decay / 2 on either axis). Bounds
-    with equal endpoints pin that axis.
+    A coarse grid (at least 32 points per free axis, one ``sweep``) brackets
+    the optimum; alternating per-axis golden-section refinement then runs
+    until every free parameter moves by less than MAXIMIZE_TOL_PUMP in pump
+    units (tol = MAXIMIZE_TOL_PUMP * n_qubits * decay / 2 on either axis).
+    Bounds with equal endpoints pin that axis.
     """
     def objective(p: SystemParams) -> float:
         return evaluate_point(p, precision)[0]
 
-    coarse_points = max(32, coarse_points)
     tol = MAXIMIZE_TOL_PUMP * template.n_qubits * template.decay / 2.0
-
-    w_lo, w_hi = map(float, rabi_bounds)
     if detuning_bounds is None:
-        d_lo = d_hi = template.detuning
-    else:
-        d_lo, d_hi = map(float, detuning_bounds)
-    if w_lo > w_hi or d_lo > d_hi:
+        detuning_bounds = (template.detuning, template.detuning)
+    bounds = {"rabi": rabi_bounds, "detuning": detuning_bounds}
+    bounds = {name: tuple(map(float, b)) for name, b in bounds.items()}
+    if any(lo > hi for lo, hi in bounds.values()):
         raise ValueError("bounds must satisfy lo <= hi")
 
-    w_grid = np.linspace(w_lo, w_hi, coarse_points) if w_hi > w_lo else np.array([w_lo])
-    d_grid = np.linspace(d_lo, d_hi, coarse_points) if d_hi > d_lo else np.array([d_lo])
-
-    best_val = -np.inf
-    best_w, best_d = w_grid[0], d_grid[0]
-    for w in w_grid:
-        for d in d_grid:
-            val = objective(replace(template, rabi=float(w), detuning=float(d)))
-            if val > best_val:
-                best_val, best_w, best_d = val, float(w), float(d)
-
-    step_w = (w_hi - w_lo) / (coarse_points - 1) if w_hi > w_lo else 0.0
-    step_d = (d_hi - d_lo) / (coarse_points - 1) if d_hi > d_lo else 0.0
+    best = replace(template, **{name: lo for name, (lo, hi) in bounds.items() if lo == hi})
+    free = [AxisSpec(name, lo, hi, max(32, coarse_points))
+            for name, (lo, hi) in bounds.items() if lo < hi]
+    if free:
+        grid = sweep(best, free, precision)
+        i = int(np.argmax(grid.column("c")))
+        best = replace(best, **{ax.name: float(col[i])
+                                for ax, col in zip(free, grid.axis_columns())})
 
     for _ in range(40):
         moved = 0.0
-        if step_w > 0.0:
-            lo = max(w_lo, best_w - step_w)
-            hi = min(w_hi, best_w + step_w)
-            new_w = _golden_max(
-                lambda w: objective(replace(template, rabi=float(w), detuning=best_d)),
-                lo, hi, tol,
+        for ax in free:
+            at = getattr(best, ax.name)
+            step = (ax.stop - ax.start) / (ax.points - 1)
+            new = _golden_max(
+                lambda x: objective(replace(best, **{ax.name: float(x)})),
+                max(ax.start, at - step), min(ax.stop, at + step), tol,
             )
-            moved = max(moved, abs(new_w - best_w))
-            best_w = new_w
-        if step_d > 0.0:
-            lo = max(d_lo, best_d - step_d)
-            hi = min(d_hi, best_d + step_d)
-            new_d = _golden_max(
-                lambda d: objective(replace(template, rabi=best_w, detuning=float(d))),
-                lo, hi, tol,
-            )
-            moved = max(moved, abs(new_d - best_d))
-            best_d = new_d
-        if moved < tol or (step_w == 0.0 and step_d == 0.0):
+            moved = max(moved, abs(new - at))
+            best = replace(best, **{ax.name: new})
+        if moved < tol:
             break
-
-    argmax = replace(template, rabi=best_w, detuning=best_d)
-    return argmax, objective(argmax)
+    return best, objective(best)
 
 
 @dataclass(frozen=True)

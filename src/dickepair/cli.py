@@ -63,7 +63,6 @@ class RunConfig:
     precision: str = "standard"
     figure: str | None = None
     oracle_sizes: tuple[int, ...] = DEFAULT_ORACLE_SIZES
-    tolerance: float = DEFAULT_ORACLE_TOL
 
 
 def figure_preset(name: str) -> RunConfig:
@@ -85,7 +84,8 @@ def figure_preset(name: str) -> RunConfig:
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    # + 0.0 turns an exact -0.0 into 0.0 and leaves every other value alone
+    return format(float(x) + 0.0, ".17g")
 
 
 def _meta_lines(config: RunConfig) -> list[str]:
@@ -242,11 +242,11 @@ def _run_oracle_check(config: RunConfig, fh) -> int:
                     worst = max(worst, moment_err, rho_err)
                     rows.append((n, rabi, det, dip, moment_err, rho_err))
     meta = _meta_lines(config) + [f"worst_error: {_fmt(worst)}",
-                                  f"tolerance: {_fmt(config.tolerance)}"]
+                                  f"tolerance: {_fmt(DEFAULT_ORACLE_TOL)}"]
     _write_csv(fh, meta, header, rows)
-    if worst > config.tolerance:
+    if worst > DEFAULT_ORACLE_TOL:
         print(f"error: NumericalFailure: oracle mismatch {worst:.3e} exceeds "
-              f"{config.tolerance:.1e}", file=sys.stderr)
+              f"{DEFAULT_ORACLE_TOL:.1e}", file=sys.stderr)
         return 3
     return 0
 
@@ -334,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle-check", help="compare closed form against the dense solver")
     sp.add_argument("--n", type=int, action="append",
                     help="ensemble size to check (repeatable, default 2 3 4 6)")
-    sp.add_argument("--tol", type=float, default=DEFAULT_ORACLE_TOL)
     _add_output(sp)
 
     return parser
@@ -350,7 +349,7 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
 
     if ns.command == "oracle-check":
         sizes = tuple(ns.n) if ns.n else DEFAULT_ORACLE_SIZES
-        return RunConfig(command="oracle-check", oracle_sizes=sizes, tolerance=ns.tol,
+        return RunConfig(command="oracle-check", oracle_sizes=sizes,
                          output_path=ns.out, precision=ns.precision)
 
     rabi = ns.rabi

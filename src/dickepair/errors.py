@@ -14,7 +14,7 @@ class ZeroDrive(DickepairError):
 
 
 class IndexRange(DickepairError):
-    """A moment index (p, r, f) is negative or exceeds the qubit number."""
+    """A moment index (p, r, f) is negative."""
 
 
 class PairUndefined(DickepairError):

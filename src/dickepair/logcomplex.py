@@ -2,9 +2,9 @@
 
 The closed-form steady state multiplies factorial-scale quantities whose
 magnitudes reach ~10^300 before normalization, far beyond double range.
-Every coefficient and sum term is therefore carried as a (log magnitude,
-phase) pair of floats; sums rescale by the maximum log magnitude before
-accumulating.
+Every sum term is therefore carried as a log magnitude and a unit-modulus
+complex factor holding its phase and sign; a sum factors out the largest log
+magnitude and comes back as (scale, mantissa), meaning exp(scale) * mantissa.
 """
 from __future__ import annotations
 
@@ -22,43 +22,27 @@ CANCELLATION_TRIGGER = 1e-8
 PRECISION_MODES = ("standard", "extended")
 
 
-def logsum_complex(log_mags, phases, precision: str = "standard",
-                   signs=None) -> tuple[float, float]:
-    """Sum of terms signs * exp(log_mags) * exp(i*phases), rescaled for stability.
+def logsum_complex(log_mags, units, precision: str = "standard") -> tuple[float, complex]:
+    """Sum of the terms exp(log_mags) * units as (scale, mantissa), sum = exp(scale) * mantissa.
 
-    Returns the sum as (log magnitude, phase) with the phase in (-pi, pi]; an
-    exact zero is (LOG_ZERO, 0.0). The largest log magnitude is factored out
-    before accumulation, so the summed terms have magnitude <= 1. Exact sign
-    flips should be passed via ``signs`` (+-1 factors) rather than folded into
-    the phases as pi offsets: sin(pi) is only zero to machine precision, and
-    under heavy cancellation that residue would contaminate the small
-    surviving component. In ``standard`` mode the sum is a plain vector sum,
-    upgraded to exact summation when the accumulated magnitude falls below
-    CANCELLATION_TRIGGER times the largest term; ``extended`` forces the
-    exact accumulator everywhere.
+    ``units`` are modulus-1 complex factors; exact ones such as +-1 and +-i
+    multiply without rounding. ``scale`` is the largest log magnitude, so
+    |mantissa| is the cancellation ratio |sum| / max|term|; an empty or
+    all-zero sum is (LOG_ZERO, 0j). ``standard`` mode takes a plain vector
+    sum and redoes it exactly (math.fsum of the real and imaginary parts)
+    when |mantissa| < CANCELLATION_TRIGGER; ``extended`` always sums exactly.
     """
     if precision not in PRECISION_MODES:
         raise ValueError(f"precision must be one of {PRECISION_MODES}, got {precision!r}")
     log_mags = np.asarray(log_mags, dtype=float)
-    phases = np.asarray(phases, dtype=float)
     if log_mags.size == 0:
-        return LOG_ZERO, 0.0
+        return LOG_ZERO, 0j
     top = float(np.max(log_mags))
     if top == LOG_ZERO:
-        return LOG_ZERO, 0.0
-    w = np.exp(log_mags - top)
-    if signs is not None:
-        w = w * np.asarray(signs, dtype=float)
-    re = w * np.cos(phases)
-    im = w * np.sin(phases)
-    if precision == "extended":
-        sr, si = math.fsum(re), math.fsum(im)
-    else:
-        sr, si = float(re.sum()), float(im.sum())
-        if math.hypot(sr, si) < CANCELLATION_TRIGGER:
-            sr, si = math.fsum(re), math.fsum(im)
-    mag = math.hypot(sr, si)
-    if mag == 0.0:
-        return LOG_ZERO, 0.0
-    phase = math.atan2(si, sr)
-    return top + math.log(mag), math.pi if phase == -math.pi else phase
+        return LOG_ZERO, 0j
+    terms = np.exp(log_mags - top) * np.asarray(units, dtype=complex)
+    if precision == "standard":
+        mantissa = complex(terms.sum())
+        if abs(mantissa) >= CANCELLATION_TRIGGER:
+            return top, mantissa
+    return top, complex(math.fsum(terms.real), math.fsum(terms.imag))

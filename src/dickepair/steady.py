@@ -11,7 +11,9 @@ ladder-operator products reduces every collective moment
 <(S+)^p Sz^r (S-)^f> to a double sum sum_n C_{n-f,n-p} sum_m w(n, m) q(n+m)
 over combinatorial weights. The inner sum does not depend on the parameters
 and closes in exact integers (:func:`_row_sums`), which leaves one O(N) sum
-over n, evaluated in log space because its terms reach (2N+1)! scale.
+over n, evaluated in log space because its terms reach (2N+1)! scale: each
+term is a log magnitude times a unit complex factor, and the sum comes back
+as exp(scale) * mantissa (:func:`dickepair.logcomplex.logsum_complex`).
 
 Gamma-function ratios are evaluated as Pochhammer products
 Gamma(1+n+beta)/Gamma(1+beta) = prod_{k=1..n} (k+beta), which is exact and
@@ -51,14 +53,6 @@ class ExpectationSet:
     s_plus_sz: complex
     s_plus2: complex
     s_plus_s_minus: float
-
-
-def _to_complex(log_mag: float, phase: float) -> complex:
-    """exp(log_mag + i*phase) as an ordinary complex; exactly 0j for LOG_ZERO."""
-    if log_mag == LOG_ZERO:
-        return 0j
-    mag = math.exp(log_mag)
-    return complex(mag * math.cos(phase), mag * math.sin(phase))
 
 
 @lru_cache(maxsize=None)
@@ -117,30 +111,34 @@ class _SteadyTables:
         # a_n = prod_{k=1..n} (1 + beta/k) = Gamma(1+n+beta) / (Gamma(1+beta) n!)
         ratios = 1.0 + self.derived.beta / np.arange(1, N + 1)
         self.a_log = np.concatenate([[0.0], np.cumsum(np.log(np.abs(ratios)))])
-        self.a_phase = np.concatenate([[0.0], np.cumsum(np.angle(ratios))])
+        self.a_unit = np.concatenate([[1.0], np.cumprod(ratios / np.abs(ratios))])
 
         alpha = self.derived.alpha
         self.log_alpha = math.log(abs(alpha))
-        self.arg_alpha = math.atan2(alpha.imag, alpha.real)
-        # the diagonal coefficients C_nn are real and positive: phase exactly 0
-        self.log_z = self._ladder_sum(0, 0, (1,))[0]
+        self.alpha_unit = -alpha.conjugate() / abs(alpha)
+        scale, mantissa = self._ladder_sum(0, 0, (1,))
+        self.log_z = scale + math.log(mantissa.real)
 
-    def _ladder_sum(self, p: int, f: int, poly: tuple[int, ...]) -> tuple[float, float]:
-        """sum_{n >= max(p, f)} C_{n-f, n-p} S_n as (log magnitude, phase).
+    def _ladder_sum(self, p: int, f: int, poly: tuple[int, ...]) -> tuple[float, complex]:
+        """sum_{n >= max(p, f)} C_{n-f, n-p} S_n as (scale, mantissa).
 
         Unnormalized, with S_n from _row_sums: this is
         Z * <(S+)^p q(N/2 - Sz) (S-)^f>, and exactly zero (an empty sum) when
-        p or f exceeds N. The sign of C_{n-f, n-p}, (-1)^(p+f), is carried as
-        an exact sign, not a pi phase offset.
+        p or f exceeds N. The n-independent factor of C, (-1)^(p+f)
+        (alpha*/|alpha|)^(p-f) = (-alpha*/|alpha|)^(p-f), multiplies the
+        mantissa once: an exact power of i when alpha is imaginary. On the
+        diagonal the unit factors a_k conj(a_k) = 1 are left out, since a
+        vectorised complex product may round their imaginary part to nonzero.
         """
         N = self.params.n_qubits
         n = np.arange(max(p, f), N + 1)
         log_s, sign_s = _row_sums(N, poly)
         c_mag = self.a_log[n - f] + self.a_log[n - p] - (2 * n - p - f) * self.log_alpha
-        c_phase = self.a_phase[n - f] - self.a_phase[n - p] - (p - f) * self.arg_alpha
-        sign = -1.0 if (p + f) % 2 else 1.0
-        return logsum_complex(c_mag + log_s[n], c_phase, self.precision,
-                              signs=sign * sign_s[n])
+        units = sign_s[n]
+        if p != f:
+            units = self.a_unit[n - f] * np.conj(self.a_unit[n - p]) * units
+        scale, mantissa = logsum_complex(c_mag + log_s[n], units, self.precision)
+        return scale, mantissa * self.alpha_unit ** (p - f)
 
     def moment(self, p: int, r: int, f: int) -> complex:
         """<(S+)^p Sz^r (S-)^f>, with Sz^r = (N - 2d)^r / 2^r as the ladder polynomial."""
@@ -149,8 +147,8 @@ class _SteadyTables:
             if v < 0:
                 raise IndexRange(f"moment index {name}={v} is negative")
         poly = tuple(math.comb(r, k) * N ** (r - k) * (-2) ** k for k in range(r + 1))
-        log_mag, phase = self._ladder_sum(p, f, poly)
-        return _to_complex(log_mag - self.log_z - r * math.log(2.0), phase)
+        scale, mantissa = self._ladder_sum(p, f, poly)
+        return math.exp(scale - self.log_z - r * math.log(2.0)) * mantissa
 
     def moment_set(self) -> ExpectationSet:
         return ExpectationSet(
@@ -179,8 +177,8 @@ class _SteadyTables:
         log_norm = self.log_z + math.log(N) + math.log(N - 1)
 
         def entry(p, poly):
-            log_mag, phase = self._ladder_sum(p, 0, poly)
-            return _to_complex(log_mag - log_norm, phase)
+            scale, mantissa = self._ladder_sum(p, 0, poly)
+            return math.exp(scale - log_norm) * mantissa
 
         r11 = entry(0, (N * (N - 1), 1 - 2 * N, 1)).real
         r22 = entry(0, (0, N, -1)).real

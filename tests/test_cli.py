@@ -122,6 +122,19 @@ def test_expect_single_emitter(tmp_path):
     assert by_name["s_plus2_re"] == 0.0 and by_name["s_plus2_im"] == 0.0
 
 
+def test_exact_zeros_print_unsigned(tmp_path):
+    # at resonance Re rho12 is an exact (possibly negative) zero; no cell reads -0
+    from dickepair.cli import _fmt
+
+    assert (_fmt(-0.0), _fmt(0.0), _fmt(-1.5), _fmt(-1e-300)) == ("0", "0", "-1.5", "-1e-300")
+    out = tmp_path / "rho.csv"
+    assert main(["rho", "--n", "200", "--pump", "0.9", "--out", str(out)]) == 0
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    cells = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert cells["rho12_re"] == "0"
+    assert "-0" not in cells.values()
+
+
 def test_pump_flag_converts(tmp_path):
     out_pump = tmp_path / "a.csv"
     out_rabi = tmp_path / "b.csv"

@@ -12,7 +12,7 @@ from dickepair import (
     partition_z,
 )
 from dickepair.oracle import DickeBasisOperators
-from dickepair.steady import _SteadyTables, _to_complex
+from dickepair.steady import _SteadyTables
 from helpers import coefficient_c, ladder_row_sum, pair_polynomials
 
 
@@ -37,21 +37,27 @@ def params_for_beta(beta, n_qubits):
 
 
 def prefix(tables, n):
-    """a_n = prod_{k<=n} (1 + beta/k) from the log-polar prefix arrays."""
-    return _to_complex(tables.a_log[n], tables.a_phase[n])
+    """a_n = prod_{k<=n} (1 + beta/k) from the a_log and a_unit prefix arrays."""
+    return math.exp(tables.a_log[n]) * tables.a_unit[n]
+
+
+def value(pair):
+    """exp(scale) * mantissa of a ladder sum as an ordinary complex."""
+    scale, mantissa = pair
+    return math.exp(scale) * mantissa
 
 
 def test_pochhammer_empty_product():
     for beta in (0.0, 1j, -2.3 + 0.7j):
         tables = _SteadyTables(params_for_beta(beta, 3))
-        assert tables.a_log[0] == 0.0 and tables.a_phase[0] == 0.0
+        assert tables.a_log[0] == 0.0 and tables.a_unit[0] == 1.0
 
 
 def test_pochhammer_real_factorial():
     # beta = 0: Gamma(1+n)/(Gamma(1) n!) = 1 for every n, exactly
     tables = _SteadyTables(params_for_beta(0, 6))
     assert derive_params(tables.params).beta == 0
-    assert (tables.a_log == 0.0).all() and (tables.a_phase == 0.0).all()
+    assert (tables.a_log == 0.0).all() and (tables.a_unit == 1.0).all()
 
 
 def test_pochhammer_complex_example():
@@ -88,17 +94,17 @@ def test_coefficient_c_trivial():
     tables = _SteadyTables(SystemParams(n_qubits=1, rabi=1.0))
     assert derive_params(tables.params).alpha == 1j
     assert math.exp(tables.log_z) == pytest.approx(3.0, rel=1e-14)
-    assert _to_complex(*tables._ladder_sum(1, 0, (1,))) == pytest.approx(1j, rel=1e-14)
+    assert value(tables._ladder_sum(1, 0, (1,))) == pytest.approx(1j, rel=1e-14)
 
 
 def test_coefficient_c_diagonal_real_positive():
-    # C_nn is real and positive, so every diagonal ladder sum has phase 0
+    # C_nn is real and positive, so every diagonal ladder sum is exactly real
     tables = _SteadyTables(SystemParams(n_qubits=5, rabi=1.3, detuning=-2.0,
                                         dipole_shift=1.5))
     for p in range(4):
         for poly in ((1,), (0, 1), (5, -1)):
-            log_mag, phase = tables._ladder_sum(p, p, poly)
-            assert phase == 0.0 and math.isfinite(log_mag)
+            scale, mantissa = tables._ladder_sum(p, p, poly)
+            assert mantissa.imag == 0.0 and mantissa.real > 0.0 and math.isfinite(scale)
 
 
 def test_coefficient_c_conjugate_symmetry():
@@ -108,8 +114,8 @@ def test_coefficient_c_conjugate_symmetry():
     for p in range(4):
         for f in range(4):
             for poly in ((1,), (0, 1), (2, -3, 1)):
-                a = _to_complex(*tables._ladder_sum(p, f, poly))
-                b = _to_complex(*tables._ladder_sum(f, p, poly))
+                a = value(tables._ladder_sum(p, f, poly))
+                b = value(tables._ladder_sum(f, p, poly))
                 assert a == pytest.approx(np.conj(b), rel=1e-12)
 
 
@@ -130,7 +136,7 @@ def test_ladder_sums_match_direct_coefficients():
             direct = sum(coefficient_c(n - f, n - p, params)
                          * ladder_row_sum(n_qubits, n, poly)
                          for n in range(max(p, f), n_qubits + 1))
-            got = _to_complex(*tables._ladder_sum(p, f, poly))
+            got = value(tables._ladder_sum(p, f, poly))
             assert abs(got - direct) <= 1e-12 * max(abs(direct), math.exp(tables.log_z))
 
 
@@ -141,11 +147,13 @@ def test_partition_strong_drive_limit():
 
 
 def test_partition_exactly_real():
-    # partition_z returns log Z alone; the phase it drops is exactly zero
+    # partition_z returns log Z alone; the imaginary part it drops is exactly zero
     params = SystemParams(n_qubits=7, rabi=1.1, detuning=-3.0, dipole_shift=2.0)
     log_z = partition_z(params)
     assert isinstance(log_z, float)
-    assert _SteadyTables(params)._ladder_sum(0, 0, (1,)) == (log_z, 0.0)
+    scale, mantissa = _SteadyTables(params)._ladder_sum(0, 0, (1,))
+    assert mantissa.imag == 0.0 and mantissa.real > 0.0
+    assert scale + math.log(mantissa.real) == log_z
 
 
 def test_partition_zero_drive():

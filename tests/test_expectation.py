@@ -8,6 +8,7 @@ from dickepair import (
     ZeroDrive,
     expectation,
     expectation_set,
+    steady_pair_density,
 )
 from helpers import MOMENT_FIELDS, steady_rho
 from dickepair.oracle import density_expectation_set
@@ -64,6 +65,19 @@ def test_hermitian_moments_are_real():
     for params in GRID:
         for p, r, f in ((0, 1, 0), (0, 2, 0), (1, 0, 1)):
             assert abs(expectation(params, p, r, f).imag) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 6, 50, 200])
+def test_resonant_vanishing_components_are_exact_zeros(n):
+    # at Delta = delta = 0, alpha = i*Omega and beta = 0: every ladder sum is
+    # a real sum times an exact power of i, so these components are exactly 0
+    for pump in (0.05, 0.9, 2.0):
+        for precision in ("standard", "extended"):
+            params = SystemParams(n_qubits=n, rabi=1.0).with_pump(pump)
+            m = expectation_set(params, precision=precision)
+            rho = steady_pair_density(params, precision=precision)
+            assert (m.s_plus.real, m.s_plus_sz.real, m.s_plus2.imag) == (0.0, 0.0, 0.0)
+            assert (rho[0, 1].real, rho[1, 3].real, rho[0, 3].imag) == (0.0, 0.0, 0.0)
 
 
 def test_index_validation():

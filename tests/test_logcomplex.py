@@ -9,25 +9,30 @@ from dickepair.logcomplex import (
     LOG_ZERO,
     logsum_complex,
 )
-from dickepair.steady import _SteadyTables, _to_complex
+from dickepair.steady import _SteadyTables
+
+
+def value(pair):
+    """exp(scale) * mantissa as an ordinary complex."""
+    scale, mantissa = pair
+    return math.exp(scale) * mantissa
 
 
 def test_round_trip():
-    # complex -> one-term (log, phase) sum -> complex
+    # complex -> one-term (scale, mantissa) sum -> complex
     rng = np.random.default_rng(3)
     for _ in range(100):
         z = complex(rng.normal(), rng.normal())
-        pair = logsum_complex([math.log(abs(z))], [np.angle(z)])
-        assert all(isinstance(v, float) for v in pair)
-        assert _to_complex(*pair) == pytest.approx(z, rel=1e-14)
+        pair = logsum_complex([math.log(abs(z))], [z / abs(z)])
+        assert isinstance(pair[0], float) and isinstance(pair[1], complex)
+        assert value(pair) == pytest.approx(z, rel=1e-14)
 
 
 def test_zero_handling():
-    # an exact zero is (LOG_ZERO, 0.0), also when the terms cancel exactly
-    assert _to_complex(LOG_ZERO, 0.0) == 0j
-    assert logsum_complex([0.0, 0.0], [0.0, 0.0], signs=[1.0, -1.0]) == (LOG_ZERO, 0.0)
-    assert logsum_complex([1.0, 1.0], [0.5, 0.5], "extended",
-                          signs=[1.0, -1.0]) == (LOG_ZERO, 0.0)
+    # terms that cancel exactly leave an exact zero mantissa in both modes
+    assert value((LOG_ZERO, 0j)) == 0j
+    assert logsum_complex([0.0, 0.0], [1.0, -1.0])[1] == 0j
+    assert logsum_complex([1.0, 1.0], [0.6 + 0.8j, -0.6 - 0.8j], "extended")[1] == 0j
 
 
 def test_logsum_matches_direct_sum():
@@ -35,48 +40,46 @@ def test_logsum_matches_direct_sum():
     for _ in range(50):
         zs = rng.normal(size=12) + 1j * rng.normal(size=12)
         log_mags = np.log(np.abs(zs))
-        phases = np.angle(zs)
         expected = zs.sum()
         for precision in ("standard", "extended"):
-            log_mag, phase = logsum_complex(log_mags, phases, precision)
-            assert -math.pi < phase <= math.pi
-            assert _to_complex(log_mag, phase) == pytest.approx(expected, rel=1e-12)
-    # the branch cut: a sum on the negative real axis reads phase +pi
-    assert logsum_complex([0.0], [-math.pi]) == (0.0, math.pi)
+            pair = logsum_complex(log_mags, zs / np.abs(zs), precision)
+            assert pair[0] == log_mags.max()
+            assert value(pair) == pytest.approx(expected, rel=1e-12)
 
 
 def test_logsum_empty_and_all_zero():
-    assert logsum_complex([], [], "standard") == (LOG_ZERO, 0.0)
-    assert logsum_complex([LOG_ZERO, LOG_ZERO], [0.0, 0.0], "standard") == (LOG_ZERO, 0.0)
+    assert logsum_complex([], [], "standard") == (LOG_ZERO, 0j)
+    assert logsum_complex([LOG_ZERO, LOG_ZERO], [1.0, 1.0], "standard") == (LOG_ZERO, 0j)
 
 
 def test_cancellation_triggers_exact_accumulation():
     # rescaled terms are [1, 1e-16, -1]; a plain vector sum loses the middle
-    # term entirely, the triggered exact path keeps it
+    # term entirely, the triggered exact path keeps it, and |mantissa| is the
+    # cancellation ratio |sum| / max|term|
     log_mags = np.array([math.log(1e16), 0.0, math.log(1e16)])
-    phases = np.zeros(3)
-    signs = np.array([1.0, 1.0, -1.0])
+    units = np.array([1.0, 1.0, -1.0])
     for precision in ("standard", "extended"):
-        got = logsum_complex(log_mags, phases, precision, signs=signs)
-        assert _to_complex(*got) == pytest.approx(1.0, rel=1e-12)
+        got = logsum_complex(log_mags, units, precision)
+        assert value(got) == pytest.approx(1.0, rel=1e-12)
+        assert abs(got[1]) == pytest.approx(1e-16, rel=1e-12)
     assert CANCELLATION_TRIGGER == 1e-8
 
 
 def test_signed_sum_matches_direct():
+    # signs ride in the unit factors: +-1 times a unit multiplies exactly
     rng = np.random.default_rng(29)
     zs = rng.normal(size=10) + 1j * rng.normal(size=10)
     signs = rng.choice([-1.0, 1.0], size=10)
-    got = logsum_complex(np.log(np.abs(zs)), np.angle(zs), "standard", signs=signs)
-    assert _to_complex(*got) == pytest.approx((signs * zs).sum(), rel=1e-12)
+    got = logsum_complex(np.log(np.abs(zs)), signs * (zs / np.abs(zs)), "standard")
+    assert value(got) == pytest.approx((signs * zs).sum(), rel=1e-12)
 
 
 def test_rescaling_survives_huge_magnitudes():
     # both terms ~exp(700); naive exponentiation would overflow
     log_mags = np.array([700.0, 700.0])
-    phases = np.array([0.0, 0.0])
-    log_mag, phase = logsum_complex(log_mags, phases, "standard")
-    assert log_mag == pytest.approx(700.0 + math.log(2.0), rel=1e-14)
-    assert phase == pytest.approx(0.0)
+    scale, mantissa = logsum_complex(log_mags, [1.0, 1.0], "standard")
+    assert scale == 700.0 and mantissa == 2.0
+    assert scale + math.log(mantissa.real) == pytest.approx(700.0 + math.log(2.0), rel=1e-14)
 
 
 def test_far_out_of_double_range_products():

@@ -123,6 +123,18 @@ def test_find_max_matches_dense_scan():
     assert cmax >= c.max() - 1e-9
 
 
+def test_find_max_two_free_axes_matches_dense_grid():
+    t = SystemParams(n_qubits=2, rabi=1.0, dipole_shift=5.0)
+    dense = sweep(t, (AxisSpec("rabi", 0.2, 3.0, 40), AxisSpec("detuning", -15.0, -5.0, 40)))
+    c = dense.column("c")
+    i = int(np.argmax(c))
+    best_rabi, best_detuning = (col[i] for col in dense.axis_columns())
+    argmax, cmax = find_max_concurrence(t, (0.2, 3.0), (-15.0, -5.0))
+    assert cmax >= c.max() - 1e-9
+    assert abs(argmax.rabi - best_rabi) <= (3.0 - 0.2) / 39
+    assert abs(argmax.detuning - best_detuning) <= (15.0 - 5.0) / 39
+
+
 def test_find_max_fixed_detuning_bounds():
     t = SystemParams(n_qubits=2, rabi=1.0, dipole_shift=5.0)
     argmax, cmax = find_max_concurrence(t, (0.2, 3.0), (-10.0, -10.0))

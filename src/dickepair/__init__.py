@@ -14,7 +14,6 @@ from .errors import (
     DickepairError,
     GridTooCoarse,
     IndexRange,
-    NotConverged,
     NumericalFailure,
     PairUndefined,
     SizeExceeded,
@@ -37,10 +36,8 @@ from .pairwise import (
     two_qubit_rho,
 )
 from .oracle import (
-    DickeBasisOperators,
     build_liouvillian,
     density_expectation_set,
-    evolve_to_steady,
     oracle_pair_density,
     steady_state_null_space,
 )
@@ -60,11 +57,11 @@ __all__ = [
     "ExpectationSet", "partition_z", "expectation", "expectation_set",
     "ConcurrenceResult", "two_qubit_rho", "steady_pair_density", "concurrence",
     "concurrence_ref",
-    "DickeBasisOperators", "build_liouvillian", "steady_state_null_space",
-    "evolve_to_steady", "density_expectation_set", "oracle_pair_density",
+    "build_liouvillian", "steady_state_null_space", "density_expectation_set",
+    "oracle_pair_density",
     "AxisSpec", "SweepResult", "TransitionReport", "sweep",
     "find_max_concurrence", "detect_transition",
     "DickepairError", "ZeroDrive", "IndexRange", "PairUndefined",
-    "NumericalFailure", "SizeExceeded", "DegenerateNullSpace", "NotConverged",
-    "GridTooCoarse", "UnknownFigure",
+    "NumericalFailure", "SizeExceeded", "DegenerateNullSpace", "GridTooCoarse",
+    "UnknownFigure",
 ]

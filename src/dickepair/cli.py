@@ -17,8 +17,13 @@ import numpy as np
 
 from . import __version__
 from .errors import DickepairError, UnknownFigure
-from .oracle import build_liouvillian, density_expectation_set, steady_state_null_space
-from .pairwise import concurrence, steady_pair_density, two_qubit_rho
+from .oracle import (
+    build_liouvillian,
+    density_expectation_set,
+    oracle_pair_density,
+    steady_state_null_space,
+)
+from .pairwise import concurrence, steady_pair_density
 from .params import SystemParams
 from .steady import expectation_set
 from .sweep import AxisSpec, find_max_concurrence, sweep
@@ -170,24 +175,7 @@ def _run_sweep(config: RunConfig, fh) -> int:
 
 
 def _run_maximize(config: RunConfig, fh) -> int:
-    rabi_bounds = None
-    detuning_bounds = None
-    coarse = 33
-    for ax in config.axes:
-        if ax.name in ("rabi", "pump"):
-            scale = config.params.n_qubits * config.params.decay / 2.0 if ax.name == "pump" else 1.0
-            rabi_bounds = (ax.start * scale, ax.stop * scale)
-            coarse = max(coarse, ax.points)
-        elif ax.name == "detuning":
-            detuning_bounds = (ax.start, ax.stop)
-        else:
-            raise ValueError(f"maximize supports rabi/pump and detuning axes, got {ax.name!r}")
-    if rabi_bounds is None:
-        raise ValueError("maximize needs a rabi or pump axis for the drive bounds")
-    argmax, cmax = find_max_concurrence(
-        config.params, rabi_bounds, detuning_bounds,
-        coarse_points=coarse, precision=config.precision,
-    )
+    argmax, cmax = find_max_concurrence(config.params, config.axes, precision=config.precision)
     header = ["rabi", "pump", "detuning", "c_max"]
     row = (argmax.rabi, argmax.pump, argmax.detuning, cmax)
     _write_csv(fh, _meta_lines(config), header, [row])
@@ -237,7 +225,7 @@ def _run_oracle_check(config: RunConfig, fh) -> int:
                     )
                     rho_err = float(np.max(np.abs(
                         steady_pair_density(params, precision=config.precision)
-                        - two_qubit_rho(reference, params.n_qubits)
+                        - oracle_pair_density(rho_ss, params.n_qubits)
                     )))
                     worst = max(worst, moment_err, rho_err)
                     rows.append((n, rabi, det, dip, moment_err, rho_err))
@@ -320,11 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="axis over rabi, detuning, dipole_shift or pump (max 2)")
     _add_output(sp)
 
-    sp = sub.add_parser("maximize", help="maximize concurrence over drive (and detuning)")
+    sp = sub.add_parser("maximize", help="maximize concurrence over drive and/or detuning")
     _add_common(sp, drive_required=False)
     sp.add_argument("--axis", action="append", type=_parse_axis, required=True,
                     metavar="NAME:LO:HI:COARSE",
-                    help="search bounds; rabi or pump axis required, detuning optional")
+                    help="search axis over rabi, pump or detuning (max 2); COARSE points, "
+                         "at least 33, bracket the optimum")
     _add_output(sp)
 
     sp = sub.add_parser("figure", help="reproduce a result-figure data set")

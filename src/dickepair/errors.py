@@ -33,10 +33,6 @@ class DegenerateNullSpace(DickepairError):
     """The Liouvillian has more than one near-zero singular value."""
 
 
-class NotConverged(DickepairError):
-    """Time evolution did not reach a stationary state."""
-
-
 class GridTooCoarse(DickepairError):
     """Transition detection needs a finer parameter grid."""
 

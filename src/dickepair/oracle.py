@@ -2,8 +2,10 @@
 
 Collective drive and collective decay preserve the maximal-spin ladder, so
 the dynamics closes on (N+1)-dimensional matrices and the dense Liouvillian
-null space is an exact, independent check of the closed-form moments at
-small N.
+null space is an exact, independent check of the closed form at small N:
+``density_expectation_set`` traces the collective moments of that state,
+and ``oracle_pair_density`` reduces it to the pair matrix by the Dicke
+decomposition, without going through the moments.
 
 The generator implemented here is
 
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNullSpace, NotConverged, SizeExceeded
-from .pairwise import two_qubit_rho
+from .errors import DegenerateNullSpace, PairUndefined, SizeExceeded
 from .params import SystemParams
 from .steady import ExpectationSet
 
@@ -32,7 +33,6 @@ __all__ = [
     "DickeBasisOperators",
     "build_liouvillian",
     "steady_state_null_space",
-    "evolve_to_steady",
     "density_expectation_set",
     "oracle_pair_density",
 ]
@@ -144,39 +144,6 @@ def steady_state_null_space(liouv: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def evolve_to_steady(
-    params: SystemParams,
-    t_max: float,
-    dt: float,
-    rho0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fixed-step fourth-order integration of the master equation.
-
-    Starts from the collective ground state unless ``rho0`` is given. Used
-    as a convergence cross-check of the null-space state; raises
-    NotConverged when ||d rho/dt|| still exceeds 1e-6 at t_max.
-    """
-    liouv = build_liouvillian(params)
-    dim = params.n_qubits + 1
-    if rho0 is None:
-        rho0 = np.zeros((dim, dim), dtype=complex)
-        rho0[0, 0] = 1.0
-    vec = np.asarray(rho0, dtype=complex).reshape(dim * dim)
-    steps = max(1, math.ceil(t_max / dt))
-    h = t_max / steps
-    for _ in range(steps):
-        k1 = liouv @ vec
-        k2 = liouv @ (vec + 0.5 * h * k1)
-        k3 = liouv @ (vec + 0.5 * h * k2)
-        k4 = liouv @ (vec + h * k3)
-        vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    rate = float(np.linalg.norm((liouv @ vec).reshape(dim, dim)))
-    if rate > 1e-6:
-        raise NotConverged(f"||d rho/dt|| = {rate:.3e} > 1e-6 at t_max = {t_max}")
-    rho = vec.reshape(dim, dim)
-    return 0.5 * (rho + rho.conj().T)
-
-
 def density_expectation_set(rho: np.ndarray) -> ExpectationSet:
     """Collective moments of a ladder-basis density matrix by direct trace."""
     dim = rho.shape[0]
@@ -201,9 +168,27 @@ def density_expectation_set(rho: np.ndarray) -> ExpectationSet:
 
 
 def oracle_pair_density(rho: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Pair density matrix of a ladder-basis state, via collective moments."""
+    """Pair density matrix of a ladder-basis state by the Dicke decomposition.
+
+    With j of the pair's qubits excited and m of the other n - 2,
+    |D(n, m + j)> carries the amplitude sqrt(C(n-2, m) / C(n, m+j)) on each
+    pair state times |D(n-2, m)>, so tracing out the other qubits pairs up
+    ladder indices that leave the same remainder m. The 3x3 block over
+    j = 2, 1, 0 expands to the basis {ee, eg, ge, gg}. The result is the
+    transpose of the literal partial trace: the package convention
+    rho_ij = <j|rho|i>, as ``steady_pair_density`` returns.
+    """
     if rho.shape != (n_qubits + 1, n_qubits + 1):
         raise ValueError(
             f"state has shape {rho.shape}, expected {(n_qubits + 1, n_qubits + 1)}"
         )
-    return two_qubit_rho(density_expectation_set(rho), n_qubits)
+    if n_qubits < 2:
+        raise PairUndefined(f"pair reduction needs at least 2 qubits, got {n_qubits}")
+    rest = range(n_qubits - 1)
+    pair_j = (2, 1, 0)
+    amp = np.sqrt([[math.comb(n_qubits - 2, m) / math.comb(n_qubits, m + j) for m in rest]
+                   for j in pair_j])
+    ladder = np.add.outer(pair_j, rest)
+    # entry (a, b) sums rho[ladder[b], ladder[a]]: the transposed block
+    block = np.einsum("abm,am,bm->ab", rho[ladder[None, :], ladder[:, None]], amp, amp)
+    return block[[[0], [1], [1], [2]], [0, 1, 1, 2]]

@@ -96,13 +96,13 @@ def _assemble(r11, r12, r14, r22, r24, r44) -> np.ndarray:
 
 
 def steady_pair_density(params: SystemParams, precision: str = "standard") -> np.ndarray:
-    """Steady-state pair density matrix straight from the coefficient tables.
+    """Steady-state pair density matrix straight from the closed form.
 
-    Produces the same matrix as ``two_qubit_rho(expectation_set(params), N)``
-    but evaluates every entry as its own ladder sum with nonnegative weight
-    polynomials. In the weak-drive regime the diagonal entries are tiny
-    differences of N^2-scale moments, and the moment-based assembly loses all
-    relative accuracy there; this path keeps it.
+    Every entry is its own ladder sum with a nonnegative weight polynomial.
+    In the weak-drive regime the diagonal entries are tiny differences of
+    N^2-scale moments, and assembling them from moments (``two_qubit_rho``)
+    loses all relative accuracy there; this path keeps it. At small N the
+    dense oracle's ``oracle_pair_density`` is its independent reference.
     """
     if params.n_qubits < 2:
         raise PairUndefined(

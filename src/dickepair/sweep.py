@@ -46,8 +46,12 @@ RECORD_FIELDS = [
 
 MAX_SWEEP_POINTS = 10**6
 
-# find_max_concurrence stops refining once both parameters move by less than
-# this, in pump units.
+MAXIMIZE_AXES = ("rabi", "pump", "detuning")
+
+# find_max_concurrence's coarse grid has at least this many points per axis,
+# and refinement stops once both parameters move by less than
+# MAXIMIZE_TOL_PUMP, in pump units.
+MAXIMIZE_COARSE_POINTS = 33
 MAXIMIZE_TOL_PUMP = 1e-4
 
 # |d(<Sz>/N)/dx| on x = pump / |1 + i delta/gamma| above this flags a sharp
@@ -170,37 +174,38 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
 
 def find_max_concurrence(
     template: SystemParams,
-    rabi_bounds: tuple[float, float],
-    detuning_bounds: tuple[float, float] | None = None,
-    coarse_points: int = 33,
+    axes: Sequence[AxisSpec],
     precision: str = "standard",
 ) -> tuple[SystemParams, float]:
-    """Maximize concurrence over rabi (and optionally detuning).
+    """Maximize concurrence over one or two rabi, pump or detuning axes.
 
-    A coarse grid (at least 32 points per free axis, one ``sweep``) brackets
+    A pump axis is searched as the rabi axis it spans,
+    rabi = pump * (n_qubits * decay / 2); a parameter without an axis keeps
+    its template value. Rabi is searched first, whatever the axis order. A
+    coarse grid of max(33, points) points per axis (one ``sweep``) brackets
     the optimum; alternating per-axis golden-section refinement then runs
-    until every free parameter moves by less than MAXIMIZE_TOL_PUMP in pump
-    units (tol = MAXIMIZE_TOL_PUMP * n_qubits * decay / 2 on either axis).
-    Bounds with equal endpoints pin that axis.
+    until every parameter moves by less than MAXIMIZE_TOL_PUMP in pump units
+    (tol = MAXIMIZE_TOL_PUMP * n_qubits * decay / 2 on either axis).
     """
     def objective(p: SystemParams) -> float:
         return evaluate_point(p, precision)[0]
 
-    tol = MAXIMIZE_TOL_PUMP * template.n_qubits * template.decay / 2.0
-    if detuning_bounds is None:
-        detuning_bounds = (template.detuning, template.detuning)
-    bounds = {"rabi": rabi_bounds, "detuning": detuning_bounds}
-    bounds = {name: tuple(map(float, b)) for name, b in bounds.items()}
-    if any(lo > hi for lo, hi in bounds.values()):
-        raise ValueError("bounds must satisfy lo <= hi")
+    scale = template.n_qubits * template.decay / 2.0
+    tol = MAXIMIZE_TOL_PUMP * scale
+    free = []
+    for ax in axes:
+        if ax.name not in MAXIMIZE_AXES:
+            raise ValueError(f"maximize searches {MAXIMIZE_AXES} axes, got {ax.name!r}")
+        if ax.name == "pump":
+            ax = AxisSpec("rabi", ax.start * scale, ax.stop * scale, ax.points)
+        free.append(replace(ax, points=max(MAXIMIZE_COARSE_POINTS, ax.points)))
+    # rabi first, so the grid order and refinement order (and with them the
+    # last bits of the result) do not depend on the order axes are given in
+    free.sort(key=lambda ax: ax.name != "rabi")
 
-    best = replace(template, **{name: lo for name, (lo, hi) in bounds.items() if lo == hi})
-    free = [AxisSpec(name, lo, hi, max(32, coarse_points))
-            for name, (lo, hi) in bounds.items() if lo < hi]
-    if free:
-        grid = sweep(best, free, precision)
-        i = int(np.argmax(grid.column("c")))
-        best = replace(best, **{ax.name: float(col[i])
+    grid = sweep(template, free, precision)
+    i = int(np.argmax(grid.column("c")))
+    best = replace(template, **{ax.name: float(col[i])
                                 for ax, col in zip(free, grid.axis_columns())})
 
     for _ in range(40):

@@ -94,7 +94,10 @@ def embed_isometry(n):
 
 
 def pair_partial_trace(rho_ladder, n):
-    """Literal partial trace onto qubits (0, 1), basis {ee, eg, ge, gg}."""
+    """Literal partial trace onto qubits (0, 1), basis {ee, eg, ge, gg}.
+
+    Needs the 2^n embedding, so it stops at small n.
+    """
     iso = embed_isometry(n)
     rho_full = iso @ rho_ladder @ iso.conj().T
     rest = 2 ** (n - 2)
@@ -104,26 +107,37 @@ def pair_partial_trace(rho_ladder, n):
     return reduced[::-1, ::-1]
 
 
-def ladder_pair_density(rho_ladder, n):
-    """Pair reduction of a ladder state by the Dicke decomposition, any n.
+class NotConverged(Exception):
+    """Time evolution did not reach a stationary state."""
 
-    With j pair excitations, |D(n, k)> carries the amplitude
-    sqrt(C(n-2, k-j) / C(n, k)) on each pair state times |D(n-2, k-j)>, so
-    tracing out the other n - 2 qubits pairs up ladder indices that leave
-    the same remainder m. Basis {ee, eg, ge, gg}, as pair_partial_trace,
-    which needs the 2^n embedding and so stops at small n.
+
+def evolve_to_steady(params: SystemParams, t_max, dt, rho0=None):
+    """Fixed-step fourth-order integration of the master equation.
+
+    Starts from the collective ground state unless ``rho0`` is given. A
+    convergence cross-check of the null-space state that shares only the
+    Liouvillian with it; raises NotConverged when ||d rho/dt|| still
+    exceeds 1e-6 at t_max.
     """
-    excitations = (2, 1, 1, 0)
-
-    def amp(k, j):
-        return math.sqrt(math.comb(n - 2, k - j) / math.comb(n, k))
-
-    pair = np.zeros((4, 4), dtype=complex)
-    for a, ja in enumerate(excitations):
-        for b, jb in enumerate(excitations):
-            pair[a, b] = sum(rho_ladder[m + ja, m + jb] * amp(m + ja, ja) * amp(m + jb, jb)
-                             for m in range(n - 1))
-    return pair
+    liouv = build_liouvillian(params)
+    dim = params.n_qubits + 1
+    if rho0 is None:
+        rho0 = np.zeros((dim, dim), dtype=complex)
+        rho0[0, 0] = 1.0
+    vec = np.asarray(rho0, dtype=complex).reshape(dim * dim)
+    steps = max(1, math.ceil(t_max / dt))
+    h = t_max / steps
+    for _ in range(steps):
+        k1 = liouv @ vec
+        k2 = liouv @ (vec + 0.5 * h * k1)
+        k3 = liouv @ (vec + 0.5 * h * k2)
+        k4 = liouv @ (vec + h * k3)
+        vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rate = float(np.linalg.norm((liouv @ vec).reshape(dim, dim)))
+    if rate > 1e-6:
+        raise NotConverged(f"||d rho/dt|| = {rate:.3e} > 1e-6 at t_max = {t_max}")
+    rho = vec.reshape(dim, dim)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def dense_ladder_steady_state(params: SystemParams):

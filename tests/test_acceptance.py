@@ -23,9 +23,9 @@ from dickepair import (
     detect_transition,
     expectation_set,
     find_max_concurrence,
+    oracle_pair_density,
     steady_pair_density,
     sweep,
-    two_qubit_rho,
 )
 from dickepair.cli import FIGURES
 from dickepair.oracle import density_expectation_set
@@ -34,7 +34,6 @@ from helpers import (
     MOMENT_FIELDS,
     charpoly_concurrence,
     dense_ladder_steady_state,
-    ladder_pair_density,
     random_symmetric_rho,
     steady_rho,
 )
@@ -80,13 +79,14 @@ def test_criterion_1_oracle_equivalence():
                     params = SystemParams(n_qubits=n, rabi=float(rabi),
                                           detuning=float(det), dipole_shift=float(dip))
                     analytic = expectation_set(params)
-                    reference = density_expectation_set(steady_rho(params))
+                    rho_ss = steady_rho(params)
+                    reference = density_expectation_set(rho_ss)
                     worst_moment = max(worst_moment, max(
                         abs(getattr(analytic, fld) - getattr(reference, fld))
                         for fld in MOMENT_FIELDS
                     ))
                     worst_rho = max(worst_rho, float(np.abs(
-                        steady_pair_density(params) - two_qubit_rho(reference, n)
+                        steady_pair_density(params) - oracle_pair_density(rho_ss, n)
                     ).max()))
     elapsed = time.perf_counter() - t0
     ok = worst_moment <= 1e-8 and worst_rho <= 1e-8 and elapsed < 30.0
@@ -101,7 +101,7 @@ def test_criterion_2_two_qubit_resonant_peak():
     results = {}
     for label, det in (("detuning=-2*shift", -10.0), ("detuning=-shift", -5.0)):
         template = SystemParams(n_qubits=2, rabi=1.0, detuning=det, dipole_shift=5.0)
-        _, cmax = find_max_concurrence(template, (0.05, 3.0))
+        _, cmax = find_max_concurrence(template, [AxisSpec("rabi", 0.05, 3.0, 33)])
         results[label] = cmax
     matches = {k: abs(v - 0.34) <= 0.02 for k, v in results.items()}
     detail = ", ".join(f"max C = {v:.4f} at {k} ({'ok' if matches[k] else 'off'})"
@@ -154,7 +154,7 @@ def test_criterion_4_second_order_signature():
     peak = below[np.argmax(c[below])]
     c_peak, pump_peak = float(c[peak]), float(pumps[peak])
     rho_dense, residual = dense_ladder_steady_state(template.with_pump(pump_peak))
-    c_dense = charpoly_concurrence(ladder_pair_density(rho_dense, 50))
+    c_dense = charpoly_concurrence(oracle_pair_density(rho_dense, 50))
     # pairwise C of a permutation-symmetric N-qubit state is at most 2/N
     bound = 2.0 / template.n_qubits
 

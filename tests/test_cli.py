@@ -2,7 +2,14 @@
 import numpy as np
 import pytest
 
-from dickepair import SystemParams, UnknownFigure, expectation_set
+from dickepair import (
+    AxisSpec,
+    SystemParams,
+    UnknownFigure,
+    expectation_set,
+    find_max_concurrence,
+    sweep,
+)
 from dickepair.cli import FIGURES, figure_preset, main
 
 
@@ -234,6 +241,50 @@ def test_two_axis_figure_output(tmp_path, monkeypatch):
     _, header, rows = read_csv(out)
     assert header[:2] == ["rabi", "detuning"]
     assert len(rows) == 12
+
+
+def test_maximize_uses_every_axis_coarse_grid(tmp_path):
+    # the detuning axis's POINTS is its coarse grid, as in the library call,
+    # and the result does not depend on the order of the axes
+    template = SystemParams(n_qubits=2, rabi=1.0, detuning=-10.0, dipole_shift=5.0)
+    argmax, cmax = find_max_concurrence(
+        template, [AxisSpec("pump", 0.2, 3.0, 32), AxisSpec("detuning", -15.0, -5.0, 48)])
+    out = tmp_path / "max.csv"
+    for axes in (["pump:0.2:3:32", "detuning:-15:-5:48"],
+                 ["detuning:-15:-5:48", "pump:0.2:3:32"]):
+        code = main(["maximize", "--n", "2", "--dipole", "5", "--detuning", "-10",
+                     "--axis", axes[0], "--axis", axes[1], "--out", str(out)])
+        assert code == 0
+        _, header, rows = read_csv(out)
+        by_name = dict(zip(header, rows[0]))
+        assert (by_name["rabi"], by_name["detuning"], by_name["c_max"]) == (
+            argmax.rabi, argmax.detuning, cmax)
+
+
+def test_maximize_detuning_only(tmp_path):
+    # tuning the laser frequency at fixed drive
+    out = tmp_path / "max.csv"
+    code = main([
+        "maximize", "--n", "2", "--dipole", "5", "--pump", "0.9",
+        "--axis", "detuning:-15:-5:64", "--out", str(out),
+    ])
+    assert code == 0
+    _, header, rows = read_csv(out)
+    by_name = dict(zip(header, rows[0]))
+    assert by_name["pump"] == 0.9
+    template = SystemParams(n_qubits=2, rabi=0.9, dipole_shift=5.0)
+    dense = sweep(template, (AxisSpec("detuning", -15.0, -5.0, 1001),))
+    c = dense.column("c")
+    assert by_name["c_max"] >= c.max() - 1e-9
+    assert abs(by_name["detuning"] - dense.coords[0][np.argmax(c)]) <= 10.0 / 1000
+
+
+def test_maximize_rejects_dipole_axis(tmp_path):
+    code = main([
+        "maximize", "--n", "2", "--pump", "0.9", "--axis", "dipole_shift:0:5:33",
+        "--out", str(tmp_path / "max.csv"),
+    ])
+    assert code == 2
 
 
 def test_maximize_pump_axis_bounds(tmp_path):

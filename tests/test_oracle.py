@@ -4,16 +4,15 @@ import pytest
 
 from dickepair import (
     DegenerateNullSpace,
-    NotConverged,
+    PairUndefined,
     SizeExceeded,
     SystemParams,
     build_liouvillian,
-    evolve_to_steady,
     oracle_pair_density,
     steady_state_null_space,
 )
 from dickepair.oracle import DickeBasisOperators
-from helpers import dense_ladder_steady_state, steady_rho
+from helpers import NotConverged, dense_ladder_steady_state, evolve_to_steady, steady_rho
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -152,6 +151,11 @@ def test_pair_density_of_ground_state():
 def test_pair_density_shape_guard():
     with pytest.raises(ValueError):
         oracle_pair_density(np.eye(3) / 3, 4)
+
+
+def test_pair_density_needs_two_qubits():
+    with pytest.raises(PairUndefined):
+        oracle_pair_density(np.diag([1.0, 0.0]), 1)
 
 
 def test_pair_density_axioms_from_evolved_state():

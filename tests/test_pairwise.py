@@ -8,6 +8,7 @@ from dickepair import (
     SystemParams,
     concurrence,
     concurrence_ref,
+    density_expectation_set,
     expectation_set,
     oracle_pair_density,
     steady_pair_density,
@@ -17,7 +18,6 @@ from dickepair.steady import ExpectationSet
 from helpers import (
     charpoly_concurrence,
     closed_form_pair_entries,
-    ladder_pair_density,
     pair_partial_trace,
     random_symmetric_rho,
     random_x_state,
@@ -74,18 +74,18 @@ def test_pair_density_invariants():
 
 
 def test_matches_literal_partial_trace():
-    # the moment construction must agree entrywise with tracing out all other
-    # qubits of the embedded symmetric state; entries follow the
-    # rho_ij = <j|rho|i> convention, hence the transpose
+    # the Dicke-decomposition reduction and the moment construction must both
+    # agree entrywise with tracing out all other qubits of the embedded
+    # symmetric state; entries follow the rho_ij = <j|rho|i> convention,
+    # hence the transpose
     for n, rabi, det, dip in ((2, 1.3, -2.0, 3.0), (3, 0.9, 1.5, -2.0),
                               (4, 2.2, -4.0, 5.0), (6, 1.7, -3.0, 2.0)):
         rho_ladder = steady_rho(SystemParams(n_qubits=n, rabi=rabi, detuning=det,
                                              dipole_shift=dip))
-        via_moments = oracle_pair_density(rho_ladder, n)
-        literal = pair_partial_trace(rho_ladder, n)
-        assert np.abs(via_moments - literal.T).max() < 1e-10
-        # the Dicke-decomposition reduction that reaches N = 50 (criterion 4)
-        assert np.abs(ladder_pair_density(rho_ladder, n) - literal).max() < 1e-12
+        literal = pair_partial_trace(rho_ladder, n).T
+        assert np.abs(oracle_pair_density(rho_ladder, n) - literal).max() < 1e-12
+        via_moments = two_qubit_rho(density_expectation_set(rho_ladder), n)
+        assert np.abs(via_moments - literal).max() < 1e-10
 
 
 def test_closed_form_pair_matches_dense_solver():

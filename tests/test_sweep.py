@@ -118,7 +118,7 @@ def test_find_max_matches_dense_scan():
     dense = sweep(t, (AxisSpec("rabi", 0.05, 3.0, 2000),))
     c = dense.column("c")
     best = dense.coords[0][int(np.argmax(c))]
-    argmax, cmax = find_max_concurrence(t, (0.05, 3.0))
+    argmax, cmax = find_max_concurrence(t, [AxisSpec("rabi", 0.05, 3.0, 33)])
     assert abs(argmax.rabi - best) <= (3.0 - 0.05) / 1999 + 1e-4
     assert cmax >= c.max() - 1e-9
 
@@ -129,15 +129,17 @@ def test_find_max_two_free_axes_matches_dense_grid():
     c = dense.column("c")
     i = int(np.argmax(c))
     best_rabi, best_detuning = (col[i] for col in dense.axis_columns())
-    argmax, cmax = find_max_concurrence(t, (0.2, 3.0), (-15.0, -5.0))
+    argmax, cmax = find_max_concurrence(
+        t, [AxisSpec("rabi", 0.2, 3.0, 33), AxisSpec("detuning", -15.0, -5.0, 33)])
     assert cmax >= c.max() - 1e-9
     assert abs(argmax.rabi - best_rabi) <= (3.0 - 0.2) / 39
     assert abs(argmax.detuning - best_detuning) <= (15.0 - 5.0) / 39
 
 
 def test_find_max_fixed_detuning_bounds():
-    t = SystemParams(n_qubits=2, rabi=1.0, dipole_shift=5.0)
-    argmax, cmax = find_max_concurrence(t, (0.2, 3.0), (-10.0, -10.0))
+    # a parameter without an axis keeps its template value
+    t = SystemParams(n_qubits=2, rabi=1.0, detuning=-10.0, dipole_shift=5.0)
+    argmax, cmax = find_max_concurrence(t, [AxisSpec("rabi", 0.2, 3.0, 33)])
     assert argmax.detuning == -10.0
     assert 0.2 <= argmax.rabi <= 3.0
     assert cmax > 0.3
@@ -148,16 +150,20 @@ def test_find_max_constant_landscape(monkeypatch):
     monkeypatch.setattr(sweep_module, "evaluate_point",
                         lambda p, precision: (0.7,) + (0.0,) * (len(RECORD_FIELDS) - 1))
     t = SystemParams(n_qubits=2, rabi=1.0)
-    argmax, val = find_max_concurrence(t, (0.5, 2.0), (-1.0, 1.0))
+    argmax, val = find_max_concurrence(
+        t, [AxisSpec("rabi", 0.5, 2.0, 33), AxisSpec("detuning", -1.0, 1.0, 33)])
     assert val == 0.7
     assert 0.5 <= argmax.rabi <= 2.0
     assert -1.0 <= argmax.detuning <= 1.0
 
 
 def test_find_max_bounds_validation():
+    # reversed bounds are rejected by AxisSpec itself (test_axis_validation)
     t = SystemParams(n_qubits=2, rabi=1.0)
-    with pytest.raises(ValueError):
-        find_max_concurrence(t, (2.0, 1.0))
+    for axes in ([], [AxisSpec("dipole_shift", 0.0, 5.0, 33)],
+                 [AxisSpec("rabi", 0.2, 3.0, 33), AxisSpec("pump", 0.1, 2.0, 33)]):
+        with pytest.raises(ValueError):
+            find_max_concurrence(t, axes)
 
 
 def test_detect_transition_needs_fine_grid():

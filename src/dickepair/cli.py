@@ -84,7 +84,6 @@ def figure_preset(name: str) -> RunConfig:
         figure=name,
         params=template,
         axes=preset.axes,
-        output_path=f"{name}.csv",
     )
 
 
@@ -332,8 +331,7 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
     if ns.command == "figure":
         config = figure_preset(ns.name)
         config.precision = ns.precision
-        if ns.out is not None:
-            config.output_path = ns.out
+        config.output_path = ns.out
         return config
 
     if ns.command == "oracle-check":

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,10 +48,12 @@ MAX_SWEEP_POINTS = 10**6
 
 MAXIMIZE_AXES = ("rabi", "pump", "detuning")
 
-# find_max_concurrence's coarse grid has at least this many points per axis,
-# and refinement stops once both parameters move by less than
-# MAXIMIZE_TOL_PUMP, in pump units.
+# find_max_concurrence's coarse grid has at least MAXIMIZE_COARSE_POINTS
+# points per axis; each zoom round re-sweeps MAXIMIZE_ZOOM_POINTS points per
+# axis, and the rounds stop once every grid step is below MAXIMIZE_TOL_PUMP,
+# in pump units.
 MAXIMIZE_COARSE_POINTS = 33
+MAXIMIZE_ZOOM_POINTS = 5
 MAXIMIZE_TOL_PUMP = 1e-4
 
 # |d(<Sz>/N)/dx| on x = pump / |1 + i delta/gamma| above this flags a sharp
@@ -138,8 +140,10 @@ def sweep(
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
         raise ValueError(f"sweep takes 1 or 2 axes, got {len(axes)}")
-    if len(axes) == 2 and axes[0].name == axes[1].name:
-        raise ValueError(f"sweep axes must be distinct, both are {axes[0].name!r}")
+    # rabi and pump both set the drive
+    targets = {"rabi" if a.name == "pump" else a.name for a in axes}
+    if len(targets) < len(axes):
+        raise ValueError(f"sweep axes must set distinct parameters, got {[a.name for a in axes]}")
     total = math.prod(a.points for a in axes)
     if total > MAX_SWEEP_POINTS:
         raise ValueError(f"grid of {total} points exceeds limit {MAX_SWEEP_POINTS}")
@@ -154,24 +158,6 @@ def sweep(
     return SweepResult(axes=axes, coords=coords, data=data)
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer on [lo, hi]; returns the final midpoint."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
 def find_max_concurrence(
     template: SystemParams,
     axes: Sequence[AxisSpec],
@@ -179,49 +165,40 @@ def find_max_concurrence(
 ) -> tuple[SystemParams, float]:
     """Maximize concurrence over one or two rabi, pump or detuning axes.
 
-    A pump axis is searched as the rabi axis it spans,
-    rabi = pump * (n_qubits * decay / 2); a parameter without an axis keeps
-    its template value. Rabi is searched first, whatever the axis order. A
-    coarse grid of max(33, points) points per axis (one ``sweep``) brackets
-    the optimum; alternating per-axis golden-section refinement then runs
-    until every parameter moves by less than MAXIMIZE_TOL_PUMP in pump units
-    (tol = MAXIMIZE_TOL_PUMP * n_qubits * decay / 2 on either axis).
+    A parameter without an axis keeps its template value. A coarse grid of
+    max(33, points) points per axis (one ``sweep``, the drive axis first
+    whatever the axis order) brackets the optimum. Each zoom round then
+    re-sweeps MAXIMIZE_ZOOM_POINTS points per axis over one grid step either
+    side of the best point, clipped to the axis bounds, so the step halves
+    every round and an optimum on an axis end is reached exactly. The rounds
+    stop once every step is below MAXIMIZE_TOL_PUMP in pump units
+    (MAXIMIZE_TOL_PUMP * n_qubits * decay / 2 on rabi and detuning axes).
+    Returns the best grid point of the last round and its concurrence.
     """
-    def objective(p: SystemParams) -> float:
-        return evaluate_point(p, precision)[0]
-
-    scale = template.n_qubits * template.decay / 2.0
-    tol = MAXIMIZE_TOL_PUMP * scale
-    free = []
     for ax in axes:
         if ax.name not in MAXIMIZE_AXES:
             raise ValueError(f"maximize searches {MAXIMIZE_AXES} axes, got {ax.name!r}")
-        if ax.name == "pump":
-            ax = AxisSpec("rabi", ax.start * scale, ax.stop * scale, ax.points)
-        free.append(replace(ax, points=max(MAXIMIZE_COARSE_POINTS, ax.points)))
-    # rabi first, so the grid order and refinement order (and with them the
-    # last bits of the result) do not depend on the order axes are given in
-    free.sort(key=lambda ax: ax.name != "rabi")
+    # the drive axis first, so the axis order cannot change the result
+    bounds = sorted(axes, key=lambda ax: ax.name == "detuning")
+    scale = template.n_qubits * template.decay / 2.0
+    tols = [MAXIMIZE_TOL_PUMP * (1.0 if ax.name == "pump" else scale) for ax in bounds]
 
-    grid = sweep(template, free, precision)
-    i = int(np.argmax(grid.column("c")))
-    best = replace(template, **{ax.name: float(col[i])
-                                for ax, col in zip(free, grid.axis_columns())})
-
-    for _ in range(40):
-        moved = 0.0
-        for ax in free:
-            at = getattr(best, ax.name)
-            step = (ax.stop - ax.start) / (ax.points - 1)
-            new = _golden_max(
-                lambda x: objective(replace(best, **{ax.name: float(x)})),
-                max(ax.start, at - step), min(ax.stop, at + step), tol,
-            )
-            moved = max(moved, abs(new - at))
-            best = replace(best, **{ax.name: new})
-        if moved < tol:
+    grid = [replace(ax, points=max(MAXIMIZE_COARSE_POINTS, ax.points)) for ax in bounds]
+    while True:
+        result = sweep(template, grid, precision)
+        i = int(np.argmax(result.column("c")))
+        best = [float(col[i]) for col in result.axis_columns()]
+        steps = [(ax.stop - ax.start) / (ax.points - 1) for ax in grid]
+        if all(step < tol for step, tol in zip(steps, tols)):
             break
-    return best, objective(best)
+        grid = [AxisSpec(ax.name, max(ax.start, x - step), min(ax.stop, x + step),
+                         MAXIMIZE_ZOOM_POINTS)
+                for ax, x, step in zip(bounds, best, steps)]
+
+    params = template
+    for ax, x in zip(grid, best):
+        params = _apply_axis(params, ax.name, x)
+    return params, float(result.column("c")[i])
 
 
 @dataclass(frozen=True)

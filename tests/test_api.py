@@ -1,4 +1,6 @@
-"""Public names: every ``__all__`` entry resolves and star-imports work."""
+"""Public names: every ``__all__`` entry resolves, star-imports work and no
+module-level import is left unused."""
+import ast
 import importlib
 import pkgutil
 
@@ -21,3 +23,20 @@ def test_star_imports():
         namespace = {}
         exec(f"from {module.__name__} import *", namespace)
         assert set(getattr(module, "__all__", ())) <= namespace.keys()
+
+
+def test_module_imports_are_used():
+    # every module-level import is read in its module or re-exported by __all__
+    for module in MODULES:
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(getattr(module, "__all__", ()))
+        unused = sorted(imported - used)
+        assert not unused, f"{module.__name__} imports {unused} without using them"

@@ -227,7 +227,7 @@ def test_oracle_check_config_reruns_with_one_metadata_block(tmp_path):
         assert sum(line.startswith("tolerance:") for line in meta) == 1
 
 
-def test_two_axis_figure_output(tmp_path, monkeypatch):
+def test_two_axis_figure_output(tmp_path, monkeypatch, capsys):
     from dickepair.cli import AxisSpec, FigurePreset
 
     tiny = FigurePreset(
@@ -241,6 +241,20 @@ def test_two_axis_figure_output(tmp_path, monkeypatch):
     _, header, rows = read_csv(out)
     assert header[:2] == ["rabi", "detuning"]
     assert len(rows) == 12
+    # without --out the same CSV goes to stdout and no file is created
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    capsys.readouterr()
+    assert main(["figure", "fig3"]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+    assert list(cwd.iterdir()) == []
+
+
+def test_sweep_rejects_rabi_with_pump_axis(capsys):
+    code = main(["sweep", "--n", "2", "--axis", "rabi:0.5:1:3", "--axis", "pump:0.2:0.4:2"])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_maximize_uses_every_axis_coarse_grid(tmp_path):

@@ -39,6 +39,9 @@ def test_sweep_axis_count_and_distinctness():
         sweep(t, ())
     with pytest.raises(ValueError):
         sweep(t, (AxisSpec("rabi", 0.1, 1, 5), AxisSpec("rabi", 0.1, 1, 5)))
+    # rabi and pump both set the drive
+    with pytest.raises(ValueError):
+        sweep(t, (AxisSpec("rabi", 0.5, 1, 3), AxisSpec("pump", 0.2, 0.4, 2)))
     with pytest.raises(ValueError):
         sweep(t, (AxisSpec("rabi", 0.1, 1, 2000), AxisSpec("detuning", -1, 1, 2000)))
 
@@ -134,6 +137,25 @@ def test_find_max_two_free_axes_matches_dense_grid():
     assert cmax >= c.max() - 1e-9
     assert abs(argmax.rabi - best_rabi) <= (3.0 - 0.2) / 39
     assert abs(argmax.detuning - best_detuning) <= (15.0 - 5.0) / 39
+
+
+@pytest.mark.parametrize("template, axis, end", [
+    (SystemParams(n_qubits=2, rabi=0.9, dipole_shift=5.0),
+     AxisSpec("detuning", -10.0, 0.0, 33), -10.0),
+    (SystemParams(n_qubits=2, rabi=1.0, detuning=-10.0, dipole_shift=5.0),
+     AxisSpec("rabi", 0.05, 0.5, 33), 0.5),
+    (SystemParams(n_qubits=2, rabi=1.0, detuning=-10.0, dipole_shift=5.0),
+     AxisSpec("pump", 0.05, 0.5, 33), 0.5),
+], ids=["detuning", "rabi", "pump"])
+def test_find_max_reaches_axis_end(template, axis, end):
+    # the concurrence rises all the way to one end of the axis
+    dense = sweep(template, (AxisSpec(axis.name, axis.start, axis.stop, 1001),))
+    c = dense.column("c")
+    assert int(np.argmax(c)) in (0, len(c) - 1)
+    argmax, cmax = find_max_concurrence(template, [axis])
+    assert getattr(argmax, axis.name) == end
+    assert abs(cmax - c.max()) <= 1e-12
+    assert cmax == evaluate_point(argmax)[0]
 
 
 def test_find_max_fixed_detuning_bounds():

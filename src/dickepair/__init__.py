@@ -21,7 +21,7 @@ from .errors import (
     ZeroDrive,
 )
 from .logcomplex import logsum_complex
-from .params import DerivedParams, SystemParams, derive_params
+from .params import DerivedParams, ParamBatch, SystemParams, derive_params
 from .steady import (
     ExpectationSet,
     expectation,
@@ -52,7 +52,7 @@ from .sweep import (
 
 __all__ = [
     "__version__",
-    "SystemParams", "DerivedParams", "derive_params",
+    "SystemParams", "ParamBatch", "DerivedParams", "derive_params",
     "logsum_complex",
     "ExpectationSet", "partition_z", "expectation", "expectation_set",
     "ConcurrenceResult", "two_qubit_rho", "steady_pair_density", "concurrence",

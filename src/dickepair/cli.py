@@ -31,6 +31,9 @@ from .sweep import AxisSpec, find_max_concurrence, sweep
 DEFAULT_ORACLE_SIZES = (2, 3, 4, 6)
 DEFAULT_ORACLE_TOL = 1e-8
 
+# CSV rows are formatted in blocks of this many rows.
+_CSV_BLOCK_ROWS = 256
+
 # Shared pump grid for the 1-D presets: 400 points on (0, 3].
 _PUMP_AXIS = AxisSpec("pump", 0.0075, 3.0, 400)
 
@@ -112,12 +115,29 @@ def _meta_lines(config: RunConfig) -> list[str]:
     return lines
 
 
-def _write_csv(fh, meta: list[str], header: list[str], rows) -> None:
+def _write_csv(fh, meta: list[str], header: list[str], blocks) -> None:
+    """Metadata, header and rows; ``blocks`` yields 2-D float arrays of rows.
+
+    Each block is formatted a row at a time with one format operation, so no
+    more than a block is ever held as Python floats.
+    """
     for line in meta:
         fh.write(f"# {line}\n")
     fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    for block in blocks:
+        # + 0.0 turns an exact -0.0 into 0.0 and leaves every other value alone
+        fh.write("".join(row_format % tuple(row) for row in (block + 0.0).tolist()))
+
+
+def _column_blocks(columns):
+    """Blocks of _CSV_BLOCK_ROWS rows from equal-length columns."""
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        yield np.column_stack([col[start:start + _CSV_BLOCK_ROWS] for col in columns])
+
+
+def _one_row(row) -> list[np.ndarray]:
+    return [np.array([row], dtype=float)]
 
 
 def _out_stream(path: str | None):
@@ -137,7 +157,7 @@ def _run_expect(config: RunConfig, fh) -> int:
         m.s_plus_sz.real, m.s_plus_sz.imag, m.s_plus2.real, m.s_plus2.imag,
         m.s_plus_s_minus,
     )
-    _write_csv(fh, _meta_lines(config), header, [row])
+    _write_csv(fh, _meta_lines(config), header, _one_row(row))
     return 0
 
 
@@ -148,7 +168,7 @@ def _run_rho(config: RunConfig, fh) -> int:
         for j in range(4):
             header += [f"rho{i + 1}{j + 1}_re", f"rho{i + 1}{j + 1}_im"]
             row += [rho[i, j].real, rho[i, j].imag]
-    _write_csv(fh, _meta_lines(config), header, [row])
+    _write_csv(fh, _meta_lines(config), header, _one_row(row))
     return 0
 
 
@@ -156,7 +176,7 @@ def _run_concurrence(config: RunConfig, fh) -> int:
     res = concurrence(steady_pair_density(config.params, precision=config.precision))
     header = ["concurrence", "lambda1", "lambda2", "lambda3", "lambda4", "c_ref_1", "c_ref_2"]
     row = (res.concurrence, *res.lambdas, res.c_ref_1, res.c_ref_2)
-    _write_csv(fh, _meta_lines(config), header, [row])
+    _write_csv(fh, _meta_lines(config), header, _one_row(row))
     return 0
 
 
@@ -164,12 +184,8 @@ def _run_sweep(config: RunConfig, fh) -> int:
     result = sweep(config.params, config.axes, precision=config.precision)
     field_names = [name for name, _ in result.data.dtype.descr]
     header = [ax.name for ax in config.axes] + field_names
-    axis_cols = result.axis_columns()
-    rows = (
-        tuple(float(col[i]) for col in axis_cols) + tuple(result.data[i])
-        for i in range(len(result.data))
-    )
-    _write_csv(fh, _meta_lines(config), header, rows)
+    columns = result.axis_columns() + [result.column(name) for name in field_names]
+    _write_csv(fh, _meta_lines(config), header, _column_blocks(columns))
     return 0
 
 
@@ -177,7 +193,7 @@ def _run_maximize(config: RunConfig, fh) -> int:
     argmax, cmax = find_max_concurrence(config.params, config.axes, precision=config.precision)
     header = ["rabi", "pump", "detuning", "c_max"]
     row = (argmax.rabi, argmax.pump, argmax.detuning, cmax)
-    _write_csv(fh, _meta_lines(config), header, [row])
+    _write_csv(fh, _meta_lines(config), header, _one_row(row))
     return 0
 
 
@@ -196,8 +212,7 @@ def _run_figure(config: RunConfig, fh) -> int:
         result = sweep(curve_template, (axis,), precision=config.precision)
         header += [f"c_{k}", f"c_ref1_{k}"]
         columns += [result.column("c"), result.column("c_ref1")]
-    rows = zip(*columns)
-    _write_csv(fh, meta, header, rows)
+    _write_csv(fh, meta, header, _column_blocks(columns))
     return 0
 
 
@@ -230,7 +245,7 @@ def _run_oracle_check(config: RunConfig, fh) -> int:
                     rows.append((n, rabi, det, dip, moment_err, rho_err))
     meta = _meta_lines(config) + [f"worst_error: {_fmt(worst)}",
                                   f"tolerance: {_fmt(DEFAULT_ORACLE_TOL)}"]
-    _write_csv(fh, meta, header, rows)
+    _write_csv(fh, meta, header, [np.array(rows, dtype=float)])
     if worst > DEFAULT_ORACLE_TOL:
         print(f"error: NumericalFailure: oracle mismatch {worst:.3e} exceeds "
               f"{DEFAULT_ORACLE_TOL:.1e}", file=sys.stderr)

@@ -6,7 +6,10 @@ a linear combination of collective moments. The concurrence follows from the
 spin-flip construction R = rho (sy x sy) rho* (sy x sy), whose eigenvalues
 are taken from one Hermitian route: an ``eigh`` of rho, which also validates
 it (finite, Hermitian, positive semidefinite), then the ``svd`` of
-sqrt(rho) (sy x sy) sqrt(rho)^T.
+sqrt(rho) (sy x sy) sqrt(rho)^T. Both work on (P, 4, 4) stacks: the pair
+matrices of a :class:`~dickepair.params.ParamBatch` are assembled as one
+stack and go through one batched ``eigh`` and one batched ``svd``; a single
+matrix is the stack of one.
 """
 from __future__ import annotations
 
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, PairUndefined
-from .params import SystemParams
-from .steady import ExpectationSet, _steady_tables
+from .params import ParamBatch, SystemParams
+from .steady import ExpectationSet, _steady_tables, _SteadyTables
 
 __all__ = [
     "ConcurrenceResult",
@@ -37,6 +40,10 @@ SIGMA_YY = np.array(
     dtype=complex,
 )
 
+# the 16 entries of a pair matrix, row-major, as indices into its nine
+# distinct values r11, r12, r14, r22, r24, r44, conj(r12), conj(r14), conj(r24)
+_ENTRY_INDEX = np.array([0, 1, 1, 2, 6, 3, 3, 4, 6, 3, 3, 4, 7, 8, 8, 5])
+
 HERMITIAN_TOL = 1e-9
 EIG_NEG_TOL = -1e-9
 
@@ -49,7 +56,8 @@ class ConcurrenceResult:
     order; ``concurrence`` equals max(0, lambdas[0] - sum(lambdas[1:])).
     ``c_ref_1`` = 2(|rho14| - sqrt(rho22*rho33)) and
     ``c_ref_2`` = 2(|rho23| - sqrt(rho11*rho44)) are exact for X-shaped
-    states and reported alongside the full result otherwise.
+    states and reported alongside the full result otherwise. For a stack of
+    P matrices the fields are arrays of shape (P,), and ``lambdas`` (P, 4).
     """
 
     concurrence: float
@@ -80,22 +88,18 @@ def two_qubit_rho(moments: ExpectationSet, n_qubits: int) -> np.ndarray:
     r22 = (N * N - 4 * sz2) / d4
     r24 = (sp * (N - 2) - 2 * spsz) / d2
     r44 = (N * N - 2 * N + 4 * sz2 - 4 * (N - 1) * sz) / d4
-    return _assemble(r11, r12, r14, r22, r24, r44)
+    return _assemble(*np.atleast_1d(r11, r12, r14, r22, r24, r44))[0]
 
 
 def _assemble(r11, r12, r14, r22, r24, r44) -> np.ndarray:
-    return np.array(
-        [
-            [r11, r12, r12, r14],
-            [np.conj(r12), r22, r22, r24],
-            [np.conj(r12), r22, r22, r24],
-            [np.conj(r14), np.conj(r24), np.conj(r24), r44],
-        ],
-        dtype=complex,
-    )
+    """(P, 4, 4) pair matrices from the six entry arrays of shape (P,)."""
+    values = np.array((r11, r12, r14, r22, r24, r44, np.conj(r12), np.conj(r14), np.conj(r24)),
+                      dtype=complex)
+    return values[_ENTRY_INDEX].T.reshape(-1, 4, 4)
 
 
-def steady_pair_density(params: SystemParams, precision: str = "standard") -> np.ndarray:
+def steady_pair_density(params: SystemParams | ParamBatch,
+                        precision: str = "standard") -> np.ndarray:
     """Steady-state pair density matrix straight from the closed form.
 
     Every entry is its own ladder sum with a nonnegative weight polynomial.
@@ -103,69 +107,86 @@ def steady_pair_density(params: SystemParams, precision: str = "standard") -> np
     N^2-scale moments, and assembling them from moments (``two_qubit_rho``)
     loses all relative accuracy there; this path keeps it. At small N the
     dense oracle's ``oracle_pair_density`` is its independent reference.
+    A :class:`ParamBatch` of P points gives a (P, 4, 4) stack; one
+    :class:`SystemParams` gives its 4x4 matrix, the batch of one.
     """
     if params.n_qubits < 2:
         raise PairUndefined(
             f"pair reduction needs at least 2 qubits, got {params.n_qubits}"
         )
-    return _assemble(*_steady_tables(params, precision).pair_entries())
+    if isinstance(params, ParamBatch):
+        return _assemble(*_SteadyTables(params, precision).pair_entries())
+    return _assemble(*_steady_tables(params, precision).pair_entries())[0]
 
 
 def concurrence(rho: np.ndarray) -> ConcurrenceResult:
-    """Wootters concurrence of a two-qubit density matrix.
+    """Wootters concurrence of a two-qubit density matrix or a (P, 4, 4) stack.
 
     The input is renormalized to unit trace, guarding against accumulated
-    round-off in the moments, and then validated: it must be finite,
-    Hermitian within 1e-9 and positive semidefinite within -1e-9, else
-    NumericalFailure. The spin-flip lambdas come from the equivalent
-    Hermitian problem: the eigenvalues of R = rho (sy x sy) rho* (sy x sy)
-    are the squared singular values of sqrt(rho) (sy x sy) sqrt(rho)^T, and
-    singular values are perfectly conditioned, which avoids the error
-    amplification of the non-normal eigenproblem when R has near-zero
-    eigenvalues. Round-off negatives in the spectrum of rho clamp to zero
-    before the square root.
+    round-off in the moments, and then validated: every matrix must be
+    finite with positive trace, Hermitian within 1e-9 and positive
+    semidefinite within -1e-9, else NumericalFailure. The spin-flip lambdas
+    come from the equivalent Hermitian problem: the eigenvalues of
+    R = rho (sy x sy) rho* (sy x sy) are the squared singular values of
+    sqrt(rho) (sy x sy) sqrt(rho)^T, and singular values are perfectly
+    conditioned, which avoids the error amplification of the non-normal
+    eigenproblem when R has near-zero eigenvalues. Round-off negatives in
+    the spectrum of rho clamp to zero before the square root. A stack takes
+    one batched ``eigh`` and one batched ``svd``, and every field of the
+    result gains the leading axis P.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    single = rho.shape == (4, 4)
+    if single:
+        rho = rho[None]
+    elif rho.ndim != 3 or rho.shape[1:] != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix or a stack, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise NumericalFailure("density matrix has non-finite entries")
-    trace = np.trace(rho).real
-    if trace <= 0:
-        raise NumericalFailure(f"density matrix has non-positive trace {trace}")
-    rho = rho / trace
+    # summed in a fixed order: numpy may reorder a strided reduction by stack size
+    trace = ((rho[:, 0, 0].real + rho[:, 1, 1].real) + rho[:, 2, 2].real) + rho[:, 3, 3].real
+    if trace.min() <= 0:
+        raise NumericalFailure(f"density matrix has non-positive trace {trace.min()}")
+    rho = rho / trace[:, None, None]
 
-    asym = float(np.abs(rho - rho.conj().T).max())
+    # the worst matrix of the stack decides
+    asym = np.abs(rho - rho.conj().transpose(0, 2, 1)).max()
     if asym > HERMITIAN_TOL:
         raise NumericalFailure(
             f"density matrix departs from Hermitian by {asym:.3e} > {HERMITIAN_TOL}"
         )
     evals, vecs = np.linalg.eigh(rho)
-    if evals[0] < EIG_NEG_TOL:
+    lowest = evals[:, 0].min()
+    if lowest < EIG_NEG_TOL:
         raise NumericalFailure(
-            f"density matrix eigenvalue {evals[0]:.3e} below tolerance {EIG_NEG_TOL}"
+            f"density matrix eigenvalue {lowest:.3e} below tolerance {EIG_NEG_TOL}"
         )
-    sqrt_rho = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
+    root_evals = np.sqrt(np.maximum(evals, 0.0))[:, None, :]
+    sqrt_rho = (vecs * root_evals) @ vecs.conj().transpose(0, 2, 1)
     lams = np.linalg.svd(sqrt_rho @ SIGMA_YY @ sqrt_rho.conj(), compute_uv=False)
-    c = max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
+    c = np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
     ref1, ref2 = concurrence_ref(rho)
-    return ConcurrenceResult(
-        concurrence=c,
-        lambdas=tuple(float(x) for x in lams),
-        c_ref_1=ref1,
-        c_ref_2=ref2,
-    )
+    if single:
+        return ConcurrenceResult(
+            concurrence=float(c[0]),
+            lambdas=tuple(lams[0].tolist()),
+            c_ref_1=float(ref1[0]),
+            c_ref_2=float(ref2[0]),
+        )
+    return ConcurrenceResult(concurrence=c, lambdas=lams, c_ref_1=ref1, c_ref_2=ref2)
 
 
-def concurrence_ref(rho: np.ndarray) -> tuple[float, float]:
+def concurrence_ref(rho: np.ndarray):
     """Analytic X-state reference concurrences (C_ref_1, C_ref_2).
 
     For exchange-symmetric matrices rho22 = rho33, so sqrt(rho22*rho33)
     reduces to rho22; tiny negative diagonals from round-off are clamped
-    before the square root.
+    before the square root. A (P, 4, 4) stack gives two (P,) arrays.
     """
     rho = np.asarray(rho, dtype=complex)
-    d = rho.diagonal().real
-    ref1 = 2.0 * (abs(rho[0, 3]) - np.sqrt(max(d[1], 0.0) * max(d[2], 0.0)))
-    ref2 = 2.0 * (abs(rho[1, 2]) - np.sqrt(max(d[0], 0.0) * max(d[3], 0.0)))
-    return float(ref1), float(ref2)
+    d = np.maximum(rho.diagonal(axis1=-2, axis2=-1).real, 0.0)
+    ref1 = 2.0 * (np.abs(rho[..., 0, 3]) - np.sqrt(d[..., 1] * d[..., 2]))
+    ref2 = 2.0 * (np.abs(rho[..., 1, 2]) - np.sqrt(d[..., 0] * d[..., 3]))
+    if rho.ndim == 2:
+        return float(ref1), float(ref2)
+    return ref1, ref2

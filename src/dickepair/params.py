@@ -2,12 +2,16 @@
 
 All rates are measured in units of the single-qubit decay constant ``decay``
 (gamma); the natural drive axis for collective effects is the pump parameter
-2*rabi / (n_qubits * decay).
+2*rabi / (n_qubits * decay). A :class:`ParamBatch` holds P operating points
+of one ensemble as arrays; the evaluation pipeline runs on batches, and a
+single :class:`SystemParams` is the batch of one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,49 @@ class SystemParams:
         return replace(self, rabi=pump * self.n_qubits * self.decay / 2.0)
 
 
+@dataclass(frozen=True, eq=False)
+class ParamBatch:
+    """P operating points sharing ``n_qubits`` and ``decay``.
+
+    ``rabi``, ``detuning`` and ``dipole_shift`` are float arrays of shape
+    (P,), validated row by row as :class:`SystemParams` validates them.
+    """
+
+    n_qubits: int
+    rabi: np.ndarray
+    detuning: np.ndarray
+    dipole_shift: np.ndarray
+    decay: float = 1.0
+
+    def __post_init__(self):
+        SystemParams(self.n_qubits, rabi=0.0, decay=self.decay)  # checks n_qubits, decay
+        for name in ("rabi", "detuning", "dipole_shift"):
+            values = getattr(self, name)
+            if values.shape != (len(self.rabi),):
+                raise ValueError(f"{name} must be a 1-D array as long as rabi")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
+        if (self.rabi < 0.0).any():
+            raise ValueError(f"rabi must be >= 0, got {self.rabi.min()!r}")
+
+    @classmethod
+    def of(cls, params: SystemParams) -> "ParamBatch":
+        """The batch of one operating point."""
+        return cls(params.n_qubits, np.array([params.rabi], dtype=float),
+                   np.array([params.detuning], dtype=float),
+                   np.array([params.dipole_shift], dtype=float), params.decay)
+
+    def __len__(self) -> int:
+        return len(self.rabi)
+
+    def rows(self, start: int, stop: int) -> "ParamBatch":
+        """The points start..stop-1 as a batch (views, no copies)."""
+        if start == 0 and stop >= len(self):
+            return self
+        return ParamBatch(self.n_qubits, self.rabi[start:stop], self.detuning[start:stop],
+                          self.dipole_shift[start:stop], self.decay)
+
+
 @dataclass(frozen=True)
 class DerivedParams:
     """Complex drive parameters entering the closed-form steady state."""
@@ -65,14 +112,14 @@ class DerivedParams:
     tilde_detuning: float
 
 
-def derive_params(params: SystemParams) -> DerivedParams:
-    """Derived complex parameters for a valid operating point.
+def derive_params(params: SystemParams | ParamBatch) -> DerivedParams:
+    """Derived complex parameters for a valid operating point or batch.
 
     alpha = i*Omega / (gamma + i*delta), beta = i*(Delta + delta) / (gamma + i*delta),
-    with tilde_detuning = Delta + delta. The denominator never vanishes since
-    gamma > 0.
+    with tilde_detuning = Delta + delta; for a batch each is a (P,) array.
+    The denominator never vanishes since gamma > 0.
     """
-    denom = complex(params.decay, params.dipole_shift)
+    denom = params.decay + 1j * params.dipole_shift
     tilde = params.detuning + params.dipole_shift
     return DerivedParams(
         alpha=1j * params.rabi / denom,

@@ -18,6 +18,11 @@ as exp(scale) * mantissa (:func:`dickepair.logcomplex.logsum_complex`).
 Gamma-function ratios are evaluated as Pochhammer products
 Gamma(1+n+beta)/Gamma(1+beta) = prod_{k=1..n} (k+beta), which is exact and
 avoids complex-gamma branch cuts and overflow.
+
+The parameter-dependent tables carry a leading batch axis: P operating points
+of one ensemble (a :class:`~dickepair.params.ParamBatch`) give (P, N+1)
+coefficient arrays, and each ladder sum is one row reduction over them. The
+single-point functions below evaluate the batch of one.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ import numpy as np
 
 from .errors import IndexRange, ZeroDrive
 from .logcomplex import LOG_ZERO, logsum_complex
-from .params import SystemParams, derive_params
+from .params import ParamBatch, SystemParams, derive_params
 
 __all__ = [
     "ExpectationSet",
@@ -94,33 +99,59 @@ def _row_sums(n_qubits: int, poly: tuple[int, ...]):
     return log_s, sign
 
 
-class _SteadyTables:
-    """Per-operating-point coefficients shared by all moments.
+@lru_cache(maxsize=None)
+def _ladder_terms(n_qubits: int, poly: tuple[int, ...], p: int, f: int):
+    """The parameter-free parts of a ladder sum's terms, rows n = max(p, f)..N.
 
+    log|S_n|, sign(S_n) as a complex unit and the power 2n - p - f of
+    1/|alpha|, built once per (N, poly, p, f) so a ladder sum only slices and
+    combines arrays.
+    """
+    lo = max(p, f)
+    log_s, sign_s = _row_sums(n_qubits, poly)
+    sign = sign_s[lo:].astype(complex)
+    power = 2.0 * np.arange(lo, n_qubits + 1) - p - f
+    for arr in (sign, power):
+        arr.setflags(write=False)
+    return log_s[lo:], sign, power
+
+
+class _SteadyTables:
+    """Coefficients shared by all moments, for a batch of P operating points.
+
+    ``a_log`` and ``a_unit`` are (P, N+1) arrays, ``log_z`` and the ladder
+    sums are (P,) arrays: each ladder sum is one row reduction over the
+    batch. A :class:`SystemParams` is taken as the batch of one.
     Pure after construction: concurrent reads are safe.
     """
 
-    def __init__(self, params: SystemParams, precision: str = "standard"):
-        if params.rabi == 0.0:
+    def __init__(self, params: SystemParams | ParamBatch, precision: str = "standard"):
+        points = params if isinstance(params, ParamBatch) else ParamBatch.of(params)
+        if not points.rabi.all():
             raise ZeroDrive("steady-state formulas are singular at rabi = 0")
         self.params = params
         self.precision = precision
-        self.derived = derive_params(params)
-        N = params.n_qubits
+        N = points.n_qubits
+        self.n_qubits = N
+        derived = derive_params(points)
 
         # a_n = prod_{k=1..n} (1 + beta/k) = Gamma(1+n+beta) / (Gamma(1+beta) n!)
-        ratios = 1.0 + self.derived.beta / np.arange(1, N + 1)
-        self.a_log = np.concatenate([[0.0], np.cumsum(np.log(np.abs(ratios)))])
-        self.a_unit = np.concatenate([[1.0], np.cumprod(ratios / np.abs(ratios))])
+        ratios = 1.0 + derived.beta[:, None] / np.arange(1, N + 1)
+        magnitudes = np.abs(ratios)
+        self.a_log = np.zeros((len(points), N + 1))
+        self.a_unit = np.ones((len(points), N + 1), dtype=complex)
+        np.cumsum(np.log(magnitudes), axis=1, out=self.a_log[:, 1:])
+        np.cumprod(ratios / magnitudes, axis=1, out=self.a_unit[:, 1:])
 
-        alpha = self.derived.alpha
-        self.log_alpha = math.log(abs(alpha))
-        self.alpha_unit = -alpha.conjugate() / abs(alpha)
+        alpha = derived.alpha
+        abs_alpha = np.abs(alpha)
+        self.log_alpha = np.log(abs_alpha)
+        self.alpha_unit = -alpha.conjugate() / abs_alpha
         scale, mantissa = self._ladder_sum(0, 0, (1,))
-        self.log_z = scale + math.log(mantissa.real)
+        self.log_z = scale + np.log(mantissa.real)
 
-    def _ladder_sum(self, p: int, f: int, poly: tuple[int, ...]) -> tuple[float, complex]:
-        """sum_{n >= max(p, f)} C_{n-f, n-p} S_n as (scale, mantissa).
+    def _ladder_sum(self, p: int, f: int, poly: tuple[int, ...]):
+        """sum_{n >= max(p, f)} C_{n-f, n-p} S_n as (scale, mantissa) arrays of shape (P,).
 
         Unnormalized, with S_n from _row_sums: this is
         Z * <(S+)^p q(N/2 - Sz) (S-)^f>, and exactly zero (an empty sum) when
@@ -130,34 +161,44 @@ class _SteadyTables:
         diagonal the unit factors a_k conj(a_k) = 1 are left out, since a
         vectorised complex product may round their imaginary part to nonzero.
         """
-        N = self.params.n_qubits
-        n = np.arange(max(p, f), N + 1)
-        log_s, sign_s = _row_sums(N, poly)
-        c_mag = self.a_log[n - f] + self.a_log[n - p] - (2 * n - p - f) * self.log_alpha
-        units = sign_s[n]
+        N, lo = self.n_qubits, max(p, f)
+        if lo > N:
+            size = len(self.log_alpha)
+            return np.full(size, LOG_ZERO), np.zeros(size, dtype=complex)
+        log_s, sign_s, power = _ladder_terms(N, poly, p, f)
+        # rows n = lo..N read the prefix columns n - f and n - p
+        a_f, a_p = slice(lo - f, N + 1 - f), slice(lo - p, N + 1 - p)
+        c_mag = self.a_log[:, a_f] + self.a_log[:, a_p] - power * self.log_alpha[:, None]
+        units = sign_s
         if p != f:
-            units = self.a_unit[n - f] * np.conj(self.a_unit[n - p]) * units
-        scale, mantissa = logsum_complex(c_mag + log_s[n], units, self.precision)
-        return scale, mantissa * self.alpha_unit ** (p - f)
+            units = self.a_unit[:, a_f] * np.conj(self.a_unit[:, a_p]) * units
+        scale, mantissa = logsum_complex(c_mag + log_s, units, self.precision)
+        if p != f:
+            mantissa = mantissa * self.alpha_unit ** (p - f)
+        return scale, mantissa
 
-    def moment(self, p: int, r: int, f: int) -> complex:
-        """<(S+)^p Sz^r (S-)^f>, with Sz^r = (N - 2d)^r / 2^r as the ladder polynomial."""
-        N = self.params.n_qubits
+    def moment(self, p: int, r: int, f: int) -> np.ndarray:
+        """<(S+)^p Sz^r (S-)^f> of each point, a (P,) array.
+
+        Sz^r enters as the ladder polynomial (N - 2d)^r / 2^r.
+        """
+        N = self.n_qubits
         for name, v in (("p", p), ("r", r), ("f", f)):
             if v < 0:
                 raise IndexRange(f"moment index {name}={v} is negative")
         poly = tuple(math.comb(r, k) * N ** (r - k) * (-2) ** k for k in range(r + 1))
         scale, mantissa = self._ladder_sum(p, f, poly)
-        return math.exp(scale - self.log_z - r * math.log(2.0)) * mantissa
+        return np.exp(scale - self.log_z - r * math.log(2.0)) * mantissa
 
     def moment_set(self) -> ExpectationSet:
+        """The moments of the first point of the batch."""
         return ExpectationSet(
-            s_plus=self.moment(1, 0, 0),
-            s_z=self.moment(0, 1, 0).real,
-            s_z2=self.moment(0, 2, 0).real,
-            s_plus_sz=self.moment(1, 1, 0),
-            s_plus2=self.moment(2, 0, 0),
-            s_plus_s_minus=self.moment(1, 0, 1).real,
+            s_plus=complex(self.moment(1, 0, 0)[0]),
+            s_z=float(self.moment(0, 1, 0)[0].real),
+            s_z2=float(self.moment(0, 2, 0)[0].real),
+            s_plus_sz=complex(self.moment(1, 1, 0)[0]),
+            s_plus2=complex(self.moment(2, 0, 0)[0]),
+            s_plus_s_minus=float(self.moment(1, 0, 1)[0].real),
         )
 
     def pair_entries(self):
@@ -171,14 +212,14 @@ class _SteadyTables:
         from separately computed <Sz>, <Sz^2> moments suffers in the
         weak-drive regime, where the entries are tiny differences of
         N^2-scale moments.
-        Returns (r11, r12, r14, r22, r24, r44).
+        Returns (r11, r12, r14, r22, r24, r44), each of shape (P,).
         """
-        N = self.params.n_qubits
+        N = self.n_qubits
         log_norm = self.log_z + math.log(N) + math.log(N - 1)
 
         def entry(p, poly):
             scale, mantissa = self._ladder_sum(p, 0, poly)
-            return math.exp(scale - log_norm) * mantissa
+            return np.exp(scale - log_norm) * mantissa
 
         r11 = entry(0, (N * (N - 1), 1 - 2 * N, 1)).real
         r22 = entry(0, (0, N, -1)).real
@@ -196,7 +237,7 @@ def _steady_tables(params: SystemParams, precision: str) -> _SteadyTables:
 
 def partition_z(params: SystemParams, precision: str = "standard") -> float:
     """log Z of the normalization Z, which is real and strictly positive."""
-    return _steady_tables(params, precision).log_z
+    return float(_steady_tables(params, precision).log_z[0])
 
 
 def expectation(params: SystemParams, p: int, r: int, f: int,
@@ -207,7 +248,7 @@ def expectation(params: SystemParams, p: int, r: int, f: int,
     vanishes on the N-qubit ladder and the moment is exactly 0. Negative
     indices raise IndexRange.
     """
-    return _steady_tables(params, precision).moment(p, r, f)
+    return complex(_steady_tables(params, precision).moment(p, r, f)[0])
 
 
 def expectation_set(params: SystemParams, precision: str = "standard") -> ExpectationSet:

@@ -1,12 +1,14 @@
 """Parameter sweeps, concurrence maximization and transition detection.
 
-Every grid point runs the same pure pipeline (collective moments -> pair
-density matrix -> concurrence), so results are independent of evaluation
-order and repeated runs are bit-identical.
+A sweep turns its grid into one :class:`~dickepair.params.ParamBatch` and
+runs the pipeline (ladder sums -> pair density matrix -> concurrence) on
+chunks of its rows, each layer as a few array passes over the chunk; a
+single point is the batch of one. numpy reduces every row on its own, so a
+record does not depend on the chunk size or on the other rows, and repeated
+runs are bit-identical.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import GridTooCoarse
 from .pairwise import concurrence, steady_pair_density
-from .params import SystemParams, derive_params
+from .params import ParamBatch, SystemParams, derive_params
 from .steady import expectation
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "SweepResult",
     "TransitionReport",
     "evaluate_point",
+    "evaluate_points",
     "sweep",
     "find_max_concurrence",
     "detect_transition",
@@ -32,7 +35,7 @@ __all__ = [
 
 AXIS_NAMES = ("rabi", "detuning", "dipole_shift", "pump")
 
-RECORD_FIELDS = [
+RECORD_FIELDS = np.dtype([
     ("c", float),
     ("c_ref1", float),
     ("c_ref2", float),
@@ -42,9 +45,15 @@ RECORD_FIELDS = [
     ("lambda2", float),
     ("lambda3", float),
     ("lambda4", float),
-]
+])
 
 MAX_SWEEP_POINTS = 10**6
+
+# A batch is evaluated in chunks of CHUNK_ELEMENTS // max(N + 1, 16) rows,
+# so no (rows, N + 1) coefficient array of a chunk holds more than
+# CHUNK_ELEMENTS entries and memory stays flat whatever the grid size
+# (256 rows at N <= 15, 54 at N = 74, 20 at N = 200).
+CHUNK_ELEMENTS = 1 << 12
 
 MAXIMIZE_AXES = ("rabi", "pump", "detuning")
 
@@ -93,26 +102,35 @@ def _apply_axis(params: SystemParams, name: str, value: float) -> SystemParams:
     return replace(params, **{name: value})
 
 
-def evaluate_point(params: SystemParams, precision: str = "standard") -> tuple:
-    """One pipeline evaluation; returns the RECORD_FIELDS tuple.
+def evaluate_points(points: ParamBatch, precision: str = "standard") -> np.ndarray:
+    """The pipeline over a batch; returns one RECORD_FIELDS record per point.
 
-    <Sz>/N and <S+S->/N^2 come from the pair matrix: one emitter's
-    <sigma_z>/2 is (rho11 - rho44)/2, and <S+S-> = N <sigma+ sigma-> +
-    N(N-1) <sigma+_1 sigma-_2> with <sigma+ sigma-> = rho11 + rho22 and the
-    pair coherence rho23 = rho22.
+    The rows go through ``steady_pair_density`` and ``concurrence`` in
+    chunks of CHUNK_ELEMENTS // max(N + 1, 16) rows. <Sz>/N and <S+S->/N^2
+    come from the pair matrix: one emitter's <sigma_z>/2 is
+    (rho11 - rho44)/2, and <S+S-> = N <sigma+ sigma-> + N(N-1)
+    <sigma+_1 sigma-_2> with <sigma+ sigma-> = rho11 + rho22 and the pair
+    coherence rho23 = rho22.
     """
-    rho = steady_pair_density(params, precision=precision)
-    res = concurrence(rho)
-    n = params.n_qubits
-    r11, r22, r44 = rho[0, 0].real, rho[1, 1].real, rho[3, 3].real
-    return (
-        res.concurrence,
-        res.c_ref_1,
-        res.c_ref_2,
-        (r11 - r44) / 2.0,
-        (r11 + r22) / n + (n - 1) * r22 / n,
-        *res.lambdas,
-    )
+    n = points.n_qubits
+    step = CHUNK_ELEMENTS // max(n + 1, 16)
+    data = np.empty(len(points), dtype=RECORD_FIELDS)
+    for start in range(0, len(points), step):
+        rho = steady_pair_density(points.rows(start, start + step), precision=precision)
+        res = concurrence(rho)
+        r11, r22, r44 = rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 3, 3].real
+        out = data[start:start + step]
+        out["c"], out["c_ref1"], out["c_ref2"] = res.concurrence, res.c_ref_1, res.c_ref_2
+        out["sz_norm"] = (r11 - r44) / 2.0
+        out["spsm_norm"] = (r11 + r22) / n + (n - 1) * r22 / n
+        for j in range(4):
+            out[f"lambda{j + 1}"] = res.lambdas[:, j]
+    return data
+
+
+def evaluate_point(params: SystemParams, precision: str = "standard") -> tuple:
+    """The RECORD_FIELDS tuple of one point: :func:`evaluate_points` on the batch of one."""
+    return evaluate_points(ParamBatch.of(params), precision)[0].item()
 
 
 @dataclass(frozen=True)
@@ -136,7 +154,7 @@ def sweep(
     axes: Sequence[AxisSpec],
     precision: str = "standard",
 ) -> SweepResult:
-    """Evaluate the full pipeline over a 1- or 2-axis grid."""
+    """Evaluate the full pipeline over a 1- or 2-axis grid, as one batch."""
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
         raise ValueError(f"sweep takes 1 or 2 axes, got {len(axes)}")
@@ -149,12 +167,18 @@ def sweep(
         raise ValueError(f"grid of {total} points exceeds limit {MAX_SWEEP_POINTS}")
 
     coords = tuple(a.values() for a in axes)
-    data = np.zeros(total, dtype=RECORD_FIELDS)
-    for i, point in enumerate(itertools.product(*coords)):
-        params = template
-        for axis, value in zip(axes, point):
-            params = _apply_axis(params, axis.name, value)
-        data[i] = evaluate_point(params, precision)
+    # parameters without an axis are read-only views, not copies
+    columns = {name: np.broadcast_to(float(getattr(template, name)), (total,))
+               for name in ("rabi", "detuning", "dipole_shift")}
+    for axis, column in zip(axes, np.meshgrid(*coords, indexing="ij")):
+        column = column.ravel()
+        if axis.name == "pump":
+            # the arithmetic of SystemParams.with_pump
+            columns["rabi"] = column * template.n_qubits * template.decay / 2.0
+        else:
+            columns[axis.name] = column
+    points = ParamBatch(template.n_qubits, decay=template.decay, **columns)
+    data = evaluate_points(points, precision)
     return SweepResult(axes=axes, coords=coords, data=data)
 
 

@@ -44,6 +44,27 @@ def test_tracer_installs_counts_and_uninstalls(tmp_path):
     assert summary["logsum_terms"] > 0
 
 
+def test_tracer_spans_a_batched_sweep(tmp_path):
+    from tracer import Tracer
+
+    from dickepair.cli import main
+
+    tracer = Tracer()
+    tracer.install()
+    patched = list(tracer._undo)
+    try:
+        argv = ["sweep", "--n", "3", "--dipole", "1.3", "--axis", "pump:0.2:1.1:4",
+                "--axis", "detuning:-2:0:3", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, attr
+    spans = tracer.summary([])["spans"]
+    for name in ("sweep.sweep", "pairwise.steady_pair_density", "pairwise.concurrence"):
+        assert spans[name]["calls"] > 0, name
+
+
 def test_gates_import():
     gates = importlib.import_module("gates")
     assert callable(gates.read_csv)

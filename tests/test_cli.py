@@ -73,6 +73,14 @@ def test_numerical_error_exit_code(capsys):
     assert "ZeroDrive" in err
 
 
+def test_zero_drive_inside_sweep_exit_code(capsys):
+    # the first grid point has rabi = 0; the batch fails as the point would
+    code = main(["sweep", "--n", "2", "--axis", "rabi:0:1:3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "ZeroDrive" in err
+
+
 def test_unwritable_output_exits_usage(capsys, tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     code = main(["concurrence", "--n", "2", "--rabi", "1.0", "--out", str(out)])

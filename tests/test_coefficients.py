@@ -37,20 +37,29 @@ def params_for_beta(beta, n_qubits):
 
 
 def prefix(tables, n):
-    """a_n = prod_{k<=n} (1 + beta/k) from the a_log and a_unit prefix arrays."""
-    return math.exp(tables.a_log[n]) * tables.a_unit[n]
+    """a_n = prod_{k<=n} (1 + beta/k) from the a_log and a_unit prefix arrays.
+
+    Tables built from one SystemParams are a batch of one: row 0.
+    """
+    return math.exp(tables.a_log[0, n]) * tables.a_unit[0, n]
+
+
+def one_point(pair):
+    """(scale, mantissa) of a one-point batch's ladder sum as (float, complex)."""
+    scale, mantissa = pair
+    return float(scale[0]), complex(mantissa[0])
 
 
 def value(pair):
-    """exp(scale) * mantissa of a ladder sum as an ordinary complex."""
-    scale, mantissa = pair
+    """exp(scale) * mantissa of a one-point ladder sum as an ordinary complex."""
+    scale, mantissa = one_point(pair)
     return math.exp(scale) * mantissa
 
 
 def test_pochhammer_empty_product():
     for beta in (0.0, 1j, -2.3 + 0.7j):
         tables = _SteadyTables(params_for_beta(beta, 3))
-        assert tables.a_log[0] == 0.0 and tables.a_unit[0] == 1.0
+        assert tables.a_log[0, 0] == 0.0 and tables.a_unit[0, 0] == 1.0
 
 
 def test_pochhammer_real_factorial():
@@ -93,7 +102,7 @@ def test_coefficient_c_trivial():
     # are S_0 = 2, S_1 = 1, so Z = 3 and the (S+) ladder sum is C_10 = i
     tables = _SteadyTables(SystemParams(n_qubits=1, rabi=1.0))
     assert derive_params(tables.params).alpha == 1j
-    assert math.exp(tables.log_z) == pytest.approx(3.0, rel=1e-14)
+    assert math.exp(tables.log_z[0]) == pytest.approx(3.0, rel=1e-14)
     assert value(tables._ladder_sum(1, 0, (1,))) == pytest.approx(1j, rel=1e-14)
 
 
@@ -103,7 +112,7 @@ def test_coefficient_c_diagonal_real_positive():
                                         dipole_shift=1.5))
     for p in range(4):
         for poly in ((1,), (0, 1), (5, -1)):
-            scale, mantissa = tables._ladder_sum(p, p, poly)
+            scale, mantissa = one_point(tables._ladder_sum(p, p, poly))
             assert mantissa.imag == 0.0 and mantissa.real > 0.0 and math.isfinite(scale)
 
 
@@ -137,7 +146,7 @@ def test_ladder_sums_match_direct_coefficients():
                          * ladder_row_sum(n_qubits, n, poly)
                          for n in range(max(p, f), n_qubits + 1))
             got = value(tables._ladder_sum(p, f, poly))
-            assert abs(got - direct) <= 1e-12 * max(abs(direct), math.exp(tables.log_z))
+            assert abs(got - direct) <= 1e-12 * max(abs(direct), math.exp(tables.log_z[0]))
 
 
 def test_partition_strong_drive_limit():
@@ -152,8 +161,9 @@ def test_partition_exactly_real():
     log_z = partition_z(params)
     assert isinstance(log_z, float)
     scale, mantissa = _SteadyTables(params)._ladder_sum(0, 0, (1,))
-    assert mantissa.imag == 0.0 and mantissa.real > 0.0
-    assert scale + math.log(mantissa.real) == log_z
+    assert mantissa.imag[0] == 0.0 and mantissa.real[0] > 0.0
+    # the tables take the log of the whole batch's real parts with numpy
+    assert scale[0] + np.log(mantissa.real)[0] == log_z
 
 
 def test_partition_zero_drive():

@@ -87,5 +87,29 @@ def test_far_out_of_double_range_products():
     # doubles (Z ~ 10^470 here); in log space they still normalize to a unit trace
     params = SystemParams(n_qubits=200, rabi=1.0).with_pump(0.05)
     tables = _SteadyTables(params)
-    assert tables.log_z > math.log(np.finfo(float).max)
-    assert tables.moment(0, 0, 0) == pytest.approx(1.0, rel=1e-13)
+    assert tables.log_z[0] > math.log(np.finfo(float).max)
+    assert tables.moment(0, 0, 0)[0] == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+def test_rows_reduce_independently(precision):
+    # a (P, K) input is P independent sums: the exactly accumulated row 5 and
+    # the all-zero row 9 sit between plain rows, and whole, chunked and
+    # one-row calls give the same bits
+    rng = np.random.default_rng(11)
+    log_mags = rng.normal(size=(20, 6))
+    units = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(20, 6)))
+    log_mags[5] = [math.log(1e16), 0.0, math.log(1e16), LOG_ZERO, LOG_ZERO, LOG_ZERO]
+    units[5] = [1.0, 1.0, -1.0, 1.0, 1.0, 1.0]
+    log_mags[9] = LOG_ZERO
+    scale, mantissa = logsum_complex(log_mags, units, precision)
+    assert scale.shape == mantissa.shape == (20,)
+    assert abs(mantissa[5]) == pytest.approx(1e-16, rel=1e-12)
+    assert (scale[9], mantissa[9]) == (LOG_ZERO, 0j)
+    for size in (7, 1):
+        parts = [logsum_complex(log_mags[i:i + size], units[i:i + size], precision)
+                 for i in range(0, 20, size)]
+        assert np.concatenate([p[0] for p in parts]).tobytes() == scale.tobytes()
+        assert np.concatenate([p[1] for p in parts]).tobytes() == mantissa.tobytes()
+    for i in range(20):
+        assert logsum_complex(log_mags[i], units[i], precision) == (scale[i], mantissa[i])

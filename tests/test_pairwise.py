@@ -214,6 +214,34 @@ def test_non_psd_input_rejected():
         concurrence(np.diag([1.5, -0.5, 0.0, 0.0]))
 
 
+def test_stack_matches_single_matrices():
+    rng = np.random.default_rng(21)
+    stack = np.array([random_symmetric_rho(rng) for _ in range(9)])
+    res = concurrence(stack)
+    assert res.concurrence.shape == (9,) and res.lambdas.shape == (9, 4)
+    for i, rho in enumerate(stack):
+        one = concurrence(rho)
+        assert one.concurrence == res.concurrence[i]
+        assert one.lambdas == tuple(res.lambdas[i])
+        assert (one.c_ref_1, one.c_ref_2) == (res.c_ref_1[i], res.c_ref_2[i])
+
+
+@pytest.mark.parametrize("defect", ["non_finite", "non_hermitian", "non_psd"])
+def test_stack_with_one_bad_matrix_rejected(defect):
+    # one bad matrix among clean ones fails the whole stack
+    rng = np.random.default_rng(5)
+    stack = np.array([random_symmetric_rho(rng) for _ in range(6)])
+    assert len(concurrence(stack).concurrence) == 6
+    if defect == "non_finite":
+        stack[3, 1, 2] = np.nan
+    elif defect == "non_hermitian":
+        stack[3, 0, 1] += 0.3
+    else:
+        stack[3] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(NumericalFailure):
+        concurrence(stack)
+
+
 def test_reference_concurrences():
     ref1, ref2 = concurrence_ref(bell_phi_plus())
     assert ref1 == pytest.approx(1.0)

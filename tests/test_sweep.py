@@ -7,13 +7,14 @@ import pytest
 from dickepair import (
     AxisSpec,
     GridTooCoarse,
+    ParamBatch,
     SystemParams,
     detect_transition,
     expectation,
     find_max_concurrence,
     sweep,
 )
-from dickepair.sweep import RECORD_FIELDS, SHARPNESS_THRESHOLD, evaluate_point
+from dickepair.sweep import RECORD_FIELDS, SHARPNESS_THRESHOLD, evaluate_point, evaluate_points
 
 # the package re-exports the function ``sweep`` under the module's name
 sweep_module = importlib.import_module("dickepair.sweep")
@@ -63,6 +64,25 @@ def test_sweep_records_equal_direct_calls():
             rec = evaluate_point(params)
             assert abs(rec[3] - expectation(params, 0, 1, 0).real / n) <= 1e-12
             assert abs(rec[4] - expectation(params, 1, 0, 1).real / n**2) <= 1e-12
+
+
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+@pytest.mark.parametrize("n", [2, 6, 74, 200])
+def test_records_do_not_depend_on_chunk_size(monkeypatch, n, precision):
+    # one batch, chunks of 7 rows and one row at a time give the same bits;
+    # extended precision sends every row through the exact accumulator
+    rng = np.random.default_rng(n)
+    size = 61
+    points = ParamBatch(n, rng.uniform(0.05, 3.0, size) * n / 2, rng.uniform(-20.0, 5.0, size),
+                        rng.uniform(-8.0, 8.0, size))
+    runs = []
+    for rows in (size, 7, 1):
+        monkeypatch.setattr(sweep_module, "CHUNK_ELEMENTS", rows * max(n + 1, 16))
+        runs.append(evaluate_points(points, precision).tobytes())
+    assert runs[0] == runs[1] == runs[2]
+    one = SystemParams(n, float(points.rabi[3]), float(points.detuning[3]),
+                       float(points.dipole_shift[3]))
+    assert evaluate_point(one, precision) == evaluate_points(points, precision)[3].item()
 
 
 def test_pump_axis_converts_to_rabi():
@@ -169,8 +189,13 @@ def test_find_max_fixed_detuning_bounds():
 
 def test_find_max_constant_landscape(monkeypatch):
     # a flat concurrence landscape: the search still ends inside the bounds
-    monkeypatch.setattr(sweep_module, "evaluate_point",
-                        lambda p, precision: (0.7,) + (0.0,) * (len(RECORD_FIELDS) - 1))
+    def flat(points, precision):
+        data = np.zeros(len(points), dtype=RECORD_FIELDS)
+        data["c"] = 0.7
+        return data
+
+    # sweep evaluates its whole grid through the batched entry point
+    monkeypatch.setattr(sweep_module, "evaluate_points", flat)
     t = SystemParams(n_qubits=2, rabi=1.0)
     argmax, val = find_max_concurrence(
         t, [AxisSpec("rabi", 0.5, 2.0, 33), AxisSpec("detuning", -1.0, 1.0, 33)])

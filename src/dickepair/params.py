@@ -86,11 +86,19 @@ class ParamBatch:
             raise ValueError(f"rabi must be >= 0, got {self.rabi.min()!r}")
 
     @classmethod
+    def _unchecked(cls, n_qubits, rabi, detuning, dipole_shift, decay) -> "ParamBatch":
+        """A batch of values validated already; skips the checks of __post_init__."""
+        batch = object.__new__(cls)
+        batch.__dict__.update(n_qubits=n_qubits, rabi=rabi, detuning=detuning,
+                              dipole_shift=dipole_shift, decay=decay)
+        return batch
+
+    @classmethod
     def of(cls, params: SystemParams) -> "ParamBatch":
         """The batch of one operating point."""
-        return cls(params.n_qubits, np.array([params.rabi], dtype=float),
-                   np.array([params.detuning], dtype=float),
-                   np.array([params.dipole_shift], dtype=float), params.decay)
+        return cls._unchecked(params.n_qubits, np.array([params.rabi], dtype=float),
+                              np.array([params.detuning], dtype=float),
+                              np.array([params.dipole_shift], dtype=float), params.decay)
 
     def __len__(self) -> int:
         return len(self.rabi)
@@ -99,8 +107,9 @@ class ParamBatch:
         """The points start..stop-1 as a batch (views, no copies)."""
         if start == 0 and stop >= len(self):
             return self
-        return ParamBatch(self.n_qubits, self.rabi[start:stop], self.detuning[start:stop],
-                          self.dipole_shift[start:stop], self.decay)
+        return ParamBatch._unchecked(self.n_qubits, self.rabi[start:stop],
+                                     self.detuning[start:stop],
+                                     self.dipole_shift[start:stop], self.decay)
 
 
 @dataclass(frozen=True)

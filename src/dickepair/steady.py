@@ -72,7 +72,8 @@ def _row_sums(n_qubits: int, poly: tuple[int, ...]):
         sum_m C(N-m, n) C(m+n+j, n+j) = C(N+n+j+1, 2n+j+1),
     so S_n = n! sum_j c_j (n+j)! C(N+n+j+1, 2n+j+1) in exact integers: rows
     whose weights vanish come out exactly zero and signed terms cancel
-    without rounding.
+    without rounding. The signs are complex units, ready to multiply the
+    complex coefficients of a ladder sum.
     """
     N = n_qubits
     rising, rest = [], list(reversed(poly))
@@ -85,7 +86,7 @@ def _row_sums(n_qubits: int, poly: tuple[int, ...]):
         rising.append(quotient.pop())
         rest = quotient
     log_s = np.full(N + 1, LOG_ZERO)
-    sign = np.ones(N + 1)
+    sign = np.ones(N + 1, dtype=complex)
     for n in range(N + 1):
         s = math.factorial(n) * sum(
             c * math.factorial(n + j) * math.comb(N + n + j + 1, 2 * n + j + 1)
@@ -97,23 +98,6 @@ def _row_sums(n_qubits: int, poly: tuple[int, ...]):
     for arr in (log_s, sign):
         arr.setflags(write=False)
     return log_s, sign
-
-
-@lru_cache(maxsize=None)
-def _ladder_terms(n_qubits: int, poly: tuple[int, ...], p: int, f: int):
-    """The parameter-free parts of a ladder sum's terms, rows n = max(p, f)..N.
-
-    log|S_n|, sign(S_n) as a complex unit and the power 2n - p - f of
-    1/|alpha|, built once per (N, poly, p, f) so a ladder sum only slices and
-    combines arrays.
-    """
-    lo = max(p, f)
-    log_s, sign_s = _row_sums(n_qubits, poly)
-    sign = sign_s[lo:].astype(complex)
-    power = 2.0 * np.arange(lo, n_qubits + 1) - p - f
-    for arr in (sign, power):
-        arr.setflags(write=False)
-    return log_s[lo:], sign, power
 
 
 class _SteadyTables:
@@ -165,14 +149,15 @@ class _SteadyTables:
         if lo > N:
             size = len(self.log_alpha)
             return np.full(size, LOG_ZERO), np.zeros(size, dtype=complex)
-        log_s, sign_s, power = _ladder_terms(N, poly, p, f)
+        log_s, sign_s = _row_sums(N, poly)
+        power = 2.0 * np.arange(lo, N + 1) - p - f
         # rows n = lo..N read the prefix columns n - f and n - p
         a_f, a_p = slice(lo - f, N + 1 - f), slice(lo - p, N + 1 - p)
         c_mag = self.a_log[:, a_f] + self.a_log[:, a_p] - power * self.log_alpha[:, None]
-        units = sign_s
+        units = sign_s[lo:]
         if p != f:
             units = self.a_unit[:, a_f] * np.conj(self.a_unit[:, a_p]) * units
-        scale, mantissa = logsum_complex(c_mag + log_s, units, self.precision)
+        scale, mantissa = logsum_complex(c_mag + log_s[lo:], units, self.precision)
         if p != f:
             mantissa = mantissa * self.alpha_unit ** (p - f)
         return scale, mantissa
@@ -189,17 +174,6 @@ class _SteadyTables:
         poly = tuple(math.comb(r, k) * N ** (r - k) * (-2) ** k for k in range(r + 1))
         scale, mantissa = self._ladder_sum(p, f, poly)
         return np.exp(scale - self.log_z - r * math.log(2.0)) * mantissa
-
-    def moment_set(self) -> ExpectationSet:
-        """The moments of the first point of the batch."""
-        return ExpectationSet(
-            s_plus=complex(self.moment(1, 0, 0)[0]),
-            s_z=float(self.moment(0, 1, 0)[0].real),
-            s_z2=float(self.moment(0, 2, 0)[0].real),
-            s_plus_sz=complex(self.moment(1, 1, 0)[0]),
-            s_plus2=complex(self.moment(2, 0, 0)[0]),
-            s_plus_s_minus=float(self.moment(1, 0, 1)[0].real),
-        )
 
     def pair_entries(self):
         """The six independent pair-matrix entries as dedicated ladder sums.
@@ -253,4 +227,12 @@ def expectation(params: SystemParams, p: int, r: int, f: int,
 
 def expectation_set(params: SystemParams, precision: str = "standard") -> ExpectationSet:
     """All moments entering the pair density matrix, from shared tables."""
-    return _steady_tables(params, precision).moment_set()
+    tables = _steady_tables(params, precision)  # a batch of one point
+    return ExpectationSet(
+        s_plus=complex(tables.moment(1, 0, 0)[0]),
+        s_z=float(tables.moment(0, 1, 0)[0].real),
+        s_z2=float(tables.moment(0, 2, 0)[0].real),
+        s_plus_sz=complex(tables.moment(1, 1, 0)[0]),
+        s_plus2=complex(tables.moment(2, 0, 0)[0]),
+        s_plus_s_minus=float(tables.moment(1, 0, 1)[0].real),
+    )

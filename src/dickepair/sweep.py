@@ -52,7 +52,8 @@ MAX_SWEEP_POINTS = 10**6
 # A batch is evaluated in chunks of CHUNK_ELEMENTS // max(N + 1, 16) rows,
 # so no (rows, N + 1) coefficient array of a chunk holds more than
 # CHUNK_ELEMENTS entries and memory stays flat whatever the grid size
-# (256 rows at N <= 15, 54 at N = 74, 20 at N = 200).
+# (256 rows at N <= 15, 54 at N = 74, 20 at N = 200); past the budget,
+# from N = CHUNK_ELEMENTS on, a chunk is one row.
 CHUNK_ELEMENTS = 1 << 12
 
 MAXIMIZE_AXES = ("rabi", "pump", "detuning")
@@ -106,14 +107,14 @@ def evaluate_points(points: ParamBatch, precision: str = "standard") -> np.ndarr
     """The pipeline over a batch; returns one RECORD_FIELDS record per point.
 
     The rows go through ``steady_pair_density`` and ``concurrence`` in
-    chunks of CHUNK_ELEMENTS // max(N + 1, 16) rows. <Sz>/N and <S+S->/N^2
-    come from the pair matrix: one emitter's <sigma_z>/2 is
-    (rho11 - rho44)/2, and <S+S-> = N <sigma+ sigma-> + N(N-1)
+    chunks of CHUNK_ELEMENTS // max(N + 1, 16) rows, at least one.
+    <Sz>/N and <S+S->/N^2 come from the pair matrix: one emitter's
+    <sigma_z>/2 is (rho11 - rho44)/2, and <S+S-> = N <sigma+ sigma-> + N(N-1)
     <sigma+_1 sigma-_2> with <sigma+ sigma-> = rho11 + rho22 and the pair
     coherence rho23 = rho22.
     """
     n = points.n_qubits
-    step = CHUNK_ELEMENTS // max(n + 1, 16)
+    step = max(1, CHUNK_ELEMENTS // max(n + 1, 16))
     data = np.empty(len(points), dtype=RECORD_FIELDS)
     for start in range(0, len(points), step):
         rho = steady_pair_density(points.rows(start, start + step), precision=precision)

@@ -69,17 +69,19 @@ def test_sweep_records_equal_direct_calls():
 @pytest.mark.parametrize("precision", ["standard", "extended"])
 @pytest.mark.parametrize("n", [2, 6, 74, 200])
 def test_records_do_not_depend_on_chunk_size(monkeypatch, n, precision):
-    # one batch, chunks of 7 rows and one row at a time give the same bits;
-    # extended precision sends every row through the exact accumulator
+    # one batch, chunks of 7 rows and one row at a time give the same bits,
+    # also when the element budget is below one row; extended precision
+    # sends every row through the exact accumulator
     rng = np.random.default_rng(n)
     size = 61
     points = ParamBatch(n, rng.uniform(0.05, 3.0, size) * n / 2, rng.uniform(-20.0, 5.0, size),
                         rng.uniform(-8.0, 8.0, size))
+    row = max(n + 1, 16)
     runs = []
-    for rows in (size, 7, 1):
-        monkeypatch.setattr(sweep_module, "CHUNK_ELEMENTS", rows * max(n + 1, 16))
+    for budget in (size * row, 7 * row, row, 8):
+        monkeypatch.setattr(sweep_module, "CHUNK_ELEMENTS", budget)
         runs.append(evaluate_points(points, precision).tobytes())
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
     one = SystemParams(n, float(points.rabi[3]), float(points.detuning[3]),
                        float(points.dipole_shift[3]))
     assert evaluate_point(one, precision) == evaluate_points(points, precision)[3].item()

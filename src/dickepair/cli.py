@@ -9,24 +9,27 @@ exactly. Exit codes: 0 success, 2 usage error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__
 from .errors import DickepairError, UnknownFigure
 from .oracle import (
+    _check_size,
     build_liouvillian,
     density_expectation_set,
     oracle_pair_density,
     steady_state_null_space,
 )
 from .pairwise import concurrence, steady_pair_density
-from .params import SystemParams
+from .params import ParamBatch, SystemParams
 from .steady import expectation_set
-from .sweep import AxisSpec, find_max_concurrence, sweep
+from .sweep import CHUNK_ELEMENTS, AxisSpec, find_max_concurrence, sweep
 
 DEFAULT_ORACLE_SIZES = (2, 3, 4, 6)
 DEFAULT_ORACLE_TOL = 1e-8
@@ -115,6 +118,19 @@ def _meta_lines(config: RunConfig) -> list[str]:
     return lines
 
 
+@dataclass(frozen=True)
+class _Table:
+    """A command's computed output: metadata lines, header and row blocks.
+
+    A set ``error`` is reported after the CSV is written, with exit code 3.
+    """
+
+    meta: list[str]
+    header: list[str]
+    blocks: Iterable[np.ndarray]
+    error: str | None = None
+
+
 def _write_csv(fh, meta: list[str], header: list[str], blocks) -> None:
     """Metadata, header and rows; ``blocks`` yields 2-D float arrays of rows.
 
@@ -146,7 +162,7 @@ def _out_stream(path: str | None):
     return open(path, "w", encoding="utf-8")
 
 
-def _run_expect(config: RunConfig, fh) -> int:
+def _run_expect(config: RunConfig) -> _Table:
     m = expectation_set(config.params, precision=config.precision)
     header = [
         "s_plus_re", "s_plus_im", "s_z", "s_z2",
@@ -157,50 +173,45 @@ def _run_expect(config: RunConfig, fh) -> int:
         m.s_plus_sz.real, m.s_plus_sz.imag, m.s_plus2.real, m.s_plus2.imag,
         m.s_plus_s_minus,
     )
-    _write_csv(fh, _meta_lines(config), header, _one_row(row))
-    return 0
+    return _Table(_meta_lines(config), header, _one_row(row))
 
 
-def _run_rho(config: RunConfig, fh) -> int:
+def _run_rho(config: RunConfig) -> _Table:
     rho = steady_pair_density(config.params, precision=config.precision)
     header, row = [], []
     for i in range(4):
         for j in range(4):
             header += [f"rho{i + 1}{j + 1}_re", f"rho{i + 1}{j + 1}_im"]
             row += [rho[i, j].real, rho[i, j].imag]
-    _write_csv(fh, _meta_lines(config), header, _one_row(row))
-    return 0
+    return _Table(_meta_lines(config), header, _one_row(row))
 
 
-def _run_concurrence(config: RunConfig, fh) -> int:
+def _run_concurrence(config: RunConfig) -> _Table:
     res = concurrence(steady_pair_density(config.params, precision=config.precision))
     header = ["concurrence", "lambda1", "lambda2", "lambda3", "lambda4", "c_ref_1", "c_ref_2"]
     row = (res.concurrence, *res.lambdas, res.c_ref_1, res.c_ref_2)
-    _write_csv(fh, _meta_lines(config), header, _one_row(row))
-    return 0
+    return _Table(_meta_lines(config), header, _one_row(row))
 
 
-def _run_sweep(config: RunConfig, fh) -> int:
+def _run_sweep(config: RunConfig) -> _Table:
     result = sweep(config.params, config.axes, precision=config.precision)
     field_names = [name for name, _ in result.data.dtype.descr]
     header = [ax.name for ax in config.axes] + field_names
     columns = result.axis_columns() + [result.column(name) for name in field_names]
-    _write_csv(fh, _meta_lines(config), header, _column_blocks(columns))
-    return 0
+    return _Table(_meta_lines(config), header, _column_blocks(columns))
 
 
-def _run_maximize(config: RunConfig, fh) -> int:
+def _run_maximize(config: RunConfig) -> _Table:
     argmax, cmax = find_max_concurrence(config.params, config.axes, precision=config.precision)
     header = ["rabi", "pump", "detuning", "c_max"]
     row = (argmax.rabi, argmax.pump, argmax.detuning, cmax)
-    _write_csv(fh, _meta_lines(config), header, _one_row(row))
-    return 0
+    return _Table(_meta_lines(config), header, _one_row(row))
 
 
-def _run_figure(config: RunConfig, fh) -> int:
+def _run_figure(config: RunConfig) -> _Table:
     preset = FIGURES[config.figure]
     if len(preset.axes) == 2:
-        return _run_sweep(config, fh)
+        return _run_sweep(config)
 
     axis = preset.axes[0]
     meta = _meta_lines(config)
@@ -212,45 +223,52 @@ def _run_figure(config: RunConfig, fh) -> int:
         result = sweep(curve_template, (axis,), precision=config.precision)
         header += [f"c_{k}", f"c_ref1_{k}"]
         columns += [result.column("c"), result.column("c_ref1")]
-    _write_csv(fh, meta, header, _column_blocks(columns))
-    return 0
+    return _Table(meta, header, _column_blocks(columns))
 
 
-def _run_oracle_check(config: RunConfig, fh) -> int:
-    rabis = np.linspace(0.2, 5.0, 5)
-    detunings = np.linspace(-10.0, 2.0, 5)
-    dipoles = (0.0, 2.0, 5.0)
-    header = ["n_qubits", "rabi", "detuning", "dipole_shift", "moment_err", "rho_err"]
-    rows = []
-    worst = 0.0
+def _run_oracle_check(config: RunConfig) -> _Table:
+    """Closed form against the dense null space on a 75-point grid per size.
+
+    Every size is checked and evaluated in closed form (one batch) before
+    any dense solve. The dense side solves chunks of
+    CHUNK_ELEMENTS // (N + 1)^4 rows, at least one, so no Liouvillian stack
+    holds more than CHUNK_ELEMENTS entries; the moments and pair matrices
+    of the states are then read off as one stack per size.
+    """
+    grid = [axis.ravel() for axis in np.meshgrid(
+        np.linspace(0.2, 5.0, 5), np.linspace(-10.0, 2.0, 5), (0.0, 2.0, 5.0), indexing="ij")]
+    closed_form = []
     for n in config.oracle_sizes:
-        for rabi in rabis:
-            for det in detunings:
-                for dip in dipoles:
-                    params = SystemParams(n_qubits=int(n), rabi=float(rabi),
-                                          detuning=float(det), dipole_shift=float(dip))
-                    analytic = expectation_set(params, precision=config.precision)
-                    rho_ss = steady_state_null_space(build_liouvillian(params))
-                    reference = density_expectation_set(rho_ss)
-                    moment_err = max(
-                        abs(getattr(analytic, f) - getattr(reference, f))
-                        for f in ("s_plus", "s_z", "s_z2", "s_plus_sz", "s_plus2",
-                                  "s_plus_s_minus")
-                    )
-                    rho_err = float(np.max(np.abs(
-                        steady_pair_density(params, precision=config.precision)
-                        - oracle_pair_density(rho_ss, params.n_qubits)
-                    )))
-                    worst = max(worst, moment_err, rho_err)
-                    rows.append((n, rabi, det, dip, moment_err, rho_err))
+        points = ParamBatch(int(n), *grid)
+        _check_size(points.n_qubits)
+        closed_form.append((points, expectation_set(points, precision=config.precision),
+                            steady_pair_density(points, precision=config.precision)))
+    blocks = []
+    for points, analytic, pair in closed_form:
+        n = points.n_qubits
+        step = max(1, CHUNK_ELEMENTS // (n + 1) ** 4)
+        states = np.concatenate([
+            steady_state_null_space(build_liouvillian(points.rows(start, start + step)))
+            for start in range(0, len(points), step)
+        ])
+        reference = density_expectation_set(states)
+        moment_err = np.max([
+            np.abs(getattr(analytic, f) - getattr(reference, f))
+            for f in ("s_plus", "s_z", "s_z2", "s_plus_sz", "s_plus2", "s_plus_s_minus")
+        ], axis=0)
+        rho_err = np.abs(pair - oracle_pair_density(states, n)).max(axis=(1, 2))
+        blocks.append(np.column_stack([np.full(len(points), float(n)), points.rabi,
+                                       points.detuning, points.dipole_shift,
+                                       moment_err, rho_err]))
+    worst = max((float(block[:, 4:].max()) for block in blocks), default=0.0)
+    header = ["n_qubits", "rabi", "detuning", "dipole_shift", "moment_err", "rho_err"]
     meta = _meta_lines(config) + [f"worst_error: {_fmt(worst)}",
                                   f"tolerance: {_fmt(DEFAULT_ORACLE_TOL)}"]
-    _write_csv(fh, meta, header, [np.array(rows, dtype=float)])
+    error = None
     if worst > DEFAULT_ORACLE_TOL:
-        print(f"error: NumericalFailure: oracle mismatch {worst:.3e} exceeds "
-              f"{DEFAULT_ORACLE_TOL:.1e}", file=sys.stderr)
-        return 3
-    return 0
+        error = (f"NumericalFailure: oracle mismatch {worst:.3e} exceeds "
+                 f"{DEFAULT_ORACLE_TOL:.1e}")
+    return _Table(meta, header, blocks, error)
 
 
 _RUNNERS = {
@@ -265,10 +283,18 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated configuration, writing CSV to its output path."""
-    runner = _RUNNERS[config.command]
+    """Execute a validated configuration, writing CSV to its output path.
+
+    The output is opened only once the result is computed, so a command
+    that fails leaves an existing output file as it was.
+    """
+    table = _RUNNERS[config.command](config)
     with _out_stream(config.output_path) as fh:
-        return runner(config, fh)
+        _write_csv(fh, table.meta, table.header, table.blocks)
+    if table.error is not None:
+        print(f"error: {table.error}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def _parse_axis(text: str) -> AxisSpec:
@@ -298,7 +324,13 @@ def _add_output(sp):
     sp.add_argument("--precision", choices=("standard", "extended"), default="standard")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared afterwards.
+
+    Parsing leaves no state in the parser (every ``append`` option starts
+    from a None default), so one parser serves every call of :func:`main`.
+    """
     parser = argparse.ArgumentParser(
         prog="dickepair",
         description="Steady-state pairwise entanglement of a driven, collectively "

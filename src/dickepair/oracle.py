@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNullSpace, PairUndefined, SizeExceeded
-from .params import SystemParams
+from .params import ParamBatch, SystemParams
 from .steady import ExpectationSet
 
 __all__ = [
@@ -71,35 +71,58 @@ class DickeBasisOperators:
         return cls(dimension=dim, s_plus=s_plus, s_minus=s_minus, s_z=s_z)
 
 
-def _left_mul(a: np.ndarray) -> np.ndarray:
-    return np.kron(a, np.eye(a.shape[0]))
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a, b) of square matrices, broadcast over a leading stack axis."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    size = a.shape[-1] * b.shape[-1]
+    return prod.reshape(prod.shape[:-4] + (size, size))
 
 
-def _right_mul(b: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(b.shape[0]), b.T)
+def _check_size(n_qubits: int) -> None:
+    if n_qubits > MAX_ORACLE_QUBITS:
+        raise SizeExceeded(
+            f"dense oracle supports N <= {MAX_ORACLE_QUBITS}, got {n_qubits}"
+        )
 
 
-def build_liouvillian(params: SystemParams) -> np.ndarray:
+def _stack(arr: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
+    """A (P, m, m) view of one square matrix or a stack, and whether it was one."""
+    arr = np.asarray(arr)
+    single = arr.ndim == 2
+    if single:
+        arr = arr[None]
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ValueError(f"{what} must be a square matrix or a stack of them, got {arr.shape}")
+    return arr, single
+
+
+def build_liouvillian(params: SystemParams | ParamBatch) -> np.ndarray:
     """Matrix L with vec(d rho/dt) = L vec(rho), row-major vectorization.
 
-    Unlike the closed-form solver, rabi = 0 is allowed here.
+    A :class:`ParamBatch` of P points gives a (P, d^2, d^2) stack with
+    d = N + 1; one :class:`SystemParams` gives its matrix, the batch of one.
+    Every matrix is built by the same elementwise arithmetic whatever P, so
+    a row of a stack is bit-identical to its single-point build. Unlike the
+    closed-form solver, rabi = 0 is allowed here.
     """
-    n = params.n_qubits
-    if n > MAX_ORACLE_QUBITS:
-        raise SizeExceeded(f"dense oracle supports N <= {MAX_ORACLE_QUBITS}, got {n}")
-    ops = DickeBasisOperators.build(n)
-    tilde = params.detuning + params.dipole_shift
-    ham = (
-        tilde * ops.s_z
-        + params.dipole_shift * (ops.s_plus @ ops.s_minus)
-        + params.rabi * (ops.s_plus + ops.s_minus)
-    )
+    _check_size(params.n_qubits)
+    single = isinstance(params, SystemParams)
+    points = ParamBatch.of(params) if single else params
+    ops = DickeBasisOperators.build(points.n_qubits)
+    eye = np.eye(ops.dimension)
     spsm = ops.s_plus @ ops.s_minus
-    liouv = -1j * (_left_mul(ham) - _right_mul(ham))
-    liouv -= params.decay * (_left_mul(spsm) + _right_mul(spsm))
+    tilde = points.detuning + points.dipole_shift
+    ham = (
+        tilde[:, None, None] * ops.s_z
+        + points.dipole_shift[:, None, None] * spsm
+        + points.rabi[:, None, None] * (ops.s_plus + ops.s_minus)
+    )
+    # A rho lifts to kron(A, I) and rho B to kron(I, B^T)
+    liouv = -1j * (_kron(ham, eye) - _kron(eye, np.swapaxes(ham, 1, 2)))
+    liouv -= points.decay * (_kron(spsm, eye) + _kron(eye, spsm.T))
     # S- rho S+ lifts to kron(S-, (S+)^T) = kron(S-, S-) for real elements
-    liouv += 2.0 * params.decay * np.kron(ops.s_minus, ops.s_minus)
-    return liouv
+    liouv += 2.0 * points.decay * _kron(ops.s_minus, ops.s_minus)
+    return liouv[0] if single else liouv
 
 
 def _trace_row(dim: int) -> np.ndarray:
@@ -114,57 +137,78 @@ def steady_state_null_space(liouv: np.ndarray) -> np.ndarray:
     Solved deterministically by replacing the first row with the trace
     constraint; the singular spectrum is inspected first and a second
     singular value below 1e-10 raises DegenerateNullSpace (non-unique
-    stationary state). The smallest singular direction is the fallback if
-    the replaced system is ill-conditioned.
+    stationary state). The smallest singular direction is the fallback for
+    a replaced system that is singular or leaves a residual above
+    1e-8 * max(1, max|vec|).
+
+    A (P, d^2, d^2) stack gives a (P, d, d) stack of states: one batched
+    singular-value pass (values only), one batched solve, and full singular
+    vectors only for the rows that fall back. Any degenerate row raises. A
+    singular row makes the batched solve raise, so the rows are then solved
+    one by one and only the singular ones fall back.
     """
-    dim2 = liouv.shape[0]
+    stack, single = _stack(liouv, "Liouvillian")
+    rows, dim2 = stack.shape[:2]
     dim = math.isqrt(dim2)
-    if dim * dim != dim2 or liouv.shape != (dim2, dim2):
-        raise ValueError(f"Liouvillian must be square with square size, got {liouv.shape}")
-    _, svals, vh = np.linalg.svd(liouv)
-    if svals[-2] < DEGENERACY_TOL:
+    if dim * dim != dim2:
+        raise ValueError(f"Liouvillian must be square with square size, got {stack.shape[1:]}")
+    svals = np.linalg.svd(stack, compute_uv=False)
+    degenerate = np.flatnonzero(svals[:, -2] < DEGENERACY_TOL)
+    if degenerate.size:
+        s = svals[degenerate[0]]
         raise DegenerateNullSpace(
-            f"two singular values below {DEGENERACY_TOL}: {svals[-2]:.3e}, {svals[-1]:.3e}"
+            f"two singular values below {DEGENERACY_TOL}: {s[-2]:.3e}, {s[-1]:.3e}"
         )
 
-    constrained = liouv.copy()
-    constrained[0, :] = _trace_row(dim)
-    rhs = np.zeros(dim2, dtype=complex)
-    rhs[0] = 1.0
+    constrained = stack.astype(complex)
+    constrained[:, 0, :] = _trace_row(dim)
+    rhs = np.zeros((rows, dim2, 1), dtype=complex)
+    rhs[:, 0] = 1.0
     try:
-        vec = np.linalg.solve(constrained, rhs)
-        residual = float(np.max(np.abs(liouv @ vec)))
-        if not residual <= 1e-8 * max(1.0, float(np.max(np.abs(vec)))):
-            vec = vh[-1].conj()
+        vec = np.linalg.solve(constrained, rhs)[..., 0]
     except np.linalg.LinAlgError:
-        vec = vh[-1].conj()
+        # NaN on the singular rows fails the residual test below
+        vec = np.full((rows, dim2), np.nan, dtype=complex)
+        for i in range(rows):
+            try:
+                vec[i] = np.linalg.solve(constrained[i], rhs[i, :, 0])
+            except np.linalg.LinAlgError:
+                pass
+    residual = np.abs(stack @ vec[..., None]).max(axis=(1, 2))
+    accepted = residual <= 1e-8 * np.maximum(1.0, np.abs(vec).max(axis=1))
+    for i in np.flatnonzero(~accepted):
+        vec[i] = np.linalg.svd(stack[i])[2][-1].conj()
 
-    rho = vec.reshape(dim, dim)
-    rho = rho / np.trace(rho)
-    return 0.5 * (rho + rho.conj().T)
+    rho = vec.reshape(rows, dim, dim)
+    rho = rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    return rho[0] if single else rho
 
 
 def density_expectation_set(rho: np.ndarray) -> ExpectationSet:
-    """Collective moments of a ladder-basis density matrix by direct trace."""
-    dim = rho.shape[0]
-    ops = DickeBasisOperators.build(dim - 1)
+    """Collective moments of a ladder-basis density matrix by direct trace.
 
-    def mom(p: int, r: int, f: int) -> complex:
-        op = (
-            np.linalg.matrix_power(ops.s_plus, p)
-            @ np.linalg.matrix_power(ops.s_z, r)
-            @ np.linalg.matrix_power(ops.s_minus, f)
-        )
-        return complex(np.trace(rho @ op))
-
-    return ExpectationSet(
-        s_plus=mom(1, 0, 0),
-        s_z=mom(0, 1, 0).real,
-        s_z2=mom(0, 2, 0).real,
-        s_plus_sz=mom(1, 1, 0),
-        s_plus2=mom(2, 0, 0),
-        s_plus_s_minus=mom(1, 0, 1).real,
-    )
+    A (P, d, d) stack gives an :class:`ExpectationSet` of (P,) arrays; the
+    ladder operators and the six operator products are built once for it.
+    """
+    stack, single = _stack(rho, "state")
+    ops = DickeBasisOperators.build(stack.shape[1] - 1)
+    sp, sz, sm = ops.s_plus, ops.s_z, ops.s_minus
+    products = {
+        "s_plus": sp,
+        "s_z": sz,
+        "s_z2": sz @ sz,
+        "s_plus_sz": sp @ sz,
+        "s_plus2": sp @ sp,
+        "s_plus_s_minus": sp @ sm,
+    }
+    # tr(rho op) of each state
+    moments = {name: np.einsum("pij,ji->p", stack, op) for name, op in products.items()}
+    for name in ("s_z", "s_z2", "s_plus_s_minus"):
+        moments[name] = moments[name].real
+    if single:
+        return ExpectationSet(**{name: m[0].item() for name, m in moments.items()})
+    return ExpectationSet(**moments)
 
 
 def oracle_pair_density(rho: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -176,11 +220,13 @@ def oracle_pair_density(rho: np.ndarray, n_qubits: int) -> np.ndarray:
     ladder indices that leave the same remainder m. The 3x3 block over
     j = 2, 1, 0 expands to the basis {ee, eg, ge, gg}. The result is the
     transpose of the literal partial trace: the package convention
-    rho_ij = <j|rho|i>, as ``steady_pair_density`` returns.
+    rho_ij = <j|rho|i>, as ``steady_pair_density`` returns. A (P, N+1, N+1)
+    stack of states gives a (P, 4, 4) stack.
     """
-    if rho.shape != (n_qubits + 1, n_qubits + 1):
+    stack, single = _stack(rho, "state")
+    if stack.shape[1] != n_qubits + 1:
         raise ValueError(
-            f"state has shape {rho.shape}, expected {(n_qubits + 1, n_qubits + 1)}"
+            f"state has shape {stack.shape[1:]}, expected {(n_qubits + 1, n_qubits + 1)}"
         )
     if n_qubits < 2:
         raise PairUndefined(f"pair reduction needs at least 2 qubits, got {n_qubits}")
@@ -190,5 +236,6 @@ def oracle_pair_density(rho: np.ndarray, n_qubits: int) -> np.ndarray:
                    for j in pair_j])
     ladder = np.add.outer(pair_j, rest)
     # entry (a, b) sums rho[ladder[b], ladder[a]]: the transposed block
-    block = np.einsum("abm,am,bm->ab", rho[ladder[None, :], ladder[:, None]], amp, amp)
-    return block[[[0], [1], [1], [2]], [0, 1, 1, 2]]
+    block = np.einsum("pabm,am,bm->pab", stack[:, ladder[None, :], ladder[:, None]], amp, amp)
+    pair = block[:, [[0], [1], [1], [2]], [0, 1, 1, 2]]
+    return pair[0] if single else pair

@@ -49,7 +49,8 @@ class ExpectationSet:
     """The collective moments needed for the two-qubit reduction.
 
     ``s_z``, ``s_z2`` and ``s_plus_s_minus`` are real for any valid state
-    (Hermitian observables); they are stored as floats.
+    (Hermitian observables); they are stored as floats. For a batch of P
+    points every field is a (P,) array instead, complex or float.
     """
 
     s_plus: complex
@@ -225,14 +226,24 @@ def expectation(params: SystemParams, p: int, r: int, f: int,
     return complex(_steady_tables(params, precision).moment(p, r, f)[0])
 
 
-def expectation_set(params: SystemParams, precision: str = "standard") -> ExpectationSet:
-    """All moments entering the pair density matrix, from shared tables."""
-    tables = _steady_tables(params, precision)  # a batch of one point
-    return ExpectationSet(
-        s_plus=complex(tables.moment(1, 0, 0)[0]),
-        s_z=float(tables.moment(0, 1, 0)[0].real),
-        s_z2=float(tables.moment(0, 2, 0)[0].real),
-        s_plus_sz=complex(tables.moment(1, 1, 0)[0]),
-        s_plus2=complex(tables.moment(2, 0, 0)[0]),
-        s_plus_s_minus=float(tables.moment(1, 0, 1)[0].real),
-    )
+def expectation_set(params: SystemParams | ParamBatch,
+                    precision: str = "standard") -> ExpectationSet:
+    """All moments entering the pair density matrix, from shared tables.
+
+    A :class:`ParamBatch` gives an :class:`ExpectationSet` of (P,) arrays
+    from one table build; one :class:`SystemParams` gives its scalars, the
+    batch of one.
+    """
+    batch = isinstance(params, ParamBatch)
+    tables = _SteadyTables(params, precision) if batch else _steady_tables(params, precision)
+    moments = {
+        "s_plus": tables.moment(1, 0, 0),
+        "s_z": tables.moment(0, 1, 0).real,
+        "s_z2": tables.moment(0, 2, 0).real,
+        "s_plus_sz": tables.moment(1, 1, 0),
+        "s_plus2": tables.moment(2, 0, 0),
+        "s_plus_s_minus": tables.moment(1, 0, 1).real,
+    }
+    if batch:
+        return ExpectationSet(**moments)
+    return ExpectationSet(**{name: m[0].item() for name, m in moments.items()})

@@ -1,4 +1,7 @@
 """Command-line interface: presets, CSV output, exit codes."""
+import argparse
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,11 +9,20 @@ from dickepair import (
     AxisSpec,
     SystemParams,
     UnknownFigure,
+    build_liouvillian,
     expectation_set,
     find_max_concurrence,
+    oracle_pair_density,
+    steady_pair_density,
+    steady_state_null_space,
     sweep,
 )
+from dickepair import cli
 from dickepair.cli import FIGURES, figure_preset, main
+from dickepair.oracle import density_expectation_set
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+MOMENT_FIELDS = ("s_plus", "s_z", "s_z2", "s_plus_sz", "s_plus2", "s_plus_s_minus")
 
 
 def read_csv(path):
@@ -321,3 +333,145 @@ def test_maximize_pump_axis_bounds(tmp_path):
     assert 0.4 <= by_name["rabi"] <= 2.4
     assert 0.2 <= by_name["pump"] <= 1.2
     assert by_name["c_max"] > 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_oracle_check_matches_per_point_loop(tmp_path, k):
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle-check", "--n", str(k), "--out", str(out)]) == 0
+    meta, header, rows = read_csv(out)
+    assert header == ["n_qubits", "rabi", "detuning", "dipole_shift", "moment_err", "rho_err"]
+    expected = [(k, rabi, det, dip) for rabi in np.linspace(0.2, 5.0, 5)
+                for det in np.linspace(-10.0, 2.0, 5) for dip in (0.0, 2.0, 5.0)]
+    assert [tuple(row[:4]) for row in rows] == expected
+    worst = 0.0
+    for (n, rabi, det, dip), row in zip(expected, rows):
+        params = SystemParams(n_qubits=n, rabi=float(rabi), detuning=float(det),
+                              dipole_shift=float(dip))
+        analytic = expectation_set(params)
+        rho_ss = steady_state_null_space(build_liouvillian(params))
+        reference = density_expectation_set(rho_ss)
+        moment_err = max(abs(getattr(analytic, f) - getattr(reference, f))
+                         for f in MOMENT_FIELDS)
+        rho_err = float(np.max(np.abs(steady_pair_density(params)
+                                      - oracle_pair_density(rho_ss, n))))
+        assert abs(row[4] - moment_err) <= 1e-13
+        assert abs(row[5] - rho_err) <= 1e-13
+        worst = max(worst, row[4], row[5])
+    assert f"worst_error: {worst:.17g}" in meta
+
+
+def test_oracle_check_catches_a_shifted_pair_matrix(tmp_path, monkeypatch, capsys):
+    real = cli.steady_pair_density
+
+    def shifted(params, precision="standard"):
+        rho = real(params, precision=precision).copy()
+        rho[7, 0, 0] += 1e-6
+        return rho
+
+    monkeypatch.setattr(cli, "steady_pair_density", shifted)
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle-check", "--n", "3", "--out", str(out)]) == 3
+    assert "NumericalFailure: oracle mismatch" in capsys.readouterr().err
+    # the CSV is still written
+    meta, _, rows = read_csv(out)
+    assert len(rows) == 75
+    worst = float(next(line for line in meta if line.startswith("worst_error:")).split()[1])
+    assert worst > 1e-8
+    assert rows[7][5] > 1e-8 and max(row[5] for i, row in enumerate(rows) if i != 7) < 1e-8
+
+
+@pytest.mark.parametrize("good, bad", [
+    (["rho", "--n", "2", "--pump", "0.5"], ["rho", "--n", "2", "--pump", "0"]),
+    (["oracle-check", "--n", "2"], ["oracle-check", "--n", "2", "--n", "17"]),
+])
+def test_failed_command_leaves_existing_output(tmp_path, capsys, good, bad):
+    out = tmp_path / "out.csv"
+    assert main(good + ["--out", str(out)]) == 0
+    before = out.read_bytes()
+    assert before
+    assert main(bad + ["--out", str(out)]) == 3
+    assert out.read_bytes() == before
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("sizes, code, error", [
+    (["2", "17"], 3, "SizeExceeded"),
+    (["3", "1"], 3, "PairUndefined"),
+    (["2", "0"], 2, "usage error"),
+])
+def test_oracle_check_rejects_every_size_before_solving(monkeypatch, capsys, sizes, code,
+                                                        error):
+    def no_dense_solve(params):
+        raise AssertionError("dense solve before every size was checked")
+
+    monkeypatch.setattr(cli, "build_liouvillian", no_dense_solve)
+    argv = ["oracle-check"]
+    for n in sizes:
+        argv += ["--n", n]
+    assert main(argv) == code
+    assert error in capsys.readouterr().err
+
+
+PARSER_REUSE_CALLS = [
+    ["sweep", "--n", "3", "--dipole", "1.3", "--axis", "pump:0.2:1.1:4",
+     "--axis", "detuning:-2:0:3"],
+    ["sweep", "--n", "2", "--detuning", "-1", "--axis", "rabi:0.5:2:5"],
+    ["oracle-check", "--n", "2", "--n", "3"],
+    ["oracle-check"],
+    ["concurrence", "--rabi", "1.0"],
+    ["rho", "--n", "4", "--pump", "0.6", "--dipole", "2"],
+    ["--help"],
+    ["oracle-check", "--help"],
+]
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        reused = []
+        for argv in PARSER_REUSE_CALLS:
+            code = main(argv)
+            captured = capsys.readouterr()
+            reused.append((code, captured.out, captured.err))
+        parsers_per_call_run = len(built)
+        built.clear()
+        cli.build_parser.cache_clear()
+        cli.build_parser()
+        assert parsers_per_call_run == len(built)  # one tree for all the calls
+
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 0, 0]
+        for argv, result in zip(PARSER_REUSE_CALLS, reused):
+            cli.build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == result, argv
+    finally:
+        cli.build_parser.cache_clear()
+
+
+def test_tracer_spans_the_batched_oracle(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    patched = list(tracer._undo)
+    try:
+        assert main(["oracle-check", "--n", "2", "--out", str(tmp_path / "o.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, attr
+    spans = tracer.summary([])["spans"]
+    for name in ("oracle.build_liouvillian", "oracle.steady_state_null_space",
+                 "steady.expectation_set"):
+        assert spans[name]["calls"] > 0, name

@@ -5,13 +5,14 @@ import pytest
 from dickepair import (
     DegenerateNullSpace,
     PairUndefined,
+    ParamBatch,
     SizeExceeded,
     SystemParams,
     build_liouvillian,
     oracle_pair_density,
     steady_state_null_space,
 )
-from dickepair.oracle import DickeBasisOperators
+from dickepair.oracle import DickeBasisOperators, density_expectation_set
 from helpers import NotConverged, dense_ladder_steady_state, evolve_to_steady, steady_rho
 
 
@@ -91,6 +92,64 @@ def test_null_space_density_axioms():
 def test_degenerate_null_space_detected():
     with pytest.raises(DegenerateNullSpace):
         steady_state_null_space(np.zeros((4, 4), dtype=complex))
+
+
+def random_batch(n, size, seed):
+    rng = np.random.default_rng(seed)
+    rabi = rng.uniform(0.2, 5.0, size)
+    rabi[0] = 0.0  # allowed in the dense oracle
+    return ParamBatch(n, rabi=rabi, detuning=rng.uniform(-10.0, 2.0, size),
+                      dipole_shift=rng.uniform(-5.0, 5.0, size), decay=1.3)
+
+
+def point(batch, i):
+    return SystemParams(batch.n_qubits, rabi=float(batch.rabi[i]),
+                        detuning=float(batch.detuning[i]),
+                        dipole_shift=float(batch.dipole_shift[i]), decay=batch.decay)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_liouvillian_stack_rows_are_single_point_builds(n):
+    batch = random_batch(n, 7, seed=n)
+    stack = build_liouvillian(batch)
+    dim2 = (n + 1) ** 2
+    assert stack.shape == (7, dim2, dim2)
+    for i in range(7):
+        assert np.array_equal(stack[i], build_liouvillian(point(batch, i)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_stacked_states_and_readouts_match_per_matrix(n):
+    batch = random_batch(n, 9, seed=10 + n)
+    states = steady_state_null_space(build_liouvillian(batch))
+    moments = density_expectation_set(states)
+    pairs = oracle_pair_density(states, n)
+    assert states.shape == (9, n + 1, n + 1) and pairs.shape == (9, 4, 4)
+    for i in range(9):
+        rho = steady_state_null_space(build_liouvillian(point(batch, i)))
+        assert np.abs(states[i] - rho).max() <= 1e-14
+        single = density_expectation_set(rho)
+        for field in ("s_plus", "s_z", "s_z2", "s_plus_sz", "s_plus2", "s_plus_s_minus"):
+            assert abs(getattr(moments, field)[i] - getattr(single, field)) <= 1e-14, field
+        assert np.abs(pairs[i] - oracle_pair_density(rho, n)).max() <= 1e-14
+
+
+def test_degenerate_row_of_a_stack_detected():
+    good = build_liouvillian(SystemParams(n_qubits=1, rabi=0.7))
+    with pytest.raises(DegenerateNullSpace):
+        steady_state_null_space(np.stack([good, np.zeros_like(good)]))
+
+
+def test_singular_trace_system_falls_back_on_its_row_only():
+    # null vector vec(diag(1, 0)), but with the first row replaced by the
+    # trace row the system is exactly singular, so the solve raises
+    odd = np.zeros((4, 4), dtype=complex)
+    odd[0, 1] = odd[2, 2] = odd[3, 3] = 1.0
+    good = build_liouvillian(SystemParams(n_qubits=1, rabi=0.7, detuning=0.3))
+    states = steady_state_null_space(np.stack([good, odd]))
+    assert np.abs(states[0] - steady_state_null_space(good)).max() <= 1e-14
+    assert states[1] == pytest.approx(np.diag([1.0, 0.0]), abs=1e-12)
+    assert steady_state_null_space(odd) == pytest.approx(np.diag([1.0, 0.0]), abs=1e-12)
 
 
 def test_decay_from_excited_state():

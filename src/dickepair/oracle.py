@@ -5,7 +5,10 @@ the dynamics closes on (N+1)-dimensional matrices and the dense Liouvillian
 null space is an exact, independent check of the closed form at small N:
 ``density_expectation_set`` traces the collective moments of that state,
 and ``oracle_pair_density`` reduces it to the pair matrix by the Dicke
-decomposition, without going through the moments.
+decomposition, without going through the moments. Like the closed form,
+each step takes a batch: the P points of a
+:class:`~dickepair.params.ParamBatch` give a stack of P Liouvillians, P
+states and P readouts, and a single point is the stack of one.
 
 The generator implemented here is
 
@@ -202,8 +205,7 @@ def density_expectation_set(rho: np.ndarray) -> ExpectationSet:
         "s_plus2": sp @ sp,
         "s_plus_s_minus": sp @ sm,
     }
-    # tr(rho op) of each state
-    moments = {name: np.einsum("pij,ji->p", stack, op) for name, op in products.items()}
+    moments = {name: np.trace(stack @ op, axis1=1, axis2=2) for name, op in products.items()}
     for name in ("s_z", "s_z2", "s_plus_s_minus"):
         moments[name] = moments[name].real
     if single:

@@ -53,7 +53,8 @@ MAX_SWEEP_POINTS = 10**6
 # so no (rows, N + 1) coefficient array of a chunk holds more than
 # CHUNK_ELEMENTS entries and memory stays flat whatever the grid size
 # (256 rows at N <= 15, 54 at N = 74, 20 at N = 200); past the budget,
-# from N = CHUNK_ELEMENTS on, a chunk is one row.
+# from N = CHUNK_ELEMENTS on, a chunk is one row. The CLI's oracle-check
+# spends the same budget on the (N + 1)^4 entries of each dense Liouvillian.
 CHUNK_ELEMENTS = 1 << 12
 
 MAXIMIZE_AXES = ("rabi", "pump", "detuning")

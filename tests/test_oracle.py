@@ -90,8 +90,13 @@ def test_null_space_density_axioms():
 
 
 def test_degenerate_null_space_detected():
+    zero = np.zeros((4, 4), dtype=complex)
     with pytest.raises(DegenerateNullSpace):
-        steady_state_null_space(np.zeros((4, 4), dtype=complex))
+        steady_state_null_space(zero)
+    # one degenerate matrix fails the whole stack
+    good = build_liouvillian(SystemParams(n_qubits=1, rabi=0.7))
+    with pytest.raises(DegenerateNullSpace):
+        steady_state_null_space(np.stack([good, zero]))
 
 
 def random_batch(n, size, seed):
@@ -132,12 +137,6 @@ def test_stacked_states_and_readouts_match_per_matrix(n):
         for field in ("s_plus", "s_z", "s_z2", "s_plus_sz", "s_plus2", "s_plus_s_minus"):
             assert abs(getattr(moments, field)[i] - getattr(single, field)) <= 1e-14, field
         assert np.abs(pairs[i] - oracle_pair_density(rho, n)).max() <= 1e-14
-
-
-def test_degenerate_row_of_a_stack_detected():
-    good = build_liouvillian(SystemParams(n_qubits=1, rabi=0.7))
-    with pytest.raises(DegenerateNullSpace):
-        steady_state_null_space(np.stack([good, np.zeros_like(good)]))
 
 
 def test_singular_trace_system_falls_back_on_its_row_only():

@@ -26,7 +26,6 @@ from .steady import (
     ExpectationSet,
     expectation,
     expectation_set,
-    partition_z,
 )
 from .pairwise import (
     ConcurrenceResult,
@@ -54,7 +53,7 @@ __all__ = [
     "__version__",
     "SystemParams", "ParamBatch", "DerivedParams", "derive_params",
     "logsum_complex",
-    "ExpectationSet", "partition_z", "expectation", "expectation_set",
+    "ExpectationSet", "expectation", "expectation_set",
     "ConcurrenceResult", "two_qubit_rho", "steady_pair_density", "concurrence",
     "concurrence_ref",
     "build_liouvillian", "steady_state_null_space", "density_expectation_set",

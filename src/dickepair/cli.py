@@ -111,7 +111,7 @@ def _meta_lines(config: RunConfig) -> list[str]:
             f"rabi: {_fmt(p.rabi)}",
             f"detuning: {_fmt(p.detuning)}",
             f"dipole_shift: {_fmt(p.dipole_shift)}",
-            f"decay: {_fmt(p.decay)}",
+            "decay: 1",  # gamma, the unit of every rate
         ]
     for ax in config.axes:
         lines.append(f"axis: {ax.name} start={_fmt(ax.start)} stop={_fmt(ax.stop)} points={ax.points}")
@@ -310,11 +310,11 @@ def _parse_axis(text: str) -> AxisSpec:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_common(sp, drive_required: bool = True, n_required: bool = True):
-    sp.add_argument("--n", type=int, required=n_required, help="number of qubits")
+def _add_common(sp, drive_required: bool = True):
+    sp.add_argument("--n", type=int, required=True, help="number of qubits")
     group = sp.add_mutually_exclusive_group(required=drive_required)
     group.add_argument("--rabi", type=float, help="drive amplitude in units of gamma")
-    group.add_argument("--pump", type=float, help="scaled drive 2*rabi/(N*gamma)")
+    group.add_argument("--pump", type=float, help="scaled drive 2*rabi/N")
     sp.add_argument("--detuning", type=float, default=0.0, help="Delta in units of gamma")
     sp.add_argument("--dipole", type=float, default=0.0, help="pair shift delta in units of gamma")
 
@@ -386,11 +386,10 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
         return RunConfig(command="oracle-check", oracle_sizes=sizes,
                          output_path=ns.out, precision=ns.precision)
 
-    rabi = ns.rabi
-    if rabi is None:
-        rabi = ns.pump * ns.n / 2.0 if ns.pump is not None else 1.0
-    params = SystemParams(n_qubits=ns.n, rabi=rabi, detuning=ns.detuning,
-                          dipole_shift=ns.dipole)
+    params = SystemParams(n_qubits=ns.n, rabi=1.0 if ns.rabi is None else ns.rabi,
+                          detuning=ns.detuning, dipole_shift=ns.dipole)
+    if ns.pump is not None:
+        params = params.with_pump(ns.pump)
     axes = tuple(getattr(ns, "axis", None) or ())
     return RunConfig(command=ns.command, params=params, axes=axes,
                      output_path=ns.out, precision=ns.precision)

@@ -9,7 +9,8 @@ class ZeroDrive(DickepairError):
     """Steady-state formulas are singular at zero drive (alpha^-n undefined).
 
     The zero-drive limit is the pure ground state; callers wanting that limit
-    should use a small but finite drive, e.g. rabi = 1e-4 * decay.
+    should use a small but finite drive, e.g. rabi = 1e-4 (rates are in
+    units of gamma).
     """
 
 

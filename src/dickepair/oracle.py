@@ -12,10 +12,11 @@ states and P readouts, and a single point is the stack of one.
 
 The generator implemented here is
 
-    d rho/dt = -i [H, rho] - gamma ([S+, S- rho] + [rho S+, S-]),
+    d rho/dt = -i [H, rho] - ([S+, S- rho] + [rho S+, S-]),
     H = tilde_detuning * Sz + dipole_shift * S+S- + rabi * (S+ + S-),
 
-with tilde_detuning = detuning + dipole_shift. The sign of the S+S- term is
+in units of the single-emitter decay rate gamma (gamma = 1), with
+tilde_detuning = detuning + dipole_shift. The sign of the S+S- term is
 pinned by the closed-form solution: with +dipole_shift the null space
 reproduces the analytic moments to machine precision for all parameters
 (see tests), with the opposite sign it does not.
@@ -122,9 +123,9 @@ def build_liouvillian(params: SystemParams | ParamBatch) -> np.ndarray:
     )
     # A rho lifts to kron(A, I) and rho B to kron(I, B^T)
     liouv = -1j * (_kron(ham, eye) - _kron(eye, np.swapaxes(ham, 1, 2)))
-    liouv -= points.decay * (_kron(spsm, eye) + _kron(eye, spsm.T))
+    liouv -= _kron(spsm, eye) + _kron(eye, spsm.T)
     # S- rho S+ lifts to kron(S-, (S+)^T) = kron(S-, S-) for real elements
-    liouv += 2.0 * points.decay * _kron(ops.s_minus, ops.s_minus)
+    liouv += 2.0 * _kron(ops.s_minus, ops.s_minus)
     return liouv[0] if single else liouv
 
 

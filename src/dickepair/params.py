@@ -1,10 +1,13 @@
 """Physical parameters of the driven, collectively damped qubit ensemble.
 
-All rates are measured in units of the single-qubit decay constant ``decay``
-(gamma); the natural drive axis for collective effects is the pump parameter
-2*rabi / (n_qubits * decay). A :class:`ParamBatch` holds P operating points
-of one ensemble as arrays; the evaluation pipeline runs on batches, and a
-single :class:`SystemParams` is the batch of one.
+All rates are measured in units of the single-qubit decay constant gamma,
+which is the unit and not a parameter: every formula is written with
+gamma = 1, and the state at (Omega, Delta, delta, gamma) is the one at
+(Omega/gamma, Delta/gamma, delta/gamma). The natural drive axis for
+collective effects is the pump parameter 2*rabi / n_qubits. A
+:class:`ParamBatch` holds P operating points of one ensemble as arrays; the
+evaluation pipeline runs on batches, and a single :class:`SystemParams` is
+the batch of one.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Inputs defining one operating point.
+    """Inputs defining one operating point, every rate in units of gamma.
 
     Parameters
     ----------
@@ -29,40 +32,35 @@ class SystemParams:
         Emitter-drive detuning Delta = omega_0 - omega_L.
     dipole_shift : float
         Pair dipole-dipole shift delta, identical for all pairs.
-    decay : float
-        Reference decay rate gamma > 0 that sets the unit of rate.
     """
 
     n_qubits: int
     rabi: float
     detuning: float = 0.0
     dipole_shift: float = 0.0
-    decay: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
             raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
         if not (self.rabi >= 0.0 and math.isfinite(self.rabi)):
             raise ValueError(f"rabi must be finite and >= 0, got {self.rabi!r}")
-        if not (self.decay > 0.0 and math.isfinite(self.decay)):
-            raise ValueError(f"decay must be finite and > 0, got {self.decay!r}")
         for name in ("detuning", "dipole_shift"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
     @property
     def pump(self) -> float:
-        """Scaled drive 2*Omega/(N*gamma)."""
-        return 2.0 * self.rabi / (self.n_qubits * self.decay)
+        """Scaled drive 2*Omega/N."""
+        return 2.0 * self.rabi / self.n_qubits
 
     def with_pump(self, pump: float) -> "SystemParams":
         """Copy of these parameters with rabi set from a pump value."""
-        return replace(self, rabi=pump * self.n_qubits * self.decay / 2.0)
+        return replace(self, rabi=pump * self.n_qubits / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
 class ParamBatch:
-    """P operating points sharing ``n_qubits`` and ``decay``.
+    """P operating points sharing ``n_qubits``.
 
     ``rabi``, ``detuning`` and ``dipole_shift`` are float arrays of shape
     (P,), validated row by row as :class:`SystemParams` validates them.
@@ -72,10 +70,9 @@ class ParamBatch:
     rabi: np.ndarray
     detuning: np.ndarray
     dipole_shift: np.ndarray
-    decay: float = 1.0
 
     def __post_init__(self):
-        SystemParams(self.n_qubits, rabi=0.0, decay=self.decay)  # checks n_qubits, decay
+        SystemParams(self.n_qubits, rabi=0.0)  # checks n_qubits
         for name in ("rabi", "detuning", "dipole_shift"):
             values = getattr(self, name)
             if values.shape != (len(self.rabi),):
@@ -86,11 +83,11 @@ class ParamBatch:
             raise ValueError(f"rabi must be >= 0, got {self.rabi.min()!r}")
 
     @classmethod
-    def _unchecked(cls, n_qubits, rabi, detuning, dipole_shift, decay) -> "ParamBatch":
+    def _unchecked(cls, n_qubits, rabi, detuning, dipole_shift) -> "ParamBatch":
         """A batch of values validated already; skips the checks of __post_init__."""
         batch = object.__new__(cls)
         batch.__dict__.update(n_qubits=n_qubits, rabi=rabi, detuning=detuning,
-                              dipole_shift=dipole_shift, decay=decay)
+                              dipole_shift=dipole_shift)
         return batch
 
     @classmethod
@@ -98,7 +95,7 @@ class ParamBatch:
         """The batch of one operating point."""
         return cls._unchecked(params.n_qubits, np.array([params.rabi], dtype=float),
                               np.array([params.detuning], dtype=float),
-                              np.array([params.dipole_shift], dtype=float), params.decay)
+                              np.array([params.dipole_shift], dtype=float))
 
     def __len__(self) -> int:
         return len(self.rabi)
@@ -109,7 +106,7 @@ class ParamBatch:
             return self
         return ParamBatch._unchecked(self.n_qubits, self.rabi[start:stop],
                                      self.detuning[start:stop],
-                                     self.dipole_shift[start:stop], self.decay)
+                                     self.dipole_shift[start:stop])
 
 
 @dataclass(frozen=True)
@@ -124,11 +121,11 @@ class DerivedParams:
 def derive_params(params: SystemParams | ParamBatch) -> DerivedParams:
     """Derived complex parameters for a valid operating point or batch.
 
-    alpha = i*Omega / (gamma + i*delta), beta = i*(Delta + delta) / (gamma + i*delta),
+    alpha = i*Omega / (1 + i*delta), beta = i*(Delta + delta) / (1 + i*delta),
     with tilde_detuning = Delta + delta; for a batch each is a (P,) array.
-    The denominator never vanishes since gamma > 0.
+    The denominator 1 + i*delta (gamma + i*delta at gamma = 1) never vanishes.
     """
-    denom = params.decay + 1j * params.dipole_shift
+    denom = 1.0 + 1j * params.dipole_shift
     tilde = params.detuning + params.dipole_shift
     return DerivedParams(
         alpha=1j * params.rabi / denom,

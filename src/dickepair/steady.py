@@ -38,7 +38,6 @@ from .params import ParamBatch, SystemParams, derive_params
 
 __all__ = [
     "ExpectationSet",
-    "partition_z",
     "expectation",
     "expectation_set",
 ]
@@ -208,11 +207,6 @@ class _SteadyTables:
 @lru_cache(maxsize=128)
 def _steady_tables(params: SystemParams, precision: str) -> _SteadyTables:
     return _SteadyTables(params, precision)
-
-
-def partition_z(params: SystemParams, precision: str = "standard") -> float:
-    """log Z of the normalization Z, which is real and strictly positive."""
-    return float(_steady_tables(params, precision).log_z[0])
 
 
 def expectation(params: SystemParams, p: int, r: int, f: int,

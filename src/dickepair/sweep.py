@@ -67,7 +67,7 @@ MAXIMIZE_COARSE_POINTS = 33
 MAXIMIZE_ZOOM_POINTS = 5
 MAXIMIZE_TOL_PUMP = 1e-4
 
-# |d(<Sz>/N)/dx| on x = pump / |1 + i delta/gamma| above this flags a sharp
+# |d(<Sz>/N)/dx| on x = pump / |1 + i delta| above this flags a sharp
 # transition candidate; smooth small-N curves stay well below 1 while
 # collective kinks exceed it.
 SHARPNESS_THRESHOLD = 1.0
@@ -78,7 +78,8 @@ class AxisSpec:
     """One linearly spaced sweep axis.
 
     ``pump`` axes are converted to rabi internally via
-    rabi = pump * n_qubits * decay / 2.
+    rabi = pump * n_qubits / 2; rabi, detuning and dipole_shift values are
+    in units of gamma.
     """
 
     name: str
@@ -176,10 +177,10 @@ def sweep(
         column = column.ravel()
         if axis.name == "pump":
             # the arithmetic of SystemParams.with_pump
-            columns["rabi"] = column * template.n_qubits * template.decay / 2.0
+            columns["rabi"] = column * template.n_qubits / 2.0
         else:
             columns[axis.name] = column
-    points = ParamBatch(template.n_qubits, decay=template.decay, **columns)
+    points = ParamBatch(template.n_qubits, **columns)
     data = evaluate_points(points, precision)
     return SweepResult(axes=axes, coords=coords, data=data)
 
@@ -198,7 +199,8 @@ def find_max_concurrence(
     side of the best point, clipped to the axis bounds, so the step halves
     every round and an optimum on an axis end is reached exactly. The rounds
     stop once every step is below MAXIMIZE_TOL_PUMP in pump units
-    (MAXIMIZE_TOL_PUMP * n_qubits * decay / 2 on rabi and detuning axes).
+    (MAXIMIZE_TOL_PUMP * n_qubits / 2, in units of gamma, on rabi and
+    detuning axes).
     Returns the best grid point of the last round and its concurrence.
     """
     for ax in axes:
@@ -206,7 +208,7 @@ def find_max_concurrence(
             raise ValueError(f"maximize searches {MAXIMIZE_AXES} axes, got {ax.name!r}")
     # the drive axis first, so the axis order cannot change the result
     bounds = sorted(axes, key=lambda ax: ax.name == "detuning")
-    scale = template.n_qubits * template.decay / 2.0
+    scale = template.n_qubits / 2.0
     tols = [MAXIMIZE_TOL_PUMP * (1.0 if ax.name == "pump" else scale) for ax in bounds]
 
     grid = [replace(ax, points=max(MAXIMIZE_COARSE_POINTS, ax.points)) for ax in bounds]
@@ -232,7 +234,7 @@ class TransitionReport:
     """Location and character of the steepest steady-state response.
 
     ``sharpness`` is max |d(<Sz>/N)/d x| over the grid by central
-    differences, on the axis x = pump / |1 + i delta/gamma|: at zero
+    differences, on the axis x = pump / |1 + i delta|: at zero
     effective detuning Delta + delta the curve is the resonant one with the
     pump stretched by that factor, and on x both read the same. ``sharp``
     flags values above SHARPNESS_THRESHOLD. The kind labels follow the
@@ -269,7 +271,7 @@ def detect_transition(
     ])
     deriv = np.gradient(sz, pumps)
     idx = int(np.argmax(np.abs(deriv)))
-    stretch = abs(complex(template.decay, template.dipole_shift)) / template.decay
+    stretch = abs(complex(1.0, template.dipole_shift))
     sharpness = float(np.abs(deriv[idx])) * stretch
     first_order = (template.dipole_shift != 0.0 and template.detuning != 0.0
                    and derive_params(template).tilde_detuning != 0.0)

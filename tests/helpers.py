@@ -160,16 +160,16 @@ def dense_ladder_steady_state(params: SystemParams):
     spsm = s_plus @ s_minus
     ham = ((params.detuning + params.dipole_shift) * np.diag(np.arange(dim) - n / 2.0)
            + params.dipole_shift * spsm + params.rabi * (s_plus + s_minus))
-    left = -1j * ham - params.decay * spsm   # left @ rho
-    right = 1j * ham - params.decay * spsm   # rho @ right
+    left = -1j * ham - spsm   # left @ rho
+    right = 1j * ham - spsm   # rho @ right
 
     gen = np.zeros((dim, dim, dim, dim), dtype=complex)
     for i in range(dim):
         gen[:, i, :, i] += left
         gen[i, :, i, :] += right.T
-    # 2 gamma S- rho S+ couples rho_ij to rho_{i+1, j+1}
+    # 2 gamma S- rho S+ (gamma = 1) couples rho_ij to rho_{i+1, j+1}
     gen[k[:, None], k[None, :], k[:, None] + 1, k[None, :] + 1] += (
-        2.0 * params.decay * np.outer(lowering, lowering))
+        2.0 * np.outer(lowering, lowering))
 
     gen = gen.reshape(dim * dim, dim * dim)
     first_equation = gen[0].copy()
@@ -219,7 +219,7 @@ def closed_form_pair_entries(params: SystemParams, dps=30):
     """
     n_qubits = params.n_qubits
     with mpmath.workdps(dps):
-        denom = mpmath.mpc(params.decay, params.dipole_shift)
+        denom = mpmath.mpc(1, params.dipole_shift)
         alpha = 1j * mpmath.mpf(params.rabi) / denom
         beta = 1j * (mpmath.mpf(params.detuning) + params.dipole_shift) / denom
         poch = [mpmath.mpc(1)]

@@ -184,8 +184,8 @@ def test_criterion_5_first_order_shift():
     shifted = SystemParams(n_qubits=50, rabi=1.0, detuning=-5.0, dipole_shift=5.0)
     resonant = SystemParams(n_qubits=50, rabi=1.0)
     # detuning = -dipole_shift zeroes the effective detuning (beta = 0), so the
-    # shifted curve is the resonant one with pump stretched by |1 + i delta/gamma|
-    stretch = abs(complex(1.0, shifted.dipole_shift / shifted.decay))
+    # shifted curve is the resonant one with pump stretched by |1 + i delta|
+    stretch = abs(complex(1.0, shifted.dipole_shift))
     own_axis = AxisSpec("pump", axis.start / stretch, axis.stop / stretch, axis.points)
 
     result = sweep(shifted, (axis,))

@@ -1,8 +1,10 @@
-"""Public names: every ``__all__`` entry resolves, star-imports work and no
-module-level import is left unused."""
+"""Public names: every ``__all__`` entry resolves, star-imports work, no
+module-level import is left unused and none reaches past the declared
+dependencies."""
 import ast
 import importlib
 import pkgutil
+import sys
 
 import dickepair
 
@@ -40,3 +42,20 @@ def test_module_imports_are_used():
         used |= set(getattr(module, "__all__", ()))
         unused = sorted(imported - used)
         assert not unused, f"{module.__name__} imports {unused} without using them"
+
+
+def test_module_imports_stay_within_declared_dependencies():
+    # numpy is the only declared runtime dependency; scipy, mpmath and the
+    # test tools are installed for the tests but stay out of the package
+    allowed = set(sys.stdlib_module_names) | {"numpy", dickepair.__name__}
+    for module in MODULES:
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        roots = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                roots |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots.add(node.module.split(".")[0])
+        foreign = sorted(roots - allowed)
+        assert not foreign, f"{module.__name__} imports {foreign}"

@@ -9,7 +9,6 @@ from dickepair import (
     SystemParams,
     ZeroDrive,
     derive_params,
-    partition_z,
 )
 from dickepair.oracle import DickeBasisOperators
 from dickepair.steady import _SteadyTables
@@ -151,14 +150,14 @@ def test_ladder_sums_match_direct_coefficients():
 
 def test_partition_strong_drive_limit():
     # only the n=0 term survives as |alpha| grows; for N=1 that term is 2
-    log_z = partition_z(SystemParams(n_qubits=1, rabi=1000.0))
+    log_z = _SteadyTables(SystemParams(n_qubits=1, rabi=1000.0)).log_z[0]
     assert math.exp(log_z) == pytest.approx(2.0, rel=1e-5)
 
 
 def test_partition_exactly_real():
-    # partition_z returns log Z alone; the imaginary part it drops is exactly zero
+    # the tables keep log Z alone; the imaginary part they drop is exactly zero
     params = SystemParams(n_qubits=7, rabi=1.1, detuning=-3.0, dipole_shift=2.0)
-    log_z = partition_z(params)
+    log_z = _SteadyTables(params).log_z[0]
     assert isinstance(log_z, float)
     scale, mantissa = _SteadyTables(params)._ladder_sum(0, 0, (1,))
     assert mantissa.imag[0] == 0.0 and mantissa.real[0] > 0.0
@@ -168,7 +167,7 @@ def test_partition_exactly_real():
 
 def test_partition_zero_drive():
     with pytest.raises(ZeroDrive):
-        partition_z(SystemParams(n_qubits=2, rabi=1e-300 * 0.0))
+        _SteadyTables(SystemParams(n_qubits=2, rabi=1e-300 * 0.0)).log_z[0]
 
 
 def test_partition_against_ladder_trace():
@@ -186,23 +185,23 @@ def test_partition_against_ladder_trace():
                 ops.s_plus, n
             )
             direct += (coefficient_c(n, n, params) * np.trace(ladder)).real
-        assert math.exp(partition_z(params)) == pytest.approx(direct, rel=1e-12)
+        assert math.exp(_SteadyTables(params).log_z[0]) == pytest.approx(direct, rel=1e-12)
 
 
 def test_partition_log_scale_large_ensemble():
     # the N=74 normalization overflows doubles; its log must stay finite
-    log_z = partition_z(SystemParams(n_qubits=74, rabi=0.05 * 74 / 2))
+    log_z = _SteadyTables(SystemParams(n_qubits=74, rabi=0.05 * 74 / 2)).log_z[0]
     assert math.isfinite(log_z)
     assert log_z > 400.0
 
 
 def test_partition_precision_modes_agree():
     params = SystemParams(n_qubits=40, rabi=7.0, detuning=-2.0, dipole_shift=3.0)
-    a = partition_z(params, precision="standard")
-    b = partition_z(params, precision="extended")
+    a = _SteadyTables(params, precision="standard").log_z[0]
+    b = _SteadyTables(params, precision="extended").log_z[0]
     assert a == pytest.approx(b, rel=1e-14)
     with pytest.raises(ValueError):
-        partition_z(params, precision="double")
+        _SteadyTables(params, precision="double").log_z[0]
 
 
 def test_row_sums_match_literal_double_loop():

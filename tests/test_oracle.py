@@ -104,13 +104,13 @@ def random_batch(n, size, seed):
     rabi = rng.uniform(0.2, 5.0, size)
     rabi[0] = 0.0  # allowed in the dense oracle
     return ParamBatch(n, rabi=rabi, detuning=rng.uniform(-10.0, 2.0, size),
-                      dipole_shift=rng.uniform(-5.0, 5.0, size), decay=1.3)
+                      dipole_shift=rng.uniform(-5.0, 5.0, size))
 
 
 def point(batch, i):
     return SystemParams(batch.n_qubits, rabi=float(batch.rabi[i]),
                         detuning=float(batch.detuning[i]),
-                        dipole_shift=float(batch.dipole_shift[i]), decay=batch.decay)
+                        dipole_shift=float(batch.dipole_shift[i]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])

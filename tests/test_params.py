@@ -1,6 +1,6 @@
 import pytest
 
-from dickepair import SystemParams, derive_params
+from dickepair import ParamBatch, SystemParams, derive_params
 
 
 def test_validation():
@@ -9,11 +9,18 @@ def test_validation():
     with pytest.raises(ValueError):
         SystemParams(n_qubits=2, rabi=-0.5)
     with pytest.raises(ValueError):
-        SystemParams(n_qubits=2, rabi=1.0, decay=0.0)
-    with pytest.raises(ValueError):
         SystemParams(n_qubits=2, rabi=1.0, detuning=float("nan"))
     with pytest.raises(ValueError):
         SystemParams(n_qubits=2.5, rabi=1.0)
+
+
+def test_gamma_is_the_unit_not_a_parameter():
+    # every rate is in units of the single-emitter decay rate, so there is
+    # no decay field to set
+    with pytest.raises(TypeError):
+        SystemParams(n_qubits=2, rabi=1.0, decay=2.0)
+    with pytest.raises(TypeError):
+        ParamBatch(2, rabi=[1.0], detuning=[0.0], dipole_shift=[0.0], decay=2.0)
 
 
 def test_zero_rabi_constructs():
@@ -60,7 +67,6 @@ def test_derived_finite_for_any_valid_params():
             rabi=float(rng.uniform(0, 50)),
             detuning=float(rng.uniform(-30, 30)),
             dipole_shift=float(rng.uniform(-20, 20)),
-            decay=float(rng.uniform(0.1, 4.0)),
         )
         d = derive_params(p)
         assert np.isfinite([d.alpha.real, d.alpha.imag, d.beta.real, d.beta.imag]).all()

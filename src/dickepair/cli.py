@@ -197,7 +197,7 @@ def _run_sweep(config: RunConfig) -> _Table:
     result = sweep(config.params, config.axes, precision=config.precision)
     field_names = [name for name, _ in result.data.dtype.descr]
     header = [ax.name for ax in config.axes] + field_names
-    columns = result.axis_columns() + [result.column(name) for name in field_names]
+    columns = [*result.columns, *(result.data[name] for name in field_names)]
     return _Table(_meta_lines(config), header, _column_blocks(columns))
 
 
@@ -222,7 +222,7 @@ def _run_figure(config: RunConfig) -> _Table:
         curve_template = replace(config.params, dipole_shift=dipole, detuning=detuning)
         result = sweep(curve_template, (axis,), precision=config.precision)
         header += [f"c_{k}", f"c_ref1_{k}"]
-        columns += [result.column("c"), result.column("c_ref1")]
+        columns += [result.data["c"], result.data["c_ref1"]]
     return _Table(meta, header, _column_blocks(columns))
 
 

@@ -26,43 +26,33 @@ PRECISION_MODES = ("standard", "extended")
 _MOST_NEGATIVE = float(np.finfo(float).min)
 
 
-def logsum_complex(log_mags, units, precision: str = "standard"):
-    """Sums of the terms exp(log_mags) * units along the last axis as (scale, mantissa).
+def logsum_complex(log_mags: np.ndarray, units, precision: str = "standard"):
+    """Row sums of the terms exp(log_mags) * units as (scale, mantissa) arrays.
 
-    Each row's sum is exp(scale) * mantissa. ``units`` are modulus-1 complex
-    factors that broadcast against ``log_mags``; exact ones such as +-1 and
-    +-i multiply without rounding. ``scale`` is a row's largest log
-    magnitude, so |mantissa| is its cancellation ratio |sum| / max|term|; an
-    empty or all-zero row is (LOG_ZERO, 0j). ``standard`` mode takes a plain
-    vector sum of every row and redoes exactly (math.fsum of the real and
-    imaginary parts) only the rows with |mantissa| < CANCELLATION_TRIGGER;
-    ``extended`` sums every row exactly. numpy reduces each row on its own,
-    so a row's result does not depend on the rows beside it. A 1-D input is
-    one row and returns a (float, complex) pair; a (P, K) input returns
-    (P,) arrays.
+    ``log_mags`` is a (P, K) float array with K >= 1: P sums of K terms,
+    reduced along the last axis to (P,) arrays with row p's sum
+    exp(scale[p]) * mantissa[p]. ``units`` are modulus-1 factors that
+    broadcast against ``log_mags``; exact ones such as +-1 and +-i multiply
+    without rounding. ``scale`` is a row's largest log magnitude, so
+    |mantissa| is its cancellation ratio |sum| / max|term|; an all-zero row
+    is (LOG_ZERO, 0j). ``standard`` mode takes a plain vector sum of every
+    row and redoes exactly (math.fsum of the real and imaginary parts) only
+    the rows with |mantissa| < CANCELLATION_TRIGGER; ``extended`` sums every
+    row exactly. numpy reduces each row on its own, so a row's result does
+    not depend on the rows beside it.
     """
     if precision not in PRECISION_MODES:
         raise ValueError(f"precision must be one of {PRECISION_MODES}, got {precision!r}")
-    log_mags = np.asarray(log_mags, dtype=float)
-    single = log_mags.ndim == 1
-    if single:
-        log_mags = log_mags[None]
-    if log_mags.size == 0:
-        scale = np.full(len(log_mags), LOG_ZERO)
-        mantissa = np.zeros(len(log_mags), dtype=complex)
-    else:
-        scale = log_mags.max(axis=1)
-        # an all-zero row (scale LOG_ZERO) is shifted by a finite amount, so
-        # its terms stay exp(-inf) = 0 instead of exp(-inf + inf) = nan
-        shift = np.maximum(scale, _MOST_NEGATIVE)
-        terms = np.exp(log_mags - shift[:, None]) * np.asarray(units, dtype=complex)
-        mantissa = terms.sum(axis=1)
-        if precision == "extended" or np.abs(mantissa).min() < CANCELLATION_TRIGGER:
-            redo = scale != LOG_ZERO
-            if precision == "standard":
-                redo &= np.abs(mantissa) < CANCELLATION_TRIGGER
-            for i in np.flatnonzero(redo):
-                mantissa[i] = complex(math.fsum(terms[i].real), math.fsum(terms[i].imag))
-    if single:
-        return float(scale[0]), complex(mantissa[0])
+    scale = log_mags.max(axis=1)
+    # an all-zero row (scale LOG_ZERO) is shifted by a finite amount, so its
+    # terms stay exp(-inf) = 0 instead of exp(-inf + inf) = nan
+    shift = np.maximum(scale, _MOST_NEGATIVE)
+    terms = np.exp(log_mags - shift[:, None]) * np.asarray(units, dtype=complex)
+    mantissa = terms.sum(axis=1)
+    if precision == "extended" or np.abs(mantissa).min() < CANCELLATION_TRIGGER:
+        redo = scale != LOG_ZERO
+        if precision == "standard":
+            redo &= np.abs(mantissa) < CANCELLATION_TRIGGER
+        for i in np.flatnonzero(redo):
+            mantissa[i] = complex(math.fsum(terms[i].real), math.fsum(terms[i].imag))
     return scale, mantissa

@@ -177,16 +177,15 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
 
 
 def concurrence_ref(rho: np.ndarray):
-    """Analytic X-state reference concurrences (C_ref_1, C_ref_2).
+    """Analytic X-state reference concurrences (C_ref_1, C_ref_2) as arrays.
 
-    For exchange-symmetric matrices rho22 = rho33, so sqrt(rho22*rho33)
-    reduces to rho22; tiny negative diagonals from round-off are clamped
-    before the square root. A (P, 4, 4) stack gives two (P,) arrays.
+    Takes a (..., 4, 4) array, in practice the (P, 4, 4) stack that
+    ``concurrence`` passes, and gives two (...) arrays: (P,) for a stack, 0-d
+    for one matrix. For exchange-symmetric matrices rho22 = rho33, so
+    sqrt(rho22*rho33) reduces to rho22; tiny negative diagonals from
+    round-off are clamped before the square root.
     """
-    rho = np.asarray(rho, dtype=complex)
     d = np.maximum(rho.diagonal(axis1=-2, axis2=-1).real, 0.0)
     ref1 = 2.0 * (np.abs(rho[..., 0, 3]) - np.sqrt(d[..., 1] * d[..., 2]))
     ref2 = 2.0 * (np.abs(rho[..., 1, 2]) - np.sqrt(d[..., 0] * d[..., 3]))
-    if rho.ndim == 2:
-        return float(ref1), float(ref2)
     return ref1, ref2

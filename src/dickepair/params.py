@@ -100,6 +100,12 @@ class ParamBatch:
     def __len__(self) -> int:
         return len(self.rabi)
 
+    def point(self, i: int) -> SystemParams:
+        """Row i as a :class:`SystemParams`; ``ParamBatch.of(p).point(0) == p``."""
+        return SystemParams(self.n_qubits, rabi=float(self.rabi[i]),
+                            detuning=float(self.detuning[i]),
+                            dipole_shift=float(self.dipole_shift[i]))
+
     def rows(self, start: int, stop: int) -> "ParamBatch":
         """The points start..stop-1 as a batch (views, no copies)."""
         if start == 0 and stop >= len(self):

@@ -79,7 +79,8 @@ class AxisSpec:
 
     ``pump`` axes are converted to rabi internally via
     rabi = pump * n_qubits / 2; rabi, detuning and dipole_shift values are
-    in units of gamma.
+    in units of gamma. The bounds and the span stop - start must be finite,
+    so ``values()`` never overflows.
     """
 
     name: str
@@ -90,6 +91,9 @@ class AxisSpec:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"axis name must be one of {AXIS_NAMES}, got {self.name!r}")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(f"{self.name} axis needs finite bounds and span, "
+                             f"got [{self.start}, {self.stop}]")
         if not self.start < self.stop:
             raise ValueError(f"axis needs start < stop, got [{self.start}, {self.stop}]")
         if self.points < 2:
@@ -97,12 +101,6 @@ class AxisSpec:
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
-
-
-def _apply_axis(params: SystemParams, name: str, value: float) -> SystemParams:
-    if name == "pump":
-        return params.with_pump(value)
-    return replace(params, **{name: value})
 
 
 def evaluate_points(points: ParamBatch, precision: str = "standard") -> np.ndarray:
@@ -138,18 +136,17 @@ def evaluate_point(params: SystemParams, precision: str = "standard") -> tuple:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Grid coordinates plus per-point records, row-major over the axes."""
+    """What a sweep evaluated, one entry per grid point, row-major over the axes.
 
-    axes: tuple[AxisSpec, ...]
-    coords: tuple[np.ndarray, ...]
+    ``columns`` holds each axis's coordinate for every record (the raveled
+    grid, in axis order), ``points`` the :class:`ParamBatch` that was
+    evaluated and ``data`` its RECORD_FIELDS records; row i of all three is
+    one grid point, and ``points.point(i)`` is its :class:`SystemParams`.
+    """
+
+    columns: tuple[np.ndarray, ...]
+    points: ParamBatch
     data: np.ndarray
-
-    def column(self, field: str) -> np.ndarray:
-        return self.data[field]
-
-    def axis_columns(self) -> list[np.ndarray]:
-        """Per-record coordinate columns matching the data layout."""
-        return [c.ravel() for c in np.meshgrid(*self.coords, indexing="ij")]
 
 
 def sweep(
@@ -169,20 +166,19 @@ def sweep(
     if total > MAX_SWEEP_POINTS:
         raise ValueError(f"grid of {total} points exceeds limit {MAX_SWEEP_POINTS}")
 
-    coords = tuple(a.values() for a in axes)
+    grid = np.meshgrid(*(a.values() for a in axes), indexing="ij")
+    columns = tuple(c.ravel() for c in grid)
     # parameters without an axis are read-only views, not copies
-    columns = {name: np.broadcast_to(float(getattr(template, name)), (total,))
-               for name in ("rabi", "detuning", "dipole_shift")}
-    for axis, column in zip(axes, np.meshgrid(*coords, indexing="ij")):
-        column = column.ravel()
+    values = {name: np.broadcast_to(float(getattr(template, name)), (total,))
+              for name in ("rabi", "detuning", "dipole_shift")}
+    for axis, column in zip(axes, columns):
         if axis.name == "pump":
             # the arithmetic of SystemParams.with_pump
-            columns["rabi"] = column * template.n_qubits / 2.0
+            values["rabi"] = column * template.n_qubits / 2.0
         else:
-            columns[axis.name] = column
-    points = ParamBatch(template.n_qubits, **columns)
-    data = evaluate_points(points, precision)
-    return SweepResult(axes=axes, coords=coords, data=data)
+            values[axis.name] = column
+    points = ParamBatch(template.n_qubits, **values)
+    return SweepResult(columns, points, evaluate_points(points, precision))
 
 
 def find_max_concurrence(
@@ -201,7 +197,9 @@ def find_max_concurrence(
     stop once every step is below MAXIMIZE_TOL_PUMP in pump units
     (MAXIMIZE_TOL_PUMP * n_qubits / 2, in units of gamma, on rabi and
     detuning axes).
-    Returns the best grid point of the last round and its concurrence.
+    Returns the best point of the last round, the row of the batch that
+    round evaluated (so ``c_max`` is the concurrence at exactly that point),
+    and its concurrence.
     """
     for ax in axes:
         if ax.name not in MAXIMIZE_AXES:
@@ -214,19 +212,15 @@ def find_max_concurrence(
     grid = [replace(ax, points=max(MAXIMIZE_COARSE_POINTS, ax.points)) for ax in bounds]
     while True:
         result = sweep(template, grid, precision)
-        i = int(np.argmax(result.column("c")))
-        best = [float(col[i]) for col in result.axis_columns()]
+        i = int(np.argmax(result.data["c"]))
         steps = [(ax.stop - ax.start) / (ax.points - 1) for ax in grid]
         if all(step < tol for step, tol in zip(steps, tols)):
             break
+        best = [float(col[i]) for col in result.columns]
         grid = [AxisSpec(ax.name, max(ax.start, x - step), min(ax.stop, x + step),
                          MAXIMIZE_ZOOM_POINTS)
                 for ax, x, step in zip(bounds, best, steps)]
-
-    params = template
-    for ax, x in zip(grid, best):
-        params = _apply_axis(params, ax.name, x)
-    return params, float(result.column("c")[i])
+    return result.points.point(i), float(result.data["c"][i])
 
 
 @dataclass(frozen=True)

@@ -118,9 +118,9 @@ def test_criterion_3_off_resonant_enhancement():
     preset = FIGURES["fig3"]
     template = SystemParams(n_qubits=2, rabi=1.0, dipole_shift=5.0)
     result = sweep(template, preset.axes)
-    c = result.column("c")
+    c = result.data["c"]
     best = int(np.argmax(c))
-    rabi_cols, det_cols = result.axis_columns()
+    rabi_cols, det_cols = result.columns
     best_rabi, best_det = float(rabi_cols[best]), float(det_cols[best])
 
     ok_point = abs(c_point - 0.40) <= 0.03
@@ -147,8 +147,8 @@ def test_criterion_4_second_order_signature():
     for n in (74, 200):
         critical[n] = detect_transition(SystemParams(n_qubits=n, rabi=1.0), axis).critical_pump
 
-    c = result.column("c")
-    pumps = result.coords[0]
+    c = result.data["c"]
+    pumps = result.columns[0]
     c_above = float(evaluate_point(template.with_pump(1.2))[0])
     below = np.flatnonzero(pumps <= 1.0)
     peak = below[np.argmax(c[below])]
@@ -189,8 +189,8 @@ def test_criterion_5_first_order_shift():
     own_axis = AxisSpec("pump", axis.start / stretch, axis.stop / stretch, axis.points)
 
     result = sweep(shifted, (axis,))
-    c = result.column("c")
-    pumps = result.coords[0]
+    c = result.data["c"]
+    pumps = result.columns[0]
     peak = int(np.argmax(c))
     zero = np.flatnonzero((pumps > pumps[peak]) & (c <= 0.0))
     collapse = float(pumps[zero[0]]) if len(zero) else float("nan")
@@ -198,7 +198,7 @@ def test_criterion_5_first_order_shift():
     critical = detect_transition(shifted, axis).critical_pump
     critical_resonant = detect_transition(resonant, axis).critical_pump
     critical_template = detect_transition(resonant, own_axis).critical_pump
-    rescale_gap = float(np.abs(c - sweep(resonant, (own_axis,)).column("c")).max())
+    rescale_gap = float(np.abs(c - sweep(resonant, (own_axis,)).data["c"]).max())
 
     ok_collapse = len(zero) > 0
     ok_agree = ok_collapse and abs(collapse - critical) / stretch <= 0.05

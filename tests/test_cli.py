@@ -1,5 +1,6 @@
 """Command-line interface: presets, CSV output, exit codes."""
 import argparse
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,37 @@ def test_unwritable_output_exits_usage(capsys, tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     code = main(["concurrence", "--n", "2", "--rabi", "1.0", "--out", str(out)])
     assert code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("axis", ["detuning:-1e308:1e308:3", "pump:0.1:inf:3"])
+def test_non_finite_axis_exits_usage_without_warnings(capsys, axis):
+    # the axis is rejected while parsing, before linspace could overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sweep", "--n", "2", "--axis", axis])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert not caught and "Warning" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert f"{axis.split(':')[0]} axis needs finite bounds and span" in errors[0]
+
+
+def test_readme_command_line_block_runs(tmp_path, capsys):
+    # every command of the README's "Command line" block, with --out in tmp_path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split() for line in block.splitlines() if line.startswith("dickepair ")]
+    assert len(commands) == 7
+    for k, (_, *argv) in enumerate(commands):
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        else:
+            argv += ["--out", str(tmp_path / f"stdout_{k}.csv")]
+        assert main(argv) == 0, argv
+        assert Path(argv[argv.index("--out") + 1]).stat().st_size > 0
     capsys.readouterr()
 
 
@@ -308,9 +340,9 @@ def test_maximize_detuning_only(tmp_path):
     assert by_name["pump"] == 0.9
     template = SystemParams(n_qubits=2, rabi=0.9, dipole_shift=5.0)
     dense = sweep(template, (AxisSpec("detuning", -15.0, -5.0, 1001),))
-    c = dense.column("c")
+    c = dense.data["c"]
     assert by_name["c_max"] >= c.max() - 1e-9
-    assert abs(by_name["detuning"] - dense.coords[0][np.argmax(c)]) <= 10.0 / 1000
+    assert abs(by_name["detuning"] - dense.columns[0][np.argmax(c)]) <= 10.0 / 1000
 
 
 def test_maximize_rejects_dipole_axis(tmp_path):

@@ -12,6 +12,13 @@ from dickepair.logcomplex import (
 from dickepair.steady import _SteadyTables
 
 
+def one_row(log_mags, units, precision="standard"):
+    """logsum_complex of a single sum, as a (float, complex) pair."""
+    scale, mantissa = logsum_complex(np.array([log_mags], dtype=float),
+                                     np.array([units], dtype=complex), precision)
+    return float(scale[0]), complex(mantissa[0])
+
+
 def value(pair):
     """exp(scale) * mantissa as an ordinary complex."""
     scale, mantissa = pair
@@ -23,16 +30,15 @@ def test_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(100):
         z = complex(rng.normal(), rng.normal())
-        pair = logsum_complex([math.log(abs(z))], [z / abs(z)])
-        assert isinstance(pair[0], float) and isinstance(pair[1], complex)
+        pair = one_row([math.log(abs(z))], [z / abs(z)])
         assert value(pair) == pytest.approx(z, rel=1e-14)
 
 
 def test_zero_handling():
     # terms that cancel exactly leave an exact zero mantissa in both modes
     assert value((LOG_ZERO, 0j)) == 0j
-    assert logsum_complex([0.0, 0.0], [1.0, -1.0])[1] == 0j
-    assert logsum_complex([1.0, 1.0], [0.6 + 0.8j, -0.6 - 0.8j], "extended")[1] == 0j
+    assert one_row([0.0, 0.0], [1.0, -1.0])[1] == 0j
+    assert one_row([1.0, 1.0], [0.6 + 0.8j, -0.6 - 0.8j], "extended")[1] == 0j
 
 
 def test_logsum_matches_direct_sum():
@@ -42,14 +48,15 @@ def test_logsum_matches_direct_sum():
         log_mags = np.log(np.abs(zs))
         expected = zs.sum()
         for precision in ("standard", "extended"):
-            pair = logsum_complex(log_mags, zs / np.abs(zs), precision)
+            pair = one_row(log_mags, zs / np.abs(zs), precision)
             assert pair[0] == log_mags.max()
             assert value(pair) == pytest.approx(expected, rel=1e-12)
 
 
 def test_logsum_empty_and_all_zero():
-    assert logsum_complex([], [], "standard") == (LOG_ZERO, 0j)
-    assert logsum_complex([LOG_ZERO, LOG_ZERO], [1.0, 1.0], "standard") == (LOG_ZERO, 0j)
+    # an empty ladder sum never reaches logsum_complex: _ladder_sum returns
+    # (LOG_ZERO, 0) itself, which test_expectation.py::test_index_validation covers
+    assert one_row([LOG_ZERO, LOG_ZERO], [1.0, 1.0], "standard") == (LOG_ZERO, 0j)
 
 
 def test_cancellation_triggers_exact_accumulation():
@@ -59,7 +66,7 @@ def test_cancellation_triggers_exact_accumulation():
     log_mags = np.array([math.log(1e16), 0.0, math.log(1e16)])
     units = np.array([1.0, 1.0, -1.0])
     for precision in ("standard", "extended"):
-        got = logsum_complex(log_mags, units, precision)
+        got = one_row(log_mags, units, precision)
         assert value(got) == pytest.approx(1.0, rel=1e-12)
         assert abs(got[1]) == pytest.approx(1e-16, rel=1e-12)
     assert CANCELLATION_TRIGGER == 1e-8
@@ -70,14 +77,14 @@ def test_signed_sum_matches_direct():
     rng = np.random.default_rng(29)
     zs = rng.normal(size=10) + 1j * rng.normal(size=10)
     signs = rng.choice([-1.0, 1.0], size=10)
-    got = logsum_complex(np.log(np.abs(zs)), signs * (zs / np.abs(zs)), "standard")
+    got = one_row(np.log(np.abs(zs)), signs * (zs / np.abs(zs)), "standard")
     assert value(got) == pytest.approx((signs * zs).sum(), rel=1e-12)
 
 
 def test_rescaling_survives_huge_magnitudes():
     # both terms ~exp(700); naive exponentiation would overflow
     log_mags = np.array([700.0, 700.0])
-    scale, mantissa = logsum_complex(log_mags, [1.0, 1.0], "standard")
+    scale, mantissa = one_row(log_mags, [1.0, 1.0], "standard")
     assert scale == 700.0 and mantissa == 2.0
     assert scale + math.log(mantissa.real) == pytest.approx(700.0 + math.log(2.0), rel=1e-14)
 
@@ -112,4 +119,4 @@ def test_rows_reduce_independently(precision):
         assert np.concatenate([p[0] for p in parts]).tobytes() == scale.tobytes()
         assert np.concatenate([p[1] for p in parts]).tobytes() == mantissa.tobytes()
     for i in range(20):
-        assert logsum_complex(log_mags[i], units[i], precision) == (scale[i], mantissa[i])
+        assert one_row(log_mags[i], units[i], precision) == (scale[i], mantissa[i])

@@ -107,12 +107,6 @@ def random_batch(n, size, seed):
                       dipole_shift=rng.uniform(-5.0, 5.0, size))
 
 
-def point(batch, i):
-    return SystemParams(batch.n_qubits, rabi=float(batch.rabi[i]),
-                        detuning=float(batch.detuning[i]),
-                        dipole_shift=float(batch.dipole_shift[i]))
-
-
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_liouvillian_stack_rows_are_single_point_builds(n):
     batch = random_batch(n, 7, seed=n)
@@ -120,7 +114,7 @@ def test_liouvillian_stack_rows_are_single_point_builds(n):
     dim2 = (n + 1) ** 2
     assert stack.shape == (7, dim2, dim2)
     for i in range(7):
-        assert np.array_equal(stack[i], build_liouvillian(point(batch, i)))
+        assert np.array_equal(stack[i], build_liouvillian(batch.point(i)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
@@ -131,7 +125,7 @@ def test_stacked_states_and_readouts_match_per_matrix(n):
     pairs = oracle_pair_density(states, n)
     assert states.shape == (9, n + 1, n + 1) and pairs.shape == (9, 4, 4)
     for i in range(9):
-        rho = steady_state_null_space(build_liouvillian(point(batch, i)))
+        rho = steady_state_null_space(build_liouvillian(batch.point(i)))
         assert np.abs(states[i] - rho).max() <= 1e-14
         single = density_expectation_set(rho)
         for field in ("s_plus", "s_z", "s_z2", "s_plus_sz", "s_plus2", "s_plus_s_minus"):

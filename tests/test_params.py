@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dickepair import ParamBatch, SystemParams, derive_params
@@ -37,6 +38,16 @@ def test_pump_round_trip():
     assert q.n_qubits == 50 and q.detuning == p.detuning
 
 
+def test_batch_row_is_the_point():
+    # a batch row comes back as the SystemParams it was built from
+    p = SystemParams(n_qubits=6, rabi=1.3, detuning=-2.5, dipole_shift=1.5)
+    assert ParamBatch.of(p).point(0) == p
+    batch = ParamBatch(3, rabi=np.array([0.5, 2.0]), detuning=np.array([1.0, -4.0]),
+                       dipole_shift=np.array([0.0, 3.0]))
+    assert batch.point(1) == SystemParams(n_qubits=3, rabi=2.0, detuning=-4.0,
+                                          dipole_shift=3.0)
+
+
 def test_derived_resonance():
     d = derive_params(SystemParams(n_qubits=1, rabi=1.0))
     assert d.alpha == pytest.approx(1j)
@@ -58,8 +69,6 @@ def test_derived_off_resonant_operating_point():
 
 
 def test_derived_finite_for_any_valid_params():
-    import numpy as np
-
     rng = np.random.default_rng(5)
     for _ in range(50):
         p = SystemParams(

@@ -29,6 +29,12 @@ def test_axis_validation():
         AxisSpec("rabi", 2.0, 1.0, 10)
     with pytest.raises(ValueError):
         AxisSpec("rabi", 0.0, 1.0, 1)
+    # non-finite bounds, or a span past the double range, would make
+    # values() overflow
+    for start, stop in ((-1e308, 1e308), (0.1, float("inf")), (float("-inf"), 1.0),
+                        (float("nan"), 1.0), (0.0, float("nan"))):
+        with pytest.raises(ValueError, match="detuning axis needs finite"):
+            AxisSpec("detuning", start, stop, 3)
     ax = AxisSpec("pump", 0.1, 2.0, 20)
     vals = ax.values()
     assert vals[0] == 0.1 and vals[-1] == 2.0 and len(vals) == 20
@@ -105,8 +111,11 @@ def test_two_axis_row_major_order():
 
     direct = evaluate_point(replace(t, rabi=2.0, detuning=-8.0))
     assert tuple(result.data[-1]) == pytest.approx(direct, abs=0)
-    cols = result.axis_columns()
+    cols = result.columns
     assert cols[0][-1] == 2.0 and cols[1][-1] == -8.0
+    # the batch that was evaluated, row for row
+    assert result.points.point(5) == replace(t, rabi=2.0, detuning=-8.0)
+    assert np.array_equal(result.points.detuning, cols[1])
 
 
 def test_sweep_is_deterministic():
@@ -120,7 +129,7 @@ def test_sweep_is_deterministic():
 def test_concurrence_in_unit_interval_across_grid():
     t = SystemParams(n_qubits=6, rabi=1.0, dipole_shift=3.0, detuning=-4.2)
     result = sweep(t, (AxisSpec("pump", 0.05, 2.5, 40),))
-    c = result.column("c")
+    c = result.data["c"]
     assert (c >= 0.0).all() and (c <= 1.0).all()
 
 
@@ -128,7 +137,7 @@ def test_two_qubit_resonance_curve_shape():
     # single interior maximum falling to zero at both grid ends
     t = SystemParams(n_qubits=2, rabi=1.0)
     result = sweep(t, (AxisSpec("pump", 0.05, 3.0, 120),))
-    c = result.column("c")
+    c = result.data["c"]
     peak = int(np.argmax(c))
     assert 0 < peak < len(c) - 1
     assert c[0] < 0.01 and c[-1] < 0.01
@@ -141,8 +150,8 @@ def test_two_qubit_resonance_curve_shape():
 def test_find_max_matches_dense_scan():
     t = SystemParams(n_qubits=2, rabi=1.0)
     dense = sweep(t, (AxisSpec("rabi", 0.05, 3.0, 2000),))
-    c = dense.column("c")
-    best = dense.coords[0][int(np.argmax(c))]
+    c = dense.data["c"]
+    best = dense.columns[0][int(np.argmax(c))]
     argmax, cmax = find_max_concurrence(t, [AxisSpec("rabi", 0.05, 3.0, 33)])
     assert abs(argmax.rabi - best) <= (3.0 - 0.05) / 1999 + 1e-4
     assert cmax >= c.max() - 1e-9
@@ -151,14 +160,25 @@ def test_find_max_matches_dense_scan():
 def test_find_max_two_free_axes_matches_dense_grid():
     t = SystemParams(n_qubits=2, rabi=1.0, dipole_shift=5.0)
     dense = sweep(t, (AxisSpec("rabi", 0.2, 3.0, 40), AxisSpec("detuning", -15.0, -5.0, 40)))
-    c = dense.column("c")
+    c = dense.data["c"]
     i = int(np.argmax(c))
-    best_rabi, best_detuning = (col[i] for col in dense.axis_columns())
+    best_rabi, best_detuning = (col[i] for col in dense.columns)
     argmax, cmax = find_max_concurrence(
         t, [AxisSpec("rabi", 0.2, 3.0, 33), AxisSpec("detuning", -15.0, -5.0, 33)])
     assert cmax >= c.max() - 1e-9
     assert abs(argmax.rabi - best_rabi) <= (3.0 - 0.2) / 39
     assert abs(argmax.detuning - best_detuning) <= (15.0 - 5.0) / 39
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_find_max_two_axes_returns_the_evaluated_point(n):
+    # the returned point is the batch row whose concurrence is c_max, so
+    # re-evaluating it reproduces c_max to the bit
+    t = SystemParams(n_qubits=n, rabi=1.0, dipole_shift=3.0)
+    argmax, cmax = find_max_concurrence(
+        t, [AxisSpec("pump", 0.3, 1.6, 33), AxisSpec("detuning", -6.0, 0.0, 33)])
+    assert argmax.n_qubits == n and argmax.dipole_shift == 3.0
+    assert cmax == evaluate_point(argmax)[0]
 
 
 @pytest.mark.parametrize("template, axis, end", [
@@ -172,7 +192,7 @@ def test_find_max_two_free_axes_matches_dense_grid():
 def test_find_max_reaches_axis_end(template, axis, end):
     # the concurrence rises all the way to one end of the axis
     dense = sweep(template, (AxisSpec(axis.name, axis.start, axis.stop, 1001),))
-    c = dense.column("c")
+    c = dense.data["c"]
     assert int(np.argmax(c)) in (0, len(c) - 1)
     argmax, cmax = find_max_concurrence(template, [axis])
     assert getattr(argmax, axis.name) == end
@@ -288,7 +308,7 @@ def test_large_ensemble_peak_location_and_collapse(n):
     # resonant peak just below the collective threshold, concurrence gone by 1.2
     t = SystemParams(n_qubits=n, rabi=1.0)
     result = sweep(t, (AxisSpec("pump", 0.05, 1.5, 150),))
-    c = result.column("c")
-    peak_pump = result.coords[0][int(np.argmax(c))]
+    c = result.data["c"]
+    peak_pump = result.columns[0][int(np.argmax(c))]
     assert 0.85 <= peak_pump <= 1.0
     assert evaluate_point(t.with_pump(1.2))[0] < 0.02

@@ -54,8 +54,15 @@ class SystemParams:
         return 2.0 * self.rabi / self.n_qubits
 
     def with_pump(self, pump: float) -> "SystemParams":
-        """Copy of these parameters with rabi set from a pump value."""
-        return replace(self, rabi=pump * self.n_qubits / 2.0)
+        """Copy of these parameters with rabi set from a pump value.
+
+        Raises ValueError naming the pump when pump is negative or not finite,
+        or when rabi = pump * N / 2 overflows.
+        """
+        rabi = pump * self.n_qubits / 2.0
+        if not (rabi >= 0.0 and math.isfinite(rabi)):
+            raise ValueError(f"pump must be >= 0 with rabi = pump * N / 2 finite, got {pump!r}")
+        return replace(self, rabi=rabi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +87,7 @@ class ParamBatch:
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} must be finite")
         if (self.rabi < 0.0).any():
-            raise ValueError(f"rabi must be >= 0, got {self.rabi.min()!r}")
+            raise ValueError(f"rabi must be >= 0, got {float(self.rabi.min())!r}")
 
     @classmethod
     def _unchecked(cls, n_qubits, rabi, detuning, dipole_shift) -> "ParamBatch":

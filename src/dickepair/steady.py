@@ -10,7 +10,9 @@ with alpha, beta from :func:`dickepair.params.derive_params`. Tracing against
 ladder-operator products reduces every collective moment
 <(S+)^p Sz^r (S-)^f> to a double sum sum_n C_{n-f,n-p} sum_m w(n, m) q(n+m)
 over combinatorial weights. The inner sum does not depend on the parameters
-and closes in exact integers (:func:`_row_sums`), which leaves one O(N) sum
+and closes in exact integers, built for all rows of an N by an exact ratio
+recurrence in O(N) big-integer steps (:func:`_row_sums`); only the float
+rows log|S_n| and sign(S_n) are cached. That leaves one O(N) sum
 over n, evaluated in log space because its terms reach (2N+1)! scale: each
 term is a log magnitude times a unit complex factor, and the sum comes back
 as exp(scale) * mantissa (:func:`dickepair.logcomplex.logsum_complex`).
@@ -60,44 +62,73 @@ class ExpectationSet:
     s_plus_s_minus: float
 
 
-@lru_cache(maxsize=None)
-def _row_sums(n_qubits: int, poly: tuple[int, ...]):
-    """log|S_n| and sign(S_n) for n = 0..N, with S_n = sum_m w(n, m) q(n + m).
+def _row_sums(n_qubits: int, polys: tuple[tuple[int, ...], ...]):
+    """(log|S_n|, sign(S_n)) over n = 0..N for each polynomial q in ``polys``.
 
-    w(n, m) = (N-m)! (m+n)! / ((N-m-n)! m!) for m <= N-n is the ladder weight
-    of the trace, and q, given by its integer coefficients in ascending powers,
-    is a polynomial in the lowering count d = n + m (Sz = N/2 - d). Written in
-    rising factorials, q(d) = sum_j c_j (d+1)(d+2)...(d+j), each term closes
-    by Vandermonde's identity
+    S_n = sum_m w(n, m) q(n + m), where w(n, m) = (N-m)! (m+n)! / ((N-m-n)! m!)
+    for m <= N-n is the ladder weight of the trace, and q, given by its
+    integer coefficients in ascending powers, is a polynomial in the lowering
+    count d = n + m (Sz = N/2 - d). Written in rising factorials,
+    q(d) = sum_j c_j (d+1)(d+2)...(d+j), each term closes by Vandermonde's
+    identity
         sum_m C(N-m, n) C(m+n+j, n+j) = C(N+n+j+1, 2n+j+1),
-    so S_n = n! sum_j c_j (n+j)! C(N+n+j+1, 2n+j+1) in exact integers: rows
-    whose weights vanish come out exactly zero and signed terms cancel
-    without rounding. The signs are complex units, ready to multiply the
-    complex coefficients of a ladder sum.
+    so S_n = sum_j c_j T_j(n) with T_j(n) = n! (n+j)! C(N+n+j+1, 2n+j+1).
+    T_j(0) = j! C(N+j+1, j+1), and the exact ratio recurrence
+        T_j(n+1) = T_j(n) (n+1)(n+j+1)(N+n+j+2)(N-n) / ((2n+j+2)(2n+j+3))
+    steps every row with one small-integer multiply and one exact division,
+    O(N) big-integer steps per j. The polynomials of one call share the T_j.
+    Rows whose weights vanish come out exactly zero and signed terms cancel
+    without rounding; only the float rows leave this function. The signs
+    are complex units, ready to multiply the complex coefficients of a
+    ladder sum. Both arrays of each pair are read-only.
     """
     N = n_qubits
-    rising, rest = [], list(reversed(poly))
-    for k in range(1, len(poly) + 1):
-        # synthetic division by (d + k); the remainder q(-k) is the next c_j
-        acc, quotient = 0, []
-        for a in rest:
-            acc = acc * -k + a
-            quotient.append(acc)
-        rising.append(quotient.pop())
-        rest = quotient
-    log_s = np.full(N + 1, LOG_ZERO)
-    sign = np.ones(N + 1, dtype=complex)
+    terms = []
+    for poly in polys:
+        rising, rest = [], list(reversed(poly))
+        for k in range(1, len(poly) + 1):
+            # synthetic division by (d + k); the remainder q(-k) is the next c_j
+            acc, quotient = 0, []
+            for a in rest:
+                acc = acc * -k + a
+                quotient.append(acc)
+            rising.append(quotient.pop())
+            rest = quotient
+        terms.append([(j, c) for j, c in enumerate(rising) if c])
+    width = max((j + 1 for pairs in terms for j, _ in pairs), default=0)
+    t = [math.factorial(j) * math.comb(N + j + 1, j + 1) for j in range(width)]
+    logs = [[] for _ in polys]
+    signs = [[] for _ in polys]
     for n in range(N + 1):
-        s = math.factorial(n) * sum(
-            c * math.factorial(n + j) * math.comb(N + n + j + 1, 2 * n + j + 1)
-            for j, c in enumerate(rising) if c
-        )
-        if s:
-            log_s[n] = math.log(abs(s))
-            sign[n] = -1.0 if s < 0 else 1.0
-    for arr in (log_s, sign):
-        arr.setflags(write=False)
-    return log_s, sign
+        for pairs, log_s, sign in zip(terms, logs, signs):
+            s = sum(c * t[j] for j, c in pairs)
+            log_s.append(math.log(abs(s)) if s else LOG_ZERO)
+            sign.append(-1.0 if s < 0 else 1.0)
+        t = [t_j * ((n + 1) * (n + j + 1) * (N + n + j + 2) * (N - n))
+             // ((2 * n + j + 2) * (2 * n + j + 3)) for j, t_j in enumerate(t)]
+    rows = []
+    for log_s, sign in zip(logs, signs):
+        pair = (np.array(log_s), np.array(sign, dtype=complex))
+        for arr in pair:
+            arr.setflags(write=False)
+        rows.append(pair)
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _moment_rows(n_qubits: int, r: int):
+    """Cached row sums of (2 Sz)^r, the ladder polynomial (N - 2d)^r."""
+    N = n_qubits
+    poly = tuple(math.comb(r, k) * N ** (r - k) * (-2) ** k for k in range(r + 1))
+    return _row_sums(N, (poly,))[0]
+
+
+@lru_cache(maxsize=None)
+def _pair_rows(n_qubits: int):
+    """Cached row sums of the six pair polynomials, in the order of pair_entries."""
+    N = n_qubits
+    return _row_sums(N, ((N * (N - 1), 1 - 2 * N, 1), (N, -1), (1,),
+                         (0, N, -1), (-1, 1), (0, -1, 1)))
 
 
 class _SteadyTables:
@@ -131,13 +162,14 @@ class _SteadyTables:
         abs_alpha = np.abs(alpha)
         self.log_alpha = np.log(abs_alpha)
         self.alpha_unit = -alpha.conjugate() / abs_alpha
-        scale, mantissa = self._ladder_sum(0, 0, (1,))
+        scale, mantissa = self._ladder_sum(0, 0, _moment_rows(N, 0))
         self.log_z = scale + np.log(mantissa.real)
 
-    def _ladder_sum(self, p: int, f: int, poly: tuple[int, ...]):
+    def _ladder_sum(self, p: int, f: int, rows):
         """sum_{n >= max(p, f)} C_{n-f, n-p} S_n as (scale, mantissa) arrays of shape (P,).
 
-        Unnormalized, with S_n from _row_sums: this is
+        Unnormalized, with ``rows`` = (log|S_n|, sign(S_n)) of a polynomial q
+        from _row_sums: this is
         Z * <(S+)^p q(N/2 - Sz) (S-)^f>, and exactly zero (an empty sum) when
         p or f exceeds N. The n-independent factor of C, (-1)^(p+f)
         (alpha*/|alpha|)^(p-f) = (-alpha*/|alpha|)^(p-f), multiplies the
@@ -149,7 +181,7 @@ class _SteadyTables:
         if lo > N:
             size = len(self.log_alpha)
             return np.full(size, LOG_ZERO), np.zeros(size, dtype=complex)
-        log_s, sign_s = _row_sums(N, poly)
+        log_s, sign_s = rows
         power = 2.0 * np.arange(lo, N + 1) - p - f
         # rows n = lo..N read the prefix columns n - f and n - p
         a_f, a_p = slice(lo - f, N + 1 - f), slice(lo - p, N + 1 - p)
@@ -171,8 +203,7 @@ class _SteadyTables:
         for name, v in (("p", p), ("r", r), ("f", f)):
             if v < 0:
                 raise IndexRange(f"moment index {name}={v} is negative")
-        poly = tuple(math.comb(r, k) * N ** (r - k) * (-2) ** k for k in range(r + 1))
-        scale, mantissa = self._ladder_sum(p, f, poly)
+        scale, mantissa = self._ladder_sum(p, f, _moment_rows(N, r))
         return np.exp(scale - self.log_z - r * math.log(2.0)) * mantissa
 
     def pair_entries(self):
@@ -191,17 +222,12 @@ class _SteadyTables:
         N = self.n_qubits
         log_norm = self.log_z + math.log(N) + math.log(N - 1)
 
-        def entry(p, poly):
-            scale, mantissa = self._ladder_sum(p, 0, poly)
-            return np.exp(scale - log_norm) * mantissa
-
-        r11 = entry(0, (N * (N - 1), 1 - 2 * N, 1)).real
-        r22 = entry(0, (0, N, -1)).real
-        r44 = entry(0, (0, -1, 1)).real
-        r12 = entry(1, (N, -1))
-        r24 = entry(1, (-1, 1))
-        r14 = entry(2, (1,))
-        return r11, r12, r14, r22, r24, r44
+        entries = []
+        for p, rows in zip((0, 1, 2, 0, 1, 0), _pair_rows(N)):
+            scale, mantissa = self._ladder_sum(p, 0, rows)
+            entries.append(np.exp(scale - log_norm) * mantissa)
+        r11, r12, r14, r22, r24, r44 = entries
+        return r11.real, r12, r14, r22.real, r24, r44.real
 
 
 @lru_cache(maxsize=128)

@@ -173,8 +173,14 @@ def sweep(
               for name in ("rabi", "detuning", "dipole_shift")}
     for axis, column in zip(axes, columns):
         if axis.name == "pump":
-            # the arithmetic of SystemParams.with_pump
-            values["rabi"] = column * template.n_qubits / 2.0
+            # the arithmetic and the check of SystemParams.with_pump
+            with np.errstate(over="ignore"):
+                rabi = column * template.n_qubits / 2.0
+            bad = ~((rabi >= 0.0) & np.isfinite(rabi))
+            if bad.any():
+                raise ValueError("pump must be >= 0 with rabi = pump * N / 2 finite, "
+                                 f"got {float(column[bad.argmax()])!r}")
+            values["rabi"] = rabi
         else:
             values[axis.name] = column
     points = ParamBatch(template.n_qubits, **values)

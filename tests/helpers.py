@@ -6,6 +6,7 @@ the full 2^N space) so they stay independent of the package code paths they
 check.
 """
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import mpmath
@@ -233,6 +234,62 @@ def closed_form_pair_entries(params: SystemParams, dps=30):
 
         def ladder(p, poly):
             return mpmath.fsum(coeff(n, n - p) * ladder_row_sum(n_qubits, n, poly)
+                               for n in range(p, n_qubits + 1))
+
+        norm = ladder(0, (1,)) * n_qubits * (n_qubits - 1)
+        return tuple(complex(ladder(p, poly) / norm)
+                     for p, poly in pair_polynomials(n_qubits))
+
+
+@lru_cache(maxsize=None)
+def closed_form_row_sums(n_qubits, poly):
+    """S_n = sum_m w(n, m) q(n + m) for n = 0..N by the per-row closed form.
+
+    q, given by integer coefficients in ascending powers of d, is rewritten
+    in rising factorials q(d) = sum_j c_j (d+1)...(d+j) by synthetic
+    division, and Vandermonde's identity closes each row:
+    S_n = n! sum_j c_j (n+j)! C(N+n+j+1, 2n+j+1). A factorial and a
+    binomial per row and j, in exact integers; returns a tuple of ints.
+    """
+    N = n_qubits
+    rising, rest = [], list(reversed(poly))
+    for k in range(1, len(poly) + 1):
+        # synthetic division by (d + k); the remainder q(-k) is the next c_j
+        acc, quotient = 0, []
+        for a in rest:
+            acc = acc * -k + a
+            quotient.append(acc)
+        rising.append(quotient.pop())
+        rest = quotient
+    return tuple(
+        math.factorial(n) * sum(
+            c * math.factorial(n + j) * math.comb(N + n + j + 1, 2 * n + j + 1)
+            for j, c in enumerate(rising) if c)
+        for n in range(N + 1))
+
+
+def pochhammer_pair_entries(params: SystemParams, dps=50):
+    """The six pair entries (r11, r12, r14, r22, r24, r44) in mpmath, for large N.
+
+    The closed form sum_n C_{n, n-p} S_n with the coefficients
+    C_nm = (-1)^(n+m) alpha^-n (alpha*)^-m a_n conj(a_m) at ``dps`` digits,
+    a_n = prod_{k<=n} (1 + beta/k) and alpha^-n kept as running products,
+    times the exact integers of ``closed_form_row_sums``. No log space, no
+    floats inside the sums and no package code.
+    """
+    n_qubits = params.n_qubits
+    with mpmath.workdps(dps):
+        denom = mpmath.mpc(1, params.dipole_shift)
+        alpha = 1j * mpmath.mpf(params.rabi) / denom
+        beta = 1j * (mpmath.mpf(params.detuning) + params.dipole_shift) / denom
+        # u_n = (-1)^n alpha^-n a_n, so C_{n, n-p} = u_n conj(u_{n-p})
+        u = [mpmath.mpc(1)]
+        for k in range(1, n_qubits + 1):
+            u.append(-u[-1] * (1 + beta / k) / alpha)
+
+        def ladder(p, poly):
+            sums = closed_form_row_sums(n_qubits, poly)
+            return mpmath.fsum(u[n] * mpmath.conj(u[n - p]) * sums[n]
                                for n in range(p, n_qubits + 1))
 
         norm = ladder(0, (1,)) * n_qubits * (n_qubits - 1)

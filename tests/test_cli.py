@@ -115,6 +115,27 @@ def test_non_finite_axis_exits_usage_without_warnings(capsys, axis):
     assert f"{axis.split(':')[0]} axis needs finite bounds and span" in errors[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "200", "--axis", "pump:0.1:1e307:3"],
+    ["sweep", "--n", "2", "--axis", "pump:-1:1:3"],
+    ["concurrence", "--n", "200", "--pump", "1e307"],
+    ["concurrence", "--n", "200", "--pump", "-1"],
+    ["concurrence", "--n", "200", "--pump", "nan"],
+])
+def test_bad_pump_exits_usage_naming_the_pump(capsys, argv):
+    # a finite pump whose rabi = pump * N / 2 overflows is a pump error, not a rabi one
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert not caught and "Warning" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith("usage error: pump must be >= 0")
+    assert "rabi must" not in errors[0] and "np.float64" not in errors[0]
+
+
 def test_readme_command_line_block_runs(tmp_path, capsys):
     # every command of the README's "Command line" block, with --out in tmp_path
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -11,8 +11,9 @@ from dickepair import (
     derive_params,
 )
 from dickepair.oracle import DickeBasisOperators
-from dickepair.steady import _SteadyTables
-from helpers import coefficient_c, ladder_row_sum, pair_polynomials
+from dickepair import steady
+from dickepair.steady import _row_sums, _SteadyTables
+from helpers import closed_form_row_sums, coefficient_c, ladder_row_sum, pair_polynomials
 
 
 def direct_pochhammer(n, beta):
@@ -47,6 +48,11 @@ def one_point(pair):
     """(scale, mantissa) of a one-point batch's ladder sum as (float, complex)."""
     scale, mantissa = pair
     return float(scale[0]), complex(mantissa[0])
+
+
+def ladder_sum(tables, p, f, poly):
+    """tables._ladder_sum(p, f, .) over the row sums of one polynomial."""
+    return tables._ladder_sum(p, f, _row_sums(tables.n_qubits, (poly,))[0])
 
 
 def value(pair):
@@ -102,7 +108,7 @@ def test_coefficient_c_trivial():
     tables = _SteadyTables(SystemParams(n_qubits=1, rabi=1.0))
     assert derive_params(tables.params).alpha == 1j
     assert math.exp(tables.log_z[0]) == pytest.approx(3.0, rel=1e-14)
-    assert value(tables._ladder_sum(1, 0, (1,))) == pytest.approx(1j, rel=1e-14)
+    assert value(ladder_sum(tables, 1, 0, (1,))) == pytest.approx(1j, rel=1e-14)
 
 
 def test_coefficient_c_diagonal_real_positive():
@@ -111,7 +117,7 @@ def test_coefficient_c_diagonal_real_positive():
                                         dipole_shift=1.5))
     for p in range(4):
         for poly in ((1,), (0, 1), (5, -1)):
-            scale, mantissa = one_point(tables._ladder_sum(p, p, poly))
+            scale, mantissa = one_point(ladder_sum(tables, p, p, poly))
             assert mantissa.imag == 0.0 and mantissa.real > 0.0 and math.isfinite(scale)
 
 
@@ -122,8 +128,8 @@ def test_coefficient_c_conjugate_symmetry():
     for p in range(4):
         for f in range(4):
             for poly in ((1,), (0, 1), (2, -3, 1)):
-                a = value(tables._ladder_sum(p, f, poly))
-                b = value(tables._ladder_sum(f, p, poly))
+                a = value(ladder_sum(tables, p, f, poly))
+                b = value(ladder_sum(tables, f, p, poly))
                 assert a == pytest.approx(np.conj(b), rel=1e-12)
 
 
@@ -144,7 +150,7 @@ def test_ladder_sums_match_direct_coefficients():
             direct = sum(coefficient_c(n - f, n - p, params)
                          * ladder_row_sum(n_qubits, n, poly)
                          for n in range(max(p, f), n_qubits + 1))
-            got = value(tables._ladder_sum(p, f, poly))
+            got = value(ladder_sum(tables, p, f, poly))
             assert abs(got - direct) <= 1e-12 * max(abs(direct), math.exp(tables.log_z[0]))
 
 
@@ -159,7 +165,7 @@ def test_partition_exactly_real():
     params = SystemParams(n_qubits=7, rabi=1.1, detuning=-3.0, dipole_shift=2.0)
     log_z = _SteadyTables(params).log_z[0]
     assert isinstance(log_z, float)
-    scale, mantissa = _SteadyTables(params)._ladder_sum(0, 0, (1,))
+    scale, mantissa = ladder_sum(_SteadyTables(params), 0, 0, (1,))
     assert mantissa.imag[0] == 0.0 and mantissa.real[0] > 0.0
     # the tables take the log of the whole batch's real parts with numpy
     assert scale[0] + np.log(mantissa.real)[0] == log_z
@@ -206,16 +212,41 @@ def test_partition_precision_modes_agree():
 
 def test_row_sums_match_literal_double_loop():
     # the closed-form O(N) row sums against the literal m loop in exact integers
-    from dickepair.steady import _row_sums
-
     for n_qubits in range(1, 13):
         polys = [tuple(int(c) for c in P.polypow([n_qubits, -2], r)) for r in range(4)]
         polys += [poly for _, poly in pair_polynomials(n_qubits)]
         for poly in polys:
-            log_s, sign = _row_sums(n_qubits, poly)
+            (log_s, sign), = _row_sums(n_qubits, (poly,))
             for n in range(n_qubits + 1):
                 exact = ladder_row_sum(n_qubits, n, poly)
                 if exact == 0:
                     assert log_s[n] == -math.inf
                 else:
                     assert sign[n] * math.exp(log_s[n]) == pytest.approx(exact, rel=1e-14)
+
+
+def exact_rows(sums):
+    """(log|S_n|, sign(S_n)) of exact integer row sums, as the package forms them."""
+    log_s = np.array([math.log(abs(s)) if s else -math.inf for s in sums])
+    sign = np.array([-1.0 if s < 0 else 1.0 for s in sums], dtype=complex)
+    return log_s, sign
+
+
+def test_row_sum_recurrence_matches_closed_form_bit_for_bit():
+    # the ratio recurrence against the per-row factorial/binomial closed form:
+    # the same exact integers, so the same float rows, alone or in one tuple
+    for n_qubits in [*range(1, 41), 50, 74, 200, 500]:
+        moments = [tuple(int(c) for c in P.polypow([n_qubits, -2], r)) for r in range(4)]
+        pair = tuple(poly for _, poly in pair_polynomials(n_qubits))
+        together = _row_sums(n_qubits, pair)
+        # the six polynomials pair_entries reads are the test-side ones
+        for got, rows in zip(steady._pair_rows(n_qubits), together, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(got, rows))
+        cases = [(poly, [_row_sums(n_qubits, (poly,))[0]]) for poly in moments]
+        cases += [(poly, [_row_sums(n_qubits, (poly,))[0], rows])
+                  for poly, rows in zip(pair, together)]
+        for poly, candidates in cases:
+            ref_log, ref_sign = exact_rows(closed_form_row_sums(n_qubits, poly))
+            for log_s, sign in candidates:
+                assert np.array_equal(log_s, ref_log), (n_qubits, poly)
+                assert np.array_equal(sign, ref_sign), (n_qubits, poly)

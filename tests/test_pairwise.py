@@ -19,6 +19,7 @@ from helpers import (
     charpoly_concurrence,
     closed_form_pair_entries,
     pair_partial_trace,
+    pochhammer_pair_entries,
     random_symmetric_rho,
     random_x_state,
     steady_rho,
@@ -128,6 +129,17 @@ def test_pair_entries_match_high_precision_closed_form(n, pump):
     got = (rho[0, 0], rho[0, 1], rho[0, 3], rho[1, 1], rho[1, 3], rho[3, 3])
     for value, ref in zip(got, closed_form_pair_entries(params)):
         assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
+def test_pair_entries_match_pochhammer_reference_at_n1000():
+    # 50-digit coefficients times exact-integer row sums, with no log space
+    for params in (SystemParams(n_qubits=1000, rabi=1.0).with_pump(0.98),
+                   SystemParams(n_qubits=1000, rabi=1.0, detuning=-3.0,
+                                dipole_shift=2.0).with_pump(1.5)):
+        rho = steady_pair_density(params)
+        got = (rho[0, 0], rho[0, 1], rho[0, 3], rho[1, 1], rho[1, 3], rho[3, 3])
+        for value, ref in zip(got, pochhammer_pair_entries(params)):
+            assert abs(value - ref) <= 1e-10 * abs(ref)
 
 
 def test_conditioned_path_needs_two_qubits():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,19 @@ def test_pump_round_trip():
     q = p.with_pump(0.5)
     assert q.rabi == pytest.approx(12.5)
     assert q.n_qubits == 50 and q.detuning == p.detuning
+
+
+@pytest.mark.parametrize("pump", [-1.0, math.nan, math.inf, 1e307])
+def test_with_pump_rejects_the_pump(pump):
+    # 1e307 is finite, but rabi = pump * 200 / 2 overflows
+    with pytest.raises(ValueError, match="pump must be >= 0 with rabi = pump"):
+        SystemParams(n_qubits=200, rabi=1.0).with_pump(pump)
+
+
+def test_batch_reports_negative_rabi_as_a_plain_float():
+    with pytest.raises(ValueError, match=r"rabi must be >= 0, got -1\.5$"):
+        ParamBatch(2, rabi=np.array([1.0, -1.5]), detuning=np.zeros(2),
+                   dipole_shift=np.zeros(2))
 
 
 def test_batch_row_is_the_point():

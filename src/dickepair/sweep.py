@@ -5,7 +5,9 @@ runs the pipeline (ladder sums -> pair density matrix -> concurrence) on
 chunks of its rows, each layer as a few array passes over the chunk; a
 single point is the batch of one. numpy reduces every row on its own, so a
 record does not depend on the chunk size or on the other rows, and repeated
-runs are bit-identical.
+runs are bit-identical. ``detect_transition`` evaluates nothing: it reads
+the peak, the collapse and the steepest response off the records of a 1-D
+pump sweep.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import numpy as np
 from .errors import GridTooCoarse
 from .pairwise import concurrence, steady_pair_density
 from .params import ParamBatch, SystemParams, derive_params
+# perfbench/tracer.py patches sweep.expectation (tests/test_bench_contract.py)
 from .steady import expectation
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "find_max_concurrence",
     "detect_transition",
     "SHARPNESS_THRESHOLD",
+    "expectation",  # the tracer's patch target; no caller in this module
 ]
 
 AXIS_NAMES = ("rabi", "detuning", "dipole_shift", "pump")
@@ -231,48 +235,52 @@ def find_max_concurrence(
 
 @dataclass(frozen=True)
 class TransitionReport:
-    """Location and character of the steepest steady-state response.
+    """The peak, the collapse and the steepest response of one pump curve.
 
-    ``sharpness`` is max |d(<Sz>/N)/d x| over the grid by central
-    differences, on the axis x = pump / |1 + i delta|: at zero
-    effective detuning Delta + delta the curve is the resonant one with the
-    pump stretched by that factor, and on x both read the same. ``sharp``
-    flags values above SHARPNESS_THRESHOLD. The kind labels follow the
+    ``peak_pump`` is p*, the first pump of largest concurrence, ``peak_c``
+    is C(p*), and ``collapse_pump`` is the first pump past p* where C = 0
+    (NaN if C stays positive). ``sharpness`` is max |d(<Sz>/N)/d x| over the
+    grid by central differences, on the axis x = pump / |1 + i delta|: at
+    zero effective detuning Delta + delta the curve is the resonant one with
+    the pump stretched by that factor, and on x both read the same.
+    ``critical_pump`` is where that maximum sits, and ``sharp`` flags
+    sharpness above SHARPNESS_THRESHOLD. The kind labels follow the
     parameter regime (first order needs nonzero detuning, dipole shift and
-    effective detuning), not an independent thermodynamic criterion.
-    ``critical_pump`` is in ordinary pump units.
+    effective detuning), not an independent thermodynamic criterion. Pumps
+    are in ordinary pump units.
     """
 
     critical_pump: float
     kind: str
     sharpness: float
     sharp: bool
+    peak_pump: float
+    peak_c: float
+    collapse_pump: float
 
 
-def detect_transition(
-    template: SystemParams,
-    pump_axis: AxisSpec,
-    precision: str = "standard",
-) -> TransitionReport:
-    """Locate the steepest point of <Sz> along a pump axis.
+def detect_transition(result: SweepResult) -> TransitionReport:
+    """Read the peak, the collapse and the steepest response off a pump curve.
 
-    Requires a pump axis with at least 200 points (GridTooCoarse otherwise).
+    ``result`` is a 1-D sweep whose drive varies while detuning and dipole
+    shift stay constant (ValueError otherwise), with at least 200 rows
+    (GridTooCoarse otherwise). The pump is 2 rabi / N of each row and <Sz>/N
+    is the records' ``sz_norm``; nothing is evaluated here.
     """
-    if pump_axis.name != "pump":
-        raise ValueError(f"transition detection needs a pump axis, got {pump_axis.name!r}")
-    if pump_axis.points < 200:
-        raise GridTooCoarse(f"need >= 200 pump points, got {pump_axis.points}")
+    points = result.points
+    if len(result.columns) != 1 or np.ptp(points.detuning) or np.ptp(points.dipole_shift):
+        raise ValueError("transition detection needs a 1-D rabi or pump sweep")
+    if len(points) < 200:
+        raise GridTooCoarse(f"need >= 200 pump points, got {len(points)}")
 
-    pumps = pump_axis.values()
-    n = template.n_qubits
-    sz = np.array([
-        expectation(template.with_pump(float(x)), 0, 1, 0, precision=precision).real / n
-        for x in pumps
-    ])
-    deriv = np.gradient(sz, pumps)
+    pumps = 2.0 * points.rabi / points.n_qubits
+    c = result.data["c"]
+    peak = int(np.argmax(c))
+    zero = np.flatnonzero(c[peak + 1:] <= 0.0)
+    deriv = np.gradient(result.data["sz_norm"], pumps)
     idx = int(np.argmax(np.abs(deriv)))
-    stretch = abs(complex(1.0, template.dipole_shift))
-    sharpness = float(np.abs(deriv[idx])) * stretch
+    template = points.point(0)
+    sharpness = float(np.abs(deriv[idx])) * abs(complex(1.0, template.dipole_shift))
     first_order = (template.dipole_shift != 0.0 and template.detuning != 0.0
                    and derive_params(template).tilde_detuning != 0.0)
     return TransitionReport(
@@ -280,4 +288,7 @@ def detect_transition(
         kind="first_order_candidate" if first_order else "second_order_candidate",
         sharpness=sharpness,
         sharp=sharpness >= SHARPNESS_THRESHOLD,
+        peak_pump=float(pumps[peak]),
+        peak_c=float(c[peak]),
+        collapse_pump=float(pumps[peak + 1 + zero[0]]) if len(zero) else math.nan,
     )

@@ -12,7 +12,13 @@ from itertools import combinations
 import mpmath
 import numpy as np
 
-from dickepair import SystemParams, build_liouvillian, derive_params, steady_state_null_space
+from dickepair import (
+    SystemParams,
+    build_liouvillian,
+    derive_params,
+    expectation,
+    steady_state_null_space,
+)
 
 SIGMA_YY = np.array(
     [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
@@ -315,3 +321,19 @@ def coefficient_c(n, m, params: SystemParams):
 
 def steady_rho(params: SystemParams):
     return steady_state_null_space(build_liouvillian(params))
+
+
+def per_point_transition(template: SystemParams, pumps):
+    """Steepest response of <Sz>/N along a pump grid, one point at a time.
+
+    The reference for ``detect_transition``: <Sz>/N is the ladder moment
+    ``expectation(..., 0, 1, 0)`` at each pump (not the pair-matrix
+    ``sz_norm`` of a sweep), differentiated over the pump and stretched by
+    |1 + i delta|. Returns the grid index of the steepest point and the
+    sharpness.
+    """
+    sz = np.array([expectation(template.with_pump(float(x)), 0, 1, 0).real
+                   for x in pumps]) / template.n_qubits
+    deriv = np.gradient(sz, pumps)
+    idx = int(np.argmax(np.abs(deriv)))
+    return idx, float(np.abs(deriv[idx])) * abs(complex(1.0, template.dipole_shift))

@@ -1,5 +1,6 @@
 """Grid sweeps, maximization and transition detection."""
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dickepair import (
     sweep,
 )
 from dickepair.sweep import RECORD_FIELDS, SHARPNESS_THRESHOLD, evaluate_point, evaluate_points
+from helpers import per_point_transition
 
 # the package re-exports the function ``sweep`` under the module's name
 sweep_module = importlib.import_module("dickepair.sweep")
@@ -255,14 +257,21 @@ def test_find_max_bounds_validation():
 def test_detect_transition_needs_fine_grid():
     t = SystemParams(n_qubits=20, rabi=1.0)
     with pytest.raises(GridTooCoarse):
-        detect_transition(t, AxisSpec("pump", 0.1, 2.0, 150))
-    with pytest.raises(ValueError):
-        detect_transition(t, AxisSpec("rabi", 0.1, 2.0, 300))
+        detect_transition(sweep(t, (AxisSpec("pump", 0.1, 2.0, 150),)))
+    # the drive must vary alone: a detuning axis or a second axis is no pump curve
+    for axes in ((AxisSpec("detuning", -2.0, 2.0, 300),),
+                 (AxisSpec("pump", 0.1, 2.0, 200), AxisSpec("detuning", -1.0, 1.0, 2))):
+        with pytest.raises(ValueError):
+            detect_transition(sweep(t, axes))
+    # a rabi axis is the pump axis scaled by N / 2
+    by_rabi = detect_transition(sweep(t, (AxisSpec("rabi", 1.0, 20.0, 300),)))
+    by_pump = detect_transition(sweep(t, (AxisSpec("pump", 0.1, 2.0, 300),)))
+    assert by_rabi.critical_pump == pytest.approx(by_pump.critical_pump, rel=1e-12)
 
 
 def test_small_system_is_not_sharp():
     t = SystemParams(n_qubits=2, rabi=1.0)
-    report = detect_transition(t, AxisSpec("pump", 0.05, 3.0, 200))
+    report = detect_transition(sweep(t, (AxisSpec("pump", 0.05, 3.0, 200),)))
     assert report.sharpness < SHARPNESS_THRESHOLD
     assert not report.sharp
     assert report.kind == "second_order_candidate"
@@ -274,10 +283,10 @@ def test_transition_kind_classification():
     shifted = SystemParams(n_qubits=20, rabi=1.0, detuning=-4.0, dipole_shift=2.0)
     # detuning = -dipole_shift zeroes the effective detuning: a stretched resonant curve
     cancelled = SystemParams(n_qubits=20, rabi=1.0, detuning=-2.0, dipole_shift=2.0)
-    axis = AxisSpec("pump", 0.05, 2.0, 200)
-    assert detect_transition(resonant, axis).kind == "second_order_candidate"
-    assert detect_transition(shifted, axis).kind == "first_order_candidate"
-    assert detect_transition(cancelled, axis).kind == "second_order_candidate"
+    axis = (AxisSpec("pump", 0.05, 2.0, 200),)
+    assert detect_transition(sweep(resonant, axis)).kind == "second_order_candidate"
+    assert detect_transition(sweep(shifted, axis)).kind == "first_order_candidate"
+    assert detect_transition(sweep(cancelled, axis)).kind == "second_order_candidate"
 
 
 def test_cancelled_detuning_reads_as_resonant_curve():
@@ -286,9 +295,9 @@ def test_cancelled_detuning_reads_as_resonant_curve():
     stretch = abs(complex(1.0, 5.0))
     axis = AxisSpec("pump", 0.05, 6.0 / stretch, 800)
     stretched = AxisSpec("pump", axis.start * stretch, axis.stop * stretch, axis.points)
-    resonant = detect_transition(SystemParams(n_qubits=50, rabi=1.0), axis)
+    resonant = detect_transition(sweep(SystemParams(n_qubits=50, rabi=1.0), (axis,)))
     shifted = detect_transition(
-        SystemParams(n_qubits=50, rabi=1.0, detuning=-5.0, dipole_shift=5.0), stretched)
+        sweep(SystemParams(n_qubits=50, rabi=1.0, detuning=-5.0, dipole_shift=5.0), (stretched,)))
     assert resonant.kind == shifted.kind == "second_order_candidate"
     assert resonant.sharp and shifted.sharp
     assert shifted.sharpness == pytest.approx(resonant.sharpness, rel=0.01)
@@ -296,19 +305,69 @@ def test_cancelled_detuning_reads_as_resonant_curve():
 
 
 def test_collective_kink_sharpens_with_size():
-    axis = AxisSpec("pump", 0.5, 1.5, 250)
-    small = detect_transition(SystemParams(n_qubits=6, rabi=1.0), axis)
-    large = detect_transition(SystemParams(n_qubits=40, rabi=1.0), axis)
+    axis = (AxisSpec("pump", 0.5, 1.5, 250),)
+    small = detect_transition(sweep(SystemParams(n_qubits=6, rabi=1.0), axis))
+    large = detect_transition(sweep(SystemParams(n_qubits=40, rabi=1.0), axis))
     assert large.sharpness > small.sharpness
     assert large.sharp
+
+
+# the pump axis of acceptance criterion 4
+CRITERION_4_AXIS = AxisSpec("pump", 0.0075, 3.0, 400)
+STRETCH_5 = abs(complex(1.0, 5.0))
+TRANSITION_CURVES = {
+    "n50": (SystemParams(n_qubits=50, rabi=1.0), CRITERION_4_AXIS),
+    "n74": (SystemParams(n_qubits=74, rabi=1.0), CRITERION_4_AXIS),
+    "n200": (SystemParams(n_qubits=200, rabi=1.0), CRITERION_4_AXIS),
+    # the three curves of acceptance criterion 5
+    "n50-shifted": (SystemParams(n_qubits=50, rabi=1.0, detuning=-5.0, dipole_shift=5.0),
+                    AxisSpec("pump", 0.05, 6.0, 800)),
+    "n50-wide": (SystemParams(n_qubits=50, rabi=1.0), AxisSpec("pump", 0.05, 6.0, 800)),
+    "n50-unstretched": (SystemParams(n_qubits=50, rabi=1.0),
+                        AxisSpec("pump", 0.05 / STRETCH_5, 6.0 / STRETCH_5, 800)),
+    "n2": (SystemParams(n_qubits=2, rabi=1.0), AxisSpec("pump", 0.05, 3.0, 200)),
+    "n20-shifted": (SystemParams(n_qubits=20, rabi=1.0, detuning=-4.0, dipole_shift=2.0),
+                    AxisSpec("pump", 0.05, 2.0, 200)),
+    "n6-kink": (SystemParams(n_qubits=6, rabi=1.0), AxisSpec("pump", 0.5, 1.5, 250)),
+    "n40-kink": (SystemParams(n_qubits=40, rabi=1.0), AxisSpec("pump", 0.5, 1.5, 250)),
+    "n200-threshold": (SystemParams(n_qubits=200, rabi=1.0), AxisSpec("pump", 0.5, 1.1, 601)),
+}
+
+
+@pytest.mark.parametrize("curve", sorted(TRANSITION_CURVES))
+def test_transition_matches_per_point_reference(curve):
+    # the pair-matrix sz_norm of one sweep against one <Sz> moment per pump;
+    # the same grid point, though 2 rabi / N may differ from it in the last bit
+    template, axis = TRANSITION_CURVES[curve]
+    report = detect_transition(sweep(template, (axis,)))
+    idx, sharpness = per_point_transition(template, axis.values())
+    assert report.critical_pump == pytest.approx(axis.values()[idx], rel=1e-15)
+    assert report.sharpness == pytest.approx(sharpness, rel=1e-12)
+
+
+def test_report_peak_and_collapse():
+    reports = {n: detect_transition(sweep(SystemParams(n_qubits=n, rabi=1.0),
+                                          (CRITERION_4_AXIS,)))
+               for n in (50, 74, 200)}
+    peaks = [reports[n].peak_pump for n in (50, 74, 200)]
+    scaled = [n * reports[n].peak_c for n in (50, 74, 200)]
+    assert peaks[0] < peaks[1] < peaks[2]
+    # 2/N bounds the pair concurrence of a permutation-symmetric state
+    assert 0.0 < scaled[0] < scaled[1] < scaled[2] <= 2.0
+    for report in reports.values():
+        assert report.collapse_pump >= report.peak_pump
+    # two emitters keep C > 0 up to pump 1.43
+    pair = detect_transition(sweep(SystemParams(n_qubits=2, rabi=1.0),
+                                   (AxisSpec("pump", 0.05, 1.0, 200),)))
+    assert pair.peak_c > 0.0
+    assert math.isnan(pair.collapse_pump)
 
 
 @pytest.mark.parametrize("n", [50, 74])
 def test_large_ensemble_peak_location_and_collapse(n):
     # resonant peak just below the collective threshold, concurrence gone by 1.2
     t = SystemParams(n_qubits=n, rabi=1.0)
-    result = sweep(t, (AxisSpec("pump", 0.05, 1.5, 150),))
-    c = result.data["c"]
-    peak_pump = result.columns[0][int(np.argmax(c))]
-    assert 0.85 <= peak_pump <= 1.0
+    report = detect_transition(sweep(t, (AxisSpec("pump", 0.05, 1.5, 200),)))
+    assert 0.85 <= report.peak_pump <= 1.0
+    assert report.peak_pump <= report.collapse_pump <= 1.2
     assert evaluate_point(t.with_pump(1.2))[0] < 0.02

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalFailure, PairUndefined
 from .params import ParamBatch, SystemParams
-from .steady import ExpectationSet, _steady_tables, _SteadyTables
+from .steady import ExpectationSet, _batch_tables, _steady_tables
 
 __all__ = [
     "ConcurrenceResult",
@@ -115,7 +115,7 @@ def steady_pair_density(params: SystemParams | ParamBatch,
             f"pair reduction needs at least 2 qubits, got {params.n_qubits}"
         )
     if isinstance(params, ParamBatch):
-        return _assemble(*_SteadyTables(params, precision).pair_entries())
+        return _assemble(*_batch_tables(params, precision).pair_entries())
     return _assemble(*_steady_tables(params, precision).pair_entries())[0]
 
 

@@ -303,6 +303,30 @@ def pochhammer_pair_entries(params: SystemParams, dps=50):
                      for p, poly in pair_polynomials(n_qubits))
 
 
+def pochhammer_sz_power(params: SystemParams, r, dps=50):
+    """<Sz^r> in mpmath from the same closed form as ``pochhammer_pair_entries``.
+
+    Sz^r is the ladder polynomial ((N - 2d) / 2)^r: the exact integer row
+    sums of (N - 2d)^r over 2^r, weighted by C_nn = |u_n|^2. Returns a float.
+    """
+    n_qubits = params.n_qubits
+    poly = tuple(math.comb(r, k) * n_qubits ** (r - k) * (-2) ** k for k in range(r + 1))
+    with mpmath.workdps(dps):
+        denom = mpmath.mpc(1, params.dipole_shift)
+        alpha = 1j * mpmath.mpf(params.rabi) / denom
+        beta = 1j * (mpmath.mpf(params.detuning) + params.dipole_shift) / denom
+        weights = [mpmath.mpf(1)]
+        u = mpmath.mpc(1)
+        for k in range(1, n_qubits + 1):
+            u = -u * (1 + beta / k) / alpha
+            weights.append(abs(u) ** 2)
+        sums = closed_form_row_sums(n_qubits, poly)
+        z_sums = closed_form_row_sums(n_qubits, (1,))
+        num = mpmath.fsum(w * s for w, s in zip(weights, sums))
+        z = mpmath.fsum(w * s for w, s in zip(weights, z_sums))
+        return float(num / (z * 2 ** r))
+
+
 def coefficient_c(n, m, params: SystemParams):
     """C_nm = (-1)^(n+m) alpha^-n (alpha*)^-m a_n conj(a_m) as a plain complex.
 

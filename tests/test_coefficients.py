@@ -1,11 +1,14 @@
 """Coefficient-level checks: the Pochhammer prefix, C_nm in the ladder sums, Z and the row sums."""
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
 
 from dickepair import (
+    NumericalFailure,
     SystemParams,
     ZeroDrive,
     derive_params,
@@ -13,7 +16,13 @@ from dickepair import (
 from dickepair.oracle import DickeBasisOperators
 from dickepair import steady
 from dickepair.steady import _row_sums, _SteadyTables
-from helpers import closed_form_row_sums, coefficient_c, ladder_row_sum, pair_polynomials
+from helpers import (
+    closed_form_row_sums,
+    coefficient_c,
+    ladder_row_sum,
+    pair_polynomials,
+    pochhammer_sz_power,
+)
 
 
 def direct_pochhammer(n, beta):
@@ -51,8 +60,9 @@ def one_point(pair):
 
 
 def ladder_sum(tables, p, f, poly):
-    """tables._ladder_sum(p, f, .) over the row sums of one polynomial."""
-    return tables._ladder_sum(p, f, _row_sums(tables.n_qubits, (poly,))[0])
+    """tables._ladder_sums(p, f, .) over the row sums of one polynomial."""
+    scale, mantissa = tables._ladder_sums(p, f, _row_sums(tables.n_qubits, (poly,)))
+    return scale, mantissa[:, 0]
 
 
 def value(pair):
@@ -210,43 +220,71 @@ def test_partition_precision_modes_agree():
         _SteadyTables(params, precision="double").log_z[0]
 
 
+def exact_weight(s_q, s_0, denominator=1):
+    """The float the package stores for S_q / (denominator S_0): Fraction, then float."""
+    return float(Fraction(s_q, s_0 * denominator))
+
+
+def moment_polynomials(n_qubits, powers):
+    """((N - 2d)^r, N^r) for each r: the Sz^r ladder polynomial and its weight denominator."""
+    return [(tuple(int(c) for c in P.polypow([n_qubits, -2], r)), n_qubits ** r)
+            for r in powers]
+
+
 def test_row_sums_match_literal_double_loop():
-    # the closed-form O(N) row sums against the literal m loop in exact integers
+    # the closed-form O(N) row sums against the literal m loop in exact integers:
+    # log S_0 is math.log of the exact S_0 and every weight the rounded exact ratio
     for n_qubits in range(1, 13):
-        polys = [tuple(int(c) for c in P.polypow([n_qubits, -2], r)) for r in range(4)]
+        polys = [poly for poly, _ in moment_polynomials(n_qubits, range(4))]
         polys += [poly for _, poly in pair_polynomials(n_qubits)]
+        s_0 = [ladder_row_sum(n_qubits, n, (1,)) for n in range(n_qubits + 1)]
         for poly in polys:
-            (log_s, sign), = _row_sums(n_qubits, (poly,))
+            log_s0, (weights,) = _row_sums(n_qubits, (poly,))
             for n in range(n_qubits + 1):
-                exact = ladder_row_sum(n_qubits, n, poly)
-                if exact == 0:
-                    assert log_s[n] == -math.inf
-                else:
-                    assert sign[n] * math.exp(log_s[n]) == pytest.approx(exact, rel=1e-14)
-
-
-def exact_rows(sums):
-    """(log|S_n|, sign(S_n)) of exact integer row sums, as the package forms them."""
-    log_s = np.array([math.log(abs(s)) if s else -math.inf for s in sums])
-    sign = np.array([-1.0 if s < 0 else 1.0 for s in sums], dtype=complex)
-    return log_s, sign
+                assert log_s0[n] == math.log(s_0[n])
+                assert weights[n] == exact_weight(ladder_row_sum(n_qubits, n, poly), s_0[n])
 
 
 def test_row_sum_recurrence_matches_closed_form_bit_for_bit():
-    # the ratio recurrence against the per-row factorial/binomial closed form:
-    # the same exact integers, so the same float rows, alone or in one tuple
-    for n_qubits in [*range(1, 41), 50, 74, 200, 500]:
-        moments = [tuple(int(c) for c in P.polypow([n_qubits, -2], r)) for r in range(4)]
-        pair = tuple(poly for _, poly in pair_polynomials(n_qubits))
-        together = _row_sums(n_qubits, pair)
-        # the six polynomials pair_entries reads are the test-side ones
-        for got, rows in zip(steady._pair_rows(n_qubits), together, strict=True):
-            assert all(np.array_equal(a, b) for a, b in zip(got, rows))
-        cases = [(poly, [_row_sums(n_qubits, (poly,))[0]]) for poly in moments]
-        cases += [(poly, [_row_sums(n_qubits, (poly,))[0], rows])
-                  for poly, rows in zip(pair, together)]
-        for poly, candidates in cases:
-            ref_log, ref_sign = exact_rows(closed_form_row_sums(n_qubits, poly))
-            for log_s, sign in candidates:
-                assert np.array_equal(log_s, ref_log), (n_qubits, poly)
-                assert np.array_equal(sign, ref_sign), (n_qubits, poly)
+    # the T_0 recurrence and the exact T_j / T_0 ratios against the per-row
+    # factorial/binomial closed form: the same exact values, so the same float
+    # rows, alone or in one tuple, and no nonzero row sum rounds to a zero or
+    # subnormal weight
+    for n_qubits in [*range(1, 41), 50, 74, 200, 500, 1000]:
+        s_0 = closed_form_row_sums(n_qubits, (1,))
+        ref_log_s0 = np.array([math.log(s) for s in s_0])
+        pair = [poly for _, poly in pair_polynomials(n_qubits)]
+        together = _row_sums(n_qubits, tuple(pair))
+        # the rows pair_entries reads: q = 1 (Z and r14), r11, r22, r44, r12, r24
+        package_pair = steady._pair_rows(n_qubits)
+        package_order = [pair[i] for i in (2, 0, 3, 5, 1, 4)]
+        cases = [(poly, 1, [(_row_sums(n_qubits, (poly,)), 0), (together, g),
+                            (package_pair, package_order.index(poly))])
+                 for g, poly in enumerate(pair)]
+        low = steady._moment_rows(n_qubits, (0, 1, 2))
+        for r, (poly, den) in enumerate(moment_polynomials(n_qubits, range(4))):
+            rows = low if r < 3 else steady._moment_rows(n_qubits, (r,))
+            cases.append((poly, den, [(rows, r if r < 3 else 0)]))
+        for poly, den, candidates in cases:
+            sums = closed_form_row_sums(n_qubits, poly)
+            ref = np.array([exact_weight(s, s0, den) for s, s0 in zip(sums, s_0)])
+            nonzero = np.array([s != 0 for s in sums])
+            assert (np.abs(ref[nonzero]) >= sys.float_info.min).all(), (n_qubits, poly)
+            for (log_s0, weights), g in candidates:
+                assert np.array_equal(log_s0, ref_log_s0), (n_qubits, poly)
+                assert np.array_equal(weights[g], ref), (n_qubits, poly)
+
+
+def test_weight_out_of_double_range_raises():
+    # a nonzero row sum never silently becomes a zero or subnormal weight
+    with pytest.raises(NumericalFailure, match="leaves double range"):
+        _row_sums(3, ((1,),), (10 ** 400,))
+
+
+def test_high_sz_power_stays_in_range():
+    # <Sz^40> at N = 200: (N/2)^40 rides in the scale and the weights are
+    # averages of ((N - 2d)/N)^40, so the moment is finite and matches mpmath
+    params = SystemParams(n_qubits=200, rabi=0.9 * 100, detuning=-1.0, dipole_shift=2.0)
+    got = steady.expectation(params, 0, 40, 0)
+    assert math.isfinite(got.real) and got.imag == 0.0
+    assert got.real == pytest.approx(pochhammer_sz_power(params, 40), rel=1e-12)

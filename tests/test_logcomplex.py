@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dickepair import SystemParams
+from dickepair import logcomplex
 from dickepair.logcomplex import (
     CANCELLATION_TRIGGER,
     LOG_ZERO,
@@ -12,10 +13,17 @@ from dickepair.logcomplex import (
 from dickepair.steady import _SteadyTables
 
 
+def unweighted(log_mags, units, precision):
+    """logsum_complex of (P, K) rows with the single weight row of ones: (P,) arrays."""
+    scale, mantissa = logsum_complex(log_mags, units, np.ones((1, log_mags.shape[1])),
+                                     precision)
+    return scale, mantissa[:, 0]
+
+
 def one_row(log_mags, units, precision="standard"):
     """logsum_complex of a single sum, as a (float, complex) pair."""
-    scale, mantissa = logsum_complex(np.array([log_mags], dtype=float),
-                                     np.array([units], dtype=complex), precision)
+    scale, mantissa = unweighted(np.array([log_mags], dtype=float),
+                                 np.array([units], dtype=complex), precision)
     return float(scale[0]), complex(mantissa[0])
 
 
@@ -109,14 +117,58 @@ def test_rows_reduce_independently(precision):
     log_mags[5] = [math.log(1e16), 0.0, math.log(1e16), LOG_ZERO, LOG_ZERO, LOG_ZERO]
     units[5] = [1.0, 1.0, -1.0, 1.0, 1.0, 1.0]
     log_mags[9] = LOG_ZERO
-    scale, mantissa = logsum_complex(log_mags, units, precision)
+    scale, mantissa = unweighted(log_mags, units, precision)
     assert scale.shape == mantissa.shape == (20,)
     assert abs(mantissa[5]) == pytest.approx(1e-16, rel=1e-12)
     assert (scale[9], mantissa[9]) == (LOG_ZERO, 0j)
     for size in (7, 1):
-        parts = [logsum_complex(log_mags[i:i + size], units[i:i + size], precision)
+        parts = [unweighted(log_mags[i:i + size], units[i:i + size], precision)
                  for i in range(0, 20, size)]
         assert np.concatenate([p[0] for p in parts]).tobytes() == scale.tobytes()
         assert np.concatenate([p[1] for p in parts]).tobytes() == mantissa.tobytes()
     for i in range(20):
         assert one_row(log_mags[i], units[i], precision) == (scale[i], mantissa[i])
+
+
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+def test_weight_rows_share_one_base(precision):
+    # G weight rows over one base give G sums, each the same bits as the
+    # sum of that weight row alone, and the plain weighted sums
+    rng = np.random.default_rng(31)
+    log_mags = rng.normal(size=(9, 12))
+    units = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(9, 12)))
+    weights = rng.uniform(-3.0, 3.0, size=(3, 12))
+    scale, mantissa = logsum_complex(log_mags, units, weights, precision)
+    assert scale.shape == (9,) and mantissa.shape == (9, 3)
+    direct = (np.exp(log_mags) * units) @ weights.T
+    for g in range(3):
+        alone = logsum_complex(log_mags, units, weights[g:g + 1], precision)[1][:, 0]
+        assert alone.tobytes() == mantissa[:, g].tobytes()
+        got = np.exp(scale) * mantissa[:, g]
+        assert np.abs(got - direct[:, g]).max() <= 1e-12 * np.abs(direct[:, g]).max()
+    # a real base gives real sums
+    scale, real = logsum_complex(log_mags, None, weights, precision)
+    assert real.dtype == float
+    assert np.allclose(np.exp(scale)[:, None] * real, np.exp(log_mags) @ weights.T,
+                       rtol=1e-12, atol=0.0)
+
+
+def test_cancellation_ratio_reads_the_weights(monkeypatch):
+    # the largest term is exp part times |weight|: terms [1e16, 1, -1e16]
+    # cancel to 1, which the plain sum loses and the exact accumulator keeps
+    log_mags = np.zeros((1, 3))
+    scale, mantissa = logsum_complex(log_mags, None, np.array([[1e16, 1.0, -1e16]]))
+    assert scale[0] == 0.0 and mantissa[0, 0] == 1.0
+
+    # the screen max|term| <= max|w| flags this sum (|sum| ~ 1e-9 < 1e-8 * 1e9),
+    # but its largest term is 1e-9 itself, so nothing is redone
+    def no_fsum(values):
+        raise AssertionError("exact accumulator on a sum that does not cancel")
+
+    monkeypatch.setattr(logcomplex.math, "fsum", no_fsum)
+    log_mags = np.array([[0.0, -50.0]])
+    weights = np.array([[1e-9, 1e9]])
+    scale, mantissa = logsum_complex(log_mags, np.ones((1, 2), dtype=complex), weights)
+    assert mantissa[0, 0] == 1e-9 + math.exp(-50.0) * 1e9
+    # a real base with nonnegative weights is never tested
+    logsum_complex(np.array([[0.0, 0.0]]), None, np.array([[0.0, 1e-30]]))

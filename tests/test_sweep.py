@@ -95,6 +95,22 @@ def test_records_do_not_depend_on_chunk_size(monkeypatch, n, precision):
     assert evaluate_point(one, precision) == evaluate_points(points, precision)[3].item()
 
 
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+@pytest.mark.parametrize("n", [74, 200])
+def test_large_ensemble_rows_do_not_depend_on_their_batch(n, precision):
+    # at the default chunk size, over three full chunks and a partial one,
+    # every record is the one-point evaluation of its row, bit for bit: the
+    # weighted ladder sums reduce each row on its own at every batch shape
+    step = sweep_module.CHUNK_ELEMENTS // max(n + 1, 16)
+    size = 3 * step + 5
+    rng = np.random.default_rng(1000 + n)
+    points = ParamBatch(n, rng.uniform(0.05, 3.0, size) * n / 2, rng.uniform(-10.0, 5.0, size),
+                        rng.choice([0.0, 2.0, 5.0], size))
+    records = evaluate_points(points, precision)
+    for i in range(size):
+        assert evaluate_point(points.point(i), precision) == records[i].item(), i
+
+
 def test_pump_axis_converts_to_rabi():
     t = SystemParams(n_qubits=6, rabi=1.0)
     ax = AxisSpec("pump", 0.4, 0.8, 2)

@@ -6,10 +6,13 @@ a linear combination of collective moments. The concurrence follows from the
 spin-flip construction R = rho (sy x sy) rho* (sy x sy), whose eigenvalues
 are taken from one Hermitian route: an ``eigh`` of rho, which also validates
 it (finite, Hermitian, positive semidefinite), then the ``svd`` of
-sqrt(rho) (sy x sy) sqrt(rho)^T. Both work on (P, 4, 4) stacks: the pair
-matrices of a :class:`~dickepair.params.ParamBatch` are assembled as one
-stack and go through one batched ``eigh`` and one batched ``svd``; a single
-matrix is the stack of one.
+sqrt(rho) (sy x sy) sqrt(rho)^T. A pair matrix of a symmetric ensemble has
+equal eg and ge rows and columns, so its singlet weight is exactly zero and
+both steps run on its 3x3 block over the triplet {|ee>, |T0>, |gg>}, with
+lambda4 exactly 0; any other 4x4 input takes the 4x4 route. Both work on
+(P, d, d) stacks: the pair matrices of a :class:`~dickepair.params.ParamBatch`
+are assembled as one stack and go through one batched ``eigh`` and one
+batched ``svd``; a single matrix is the stack of one.
 """
 from __future__ import annotations
 
@@ -40,6 +43,16 @@ SIGMA_YY = np.array(
     dtype=complex,
 )
 
+# the spin flip sy x sy on the triplet block {ee, T0, gg}; the block reads
+# the rows and columns ee, eg, gg and scales each T0 index by sqrt(2)
+_TRIPLET_FLIP = np.array([[0, 0, -1], [0, 1, 0], [-1, 0, 0]], dtype=complex)
+_TRIPLET_INDEX = np.array([0, 1, 3])
+_TRIPLET_SCALE = np.array([
+    [1.0, np.sqrt(2.0), 1.0],
+    [np.sqrt(2.0), 2.0, np.sqrt(2.0)],
+    [1.0, np.sqrt(2.0), 1.0],
+])
+
 # the 16 entries of a pair matrix, row-major, as indices into its nine
 # distinct values r11, r12, r14, r22, r24, r44, conj(r12), conj(r14), conj(r24)
 _ENTRY_INDEX = np.array([0, 1, 1, 2, 6, 3, 3, 4, 6, 3, 3, 4, 7, 8, 8, 5])
@@ -53,7 +66,8 @@ class ConcurrenceResult:
     """Concurrence with its spin-flip spectrum and analytic references.
 
     ``lambdas`` are the four square-rooted eigenvalues of R in descending
-    order; ``concurrence`` equals max(0, lambdas[0] - sum(lambdas[1:])).
+    order (lambdas[3] is exactly 0 for a matrix on the triplet block);
+    ``concurrence`` equals max(0, lambdas[0] - sum(lambdas[1:])).
     ``c_ref_1`` = 2(|rho14| - sqrt(rho22*rho33)) and
     ``c_ref_2`` = 2(|rho23| - sqrt(rho11*rho44)) are exact for X-shaped
     states and reported alongside the full result otherwise. For a stack of
@@ -131,9 +145,18 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     sqrt(rho) (sy x sy) sqrt(rho)^T, and singular values are perfectly
     conditioned, which avoids the error amplification of the non-normal
     eigenproblem when R has near-zero eigenvalues. Round-off negatives in
-    the spectrum of rho clamp to zero before the square root. A stack takes
-    one batched ``eigh`` and one batched ``svd``, and every field of the
-    result gains the leading axis P.
+    the spectrum of rho clamp to zero before the square root.
+
+    A matrix whose eg and ge rows and columns are exactly equal, as every
+    pair matrix of a symmetric ensemble is, has the singlet in its kernel:
+    its ``eigh`` and ``svd`` run on the 3x3 triplet block, the positivity
+    check reads the block's spectrum, and lambda4 is exactly 0. Leaving out
+    the singlet's round-off eigenvalue keeps its square root out of the svd.
+    Every other matrix takes the 4x4 problem. The test is made per matrix,
+    so a matrix's result does not depend on the others in its stack. A
+    stack takes one batched ``eigh`` and one batched ``svd`` per route, and
+    every field of the result gains the leading axis P (an empty stack
+    gives empty fields).
     """
     rho = np.asarray(rho, dtype=complex)
     single = rho.shape == (4, 4)
@@ -145,25 +168,26 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
         raise NumericalFailure("density matrix has non-finite entries")
     # summed in a fixed order: numpy may reorder a strided reduction by stack size
     trace = ((rho[:, 0, 0].real + rho[:, 1, 1].real) + rho[:, 2, 2].real) + rho[:, 3, 3].real
-    if trace.min() <= 0:
+    if (trace <= 0).any():
         raise NumericalFailure(f"density matrix has non-positive trace {trace.min()}")
     rho = rho / trace[:, None, None]
 
     # the worst matrix of the stack decides
-    asym = np.abs(rho - rho.conj().transpose(0, 2, 1)).max()
+    asym = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(initial=0.0)
     if asym > HERMITIAN_TOL:
         raise NumericalFailure(
             f"density matrix departs from Hermitian by {asym:.3e} > {HERMITIAN_TOL}"
         )
-    evals, vecs = np.linalg.eigh(rho)
-    lowest = evals[:, 0].min()
-    if lowest < EIG_NEG_TOL:
-        raise NumericalFailure(
-            f"density matrix eigenvalue {lowest:.3e} below tolerance {EIG_NEG_TOL}"
-        )
-    root_evals = np.sqrt(np.maximum(evals, 0.0))[:, None, :]
-    sqrt_rho = (vecs * root_evals) @ vecs.conj().transpose(0, 2, 1)
-    lams = np.linalg.svd(sqrt_rho @ SIGMA_YY @ sqrt_rho.conj(), compute_uv=False)
+    # a row whose eg and ge rows and columns are equal has the singlet in its
+    # kernel and takes the 3x3 triplet block; each row's route reads only that row
+    triplet = ((rho[:, 1] == rho[:, 2]).all(axis=1)
+               & (rho[:, :, 1] == rho[:, :, 2]).all(axis=1))
+    lams = np.zeros((len(rho), 4))
+    if triplet.all():
+        lams[:, :3] = _spin_flip_values(_triplet_block(rho), _TRIPLET_FLIP)
+    else:
+        lams[triplet, :3] = _spin_flip_values(_triplet_block(rho[triplet]), _TRIPLET_FLIP)
+        lams[~triplet] = _spin_flip_values(rho[~triplet], SIGMA_YY)
     c = np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
     ref1, ref2 = concurrence_ref(rho)
     if single:
@@ -174,6 +198,33 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
             c_ref_2=float(ref2[0]),
         )
     return ConcurrenceResult(concurrence=c, lambdas=lams, c_ref_1=ref1, c_ref_2=ref2)
+
+
+def _triplet_block(rho: np.ndarray) -> np.ndarray:
+    """(P, 3, 3) blocks of exchange-symmetric pair matrices on {ee, T0, gg}.
+
+    With T0 = (|eg> + |ge>)/sqrt(2) and equal eg and ge rows and columns,
+    the T0 entries are those of eg scaled by sqrt(2), and <T0|rho|T0> is
+    2 rho22.
+    """
+    return rho[:, _TRIPLET_INDEX[:, None], _TRIPLET_INDEX] * _TRIPLET_SCALE
+
+
+def _spin_flip_values(rho: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """Descending singular values of sqrt(rho) flip sqrt(rho)^T for a (P, d, d) stack.
+
+    The ``eigh`` of rho gives sqrt(rho) and checks its spectrum against
+    EIG_NEG_TOL; round-off negatives clamp to zero before the square root.
+    """
+    evals, vecs = np.linalg.eigh(rho)
+    lowest = evals[:, 0].min(initial=np.inf)
+    if lowest < EIG_NEG_TOL:
+        raise NumericalFailure(
+            f"density matrix eigenvalue {lowest:.3e} below tolerance {EIG_NEG_TOL}"
+        )
+    root_evals = np.sqrt(np.maximum(evals, 0.0))[:, None, :]
+    sqrt_rho = (vecs * root_evals) @ vecs.conj().transpose(0, 2, 1)
+    return np.linalg.svd(sqrt_rho @ flip @ sqrt_rho.conj(), compute_uv=False)
 
 
 def concurrence_ref(rho: np.ndarray):

@@ -262,7 +262,10 @@ class _SteadyTables:
         log_mags, units = self._base(p, f, log_s0)
         scale, mantissa = logsum_complex(log_mags, units, weights[:, lo:], self.precision)
         if p != f:
-            mantissa = mantissa * self.alpha_unit[:, None] ** (p - f)
+            # np.multiply, not the operator: for an operand of 256 KiB or more
+            # numpy reuses the temporary power as the output and swaps the
+            # operands, and a complex product is not bitwise commutative
+            mantissa = np.multiply(mantissa, self.alpha_unit[:, None] ** (p - f))
         return scale, mantissa
 
     def _moment_group(self, p: int, f: int, powers: tuple[int, ...]):

@@ -56,10 +56,12 @@ MAX_SWEEP_POINTS = 10**6
 # A batch is evaluated in chunks of CHUNK_ELEMENTS // max(N + 1, 16) rows,
 # so no (rows, N + 1) coefficient array of a chunk holds more than
 # CHUNK_ELEMENTS entries and memory stays flat whatever the grid size
-# (256 rows at N <= 15, 54 at N = 74, 20 at N = 200); past the budget,
-# from N = CHUNK_ELEMENTS on, a chunk is one row. The CLI's oracle-check
-# spends the same budget on the (N + 1)^4 entries of each dense Liouvillian.
-CHUNK_ELEMENTS = 1 << 12
+# (512 rows at N <= 15, 109 at N = 74, 40 at N = 200); past the budget,
+# from N = CHUNK_ELEMENTS on, a chunk is one row. A larger chunk spreads
+# each chunk's fixed cost over more rows but raises peak memory; keep a
+# chunk at or below 4,096 rows. The CLI's oracle-check spends the same
+# budget on the (N + 1)^4 entries of each dense Liouvillian.
+CHUNK_ELEMENTS = 1 << 13
 
 MAXIMIZE_AXES = ("rabi", "pump", "detuning")
 

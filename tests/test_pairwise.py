@@ -5,6 +5,7 @@ import pytest
 from dickepair import (
     NumericalFailure,
     PairUndefined,
+    ParamBatch,
     SystemParams,
     concurrence,
     concurrence_ref,
@@ -14,6 +15,7 @@ from dickepair import (
     steady_pair_density,
     two_qubit_rho,
 )
+from dickepair.cli import FIGURES
 from dickepair.steady import ExpectationSet
 from helpers import (
     charpoly_concurrence,
@@ -236,6 +238,52 @@ def test_stack_matches_single_matrices():
         assert one.concurrence == res.concurrence[i]
         assert one.lambdas == tuple(res.lambdas[i])
         assert (one.c_ref_1, one.c_ref_2) == (res.c_ref_1[i], res.c_ref_2[i])
+
+
+def test_empty_stack_gives_empty_fields():
+    res = concurrence(np.zeros((0, 4, 4), dtype=complex))
+    assert res.concurrence.shape == res.c_ref_1.shape == res.c_ref_2.shape == (0,)
+    assert res.lambdas.shape == (0, 4)
+
+
+def test_triplet_route_matches_charpoly_on_weak_drive():
+    # fig3's weakest drives, every other detuning of its axis: near-zero
+    # eigenvalues of rho, where the 4x4 route read up to 1.1e-10 off the
+    # 40-digit reference and the triplet block reads 4.0e-12
+    preset = FIGURES["fig3"]
+    rabi_axis, detuning_axis = preset.axes
+    (dipole, _), = preset.curves
+    detunings = detuning_axis.values()[::2]
+    rho = np.concatenate([
+        steady_pair_density(ParamBatch(preset.n_qubits, np.full(len(detunings), rabi),
+                                       detunings, np.full(len(detunings), dipole)))
+        for rabi in rabi_axis.values()[:2]
+    ])
+    assert len(rho) == 126
+    res = concurrence(rho)
+    assert np.all(res.lambdas[:, 3] == 0.0)
+    error = max(abs(c - charpoly_concurrence(r)) for c, r in zip(res.concurrence, rho))
+    assert error <= 2e-11
+
+
+def test_mixed_stack_routes_each_matrix_on_its_own():
+    # pair matrices of the steady state (triplet block) interleaved with
+    # singlet-weighted states (4x4 route): every row has the bits it has alone
+    rng = np.random.default_rng(34)
+    points = ParamBatch(6, rng.uniform(0.05, 3.0, 8) * 3, rng.uniform(-10.0, 5.0, 8),
+                        rng.choice([0.0, 2.0, 5.0], 8))
+    pairs = steady_pair_density(points)
+    werner = 0.6 * bell_phi_plus() + 0.4 * np.eye(4) / 4
+    general = [random_symmetric_rho(rng) for _ in range(7)] + [werner]
+    stack = np.array([m for two in zip(pairs, general) for m in two])
+    res = concurrence(stack)
+    for i, rho in enumerate(stack):
+        one = concurrence(rho)
+        assert one.concurrence == res.concurrence[i]
+        assert one.lambdas == tuple(res.lambdas[i])
+        assert (one.c_ref_1, one.c_ref_2) == (res.c_ref_1[i], res.c_ref_2[i])
+    assert np.all(res.lambdas[::2, 3] == 0.0)
+    assert np.all(res.lambdas[1::2, 3] > 0.0)
 
 
 @pytest.mark.parametrize("defect", ["non_finite", "non_hermitian", "non_psd"])

@@ -96,11 +96,12 @@ def test_records_do_not_depend_on_chunk_size(monkeypatch, n, precision):
 
 
 @pytest.mark.parametrize("precision", ["standard", "extended"])
-@pytest.mark.parametrize("n", [74, 200])
+@pytest.mark.parametrize("n", [2, 6, 74, 200])
 def test_large_ensemble_rows_do_not_depend_on_their_batch(n, precision):
     # at the default chunk size, over three full chunks and a partial one,
     # every record is the one-point evaluation of its row, bit for bit: the
-    # weighted ladder sums reduce each row on its own at every batch shape
+    # weighted ladder sums reduce each row on its own at every batch shape,
+    # and concurrence picks each row's block size from that row alone
     step = sweep_module.CHUNK_ELEMENTS // max(n + 1, 16)
     size = 3 * step + 5
     rng = np.random.default_rng(1000 + n)
@@ -109,6 +110,18 @@ def test_large_ensemble_rows_do_not_depend_on_their_batch(n, precision):
     records = evaluate_points(points, precision)
     for i in range(size):
         assert evaluate_point(points.point(i), precision) == records[i].item(), i
+
+
+def test_one_large_chunk_matches_default_chunks(monkeypatch):
+    # a chunk of 20,000 rows at N = 2 holds complex temporaries above numpy's
+    # 256 KiB threshold for reusing a temporary operand as the output
+    size = 20_000
+    rng = np.random.default_rng(2)
+    points = ParamBatch(2, rng.uniform(0.025, 5.0, size), rng.uniform(-20.0, 5.0, size),
+                        np.full(size, 5.0))
+    default = evaluate_points(points)
+    monkeypatch.setattr(sweep_module, "CHUNK_ELEMENTS", size * 16)
+    assert evaluate_points(points).tobytes() == default.tobytes()
 
 
 def test_pump_axis_converts_to_rabi():

@@ -183,11 +183,8 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     triplet = ((rho[:, 1] == rho[:, 2]).all(axis=1)
                & (rho[:, :, 1] == rho[:, :, 2]).all(axis=1))
     lams = np.zeros((len(rho), 4))
-    if triplet.all():
-        lams[:, :3] = _spin_flip_values(_triplet_block(rho), _TRIPLET_FLIP)
-    else:
-        lams[triplet, :3] = _spin_flip_values(_triplet_block(rho[triplet]), _TRIPLET_FLIP)
-        lams[~triplet] = _spin_flip_values(rho[~triplet], SIGMA_YY)
+    lams[triplet, :3] = _spin_flip_values(_triplet_block(rho[triplet]), _TRIPLET_FLIP)
+    lams[~triplet] = _spin_flip_values(rho[~triplet], SIGMA_YY)
     c = np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
     ref1, ref2 = concurrence_ref(rho)
     if single:

@@ -57,7 +57,7 @@ MAX_SWEEP_POINTS = 10**6
 # so no (rows, N + 1) coefficient array of a chunk holds more than
 # CHUNK_ELEMENTS entries and memory stays flat whatever the grid size
 # (512 rows at N <= 15, 109 at N = 74, 40 at N = 200); past the budget,
-# from N = CHUNK_ELEMENTS on, a chunk is one row. A larger chunk spreads
+# from N = CHUNK_ELEMENTS // 2 on, a chunk is one row. A larger chunk spreads
 # each chunk's fixed cost over more rows but raises peak memory; keep a
 # chunk at or below 4,096 rows. The CLI's oracle-check spends the same
 # budget on the (N + 1)^4 entries of each dense Liouvillian.

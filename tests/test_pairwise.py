@@ -24,6 +24,7 @@ from helpers import (
     pochhammer_pair_entries,
     random_symmetric_rho,
     random_x_state,
+    spin_flip_eig_concurrence,
     steady_rho,
 )
 
@@ -246,10 +247,10 @@ def test_empty_stack_gives_empty_fields():
     assert res.lambdas.shape == (0, 4)
 
 
-def test_triplet_route_matches_charpoly_on_weak_drive():
+def test_triplet_route_matches_high_precision_on_weak_drive():
     # fig3's weakest drives, every other detuning of its axis: near-zero
     # eigenvalues of rho, where the 4x4 route read up to 1.1e-10 off the
-    # 40-digit reference and the triplet block reads 4.0e-12
+    # 40-digit reference and the triplet block reads 2.1e-13
     preset = FIGURES["fig3"]
     rabi_axis, detuning_axis = preset.axes
     (dipole, _), = preset.curves
@@ -262,7 +263,7 @@ def test_triplet_route_matches_charpoly_on_weak_drive():
     assert len(rho) == 126
     res = concurrence(rho)
     assert np.all(res.lambdas[:, 3] == 0.0)
-    error = max(abs(c - charpoly_concurrence(r)) for c, r in zip(res.concurrence, rho))
+    error = max(abs(c - spin_flip_eig_concurrence(r)) for c, r in zip(res.concurrence, rho))
     assert error <= 2e-11
 
 

@@ -4,15 +4,17 @@ For a permutation-symmetric N-qubit state the reduced state of any pair is
 the same 4x4 matrix in the basis {|ee>, |eg>, |ge>, |gg>}, and every entry is
 a linear combination of collective moments. The concurrence follows from the
 spin-flip construction R = rho (sy x sy) rho* (sy x sy), whose eigenvalues
-are taken from one Hermitian route: an ``eigh`` of rho, which also validates
-it (finite, Hermitian, positive semidefinite), then the ``svd`` of
-sqrt(rho) (sy x sy) sqrt(rho)^T. A pair matrix of a symmetric ensemble has
-equal eg and ge rows and columns, so its singlet weight is exactly zero and
-both steps run on its 3x3 block over the triplet {|ee>, |T0>, |gg>}, with
-lambda4 exactly 0; any other 4x4 input takes the 4x4 route. Both work on
+are taken from Hermitian routes: for a general 4x4 input, an ``eigh`` of rho,
+which also validates it (finite, Hermitian, positive semidefinite), then the
+``svd`` of sqrt(rho) (sy x sy) sqrt(rho)^T. A pair matrix of a symmetric
+ensemble has equal eg and ge rows and columns, so its singlet weight is
+exactly zero, lambda4 is exactly 0, and lambda1-3 come from its 3x3 block
+over the triplet {|ee>, |T0>, |gg>}: from the ``svd`` of L^T F L, with L its
+Cholesky factor, whenever the factorization completes with positive pivots,
+and from the block's ``eigh`` and ``svd`` otherwise. Every route works on
 (P, d, d) stacks: the pair matrices of a :class:`~dickepair.params.ParamBatch`
-are assembled as one stack and go through one batched ``eigh`` and one
-batched ``svd``; a single matrix is the stack of one.
+are assembled as one stack and go through one batched call per route; a
+single matrix is the stack of one.
 """
 from __future__ import annotations
 
@@ -52,6 +54,9 @@ _TRIPLET_SCALE = np.array([
     [np.sqrt(2.0), 2.0, np.sqrt(2.0)],
     [1.0, np.sqrt(2.0), 1.0],
 ])
+# the lower triangle of the block over {ee, eg, gg}: a00, a10, a30, a11, a31, a33
+_LOWER_ROWS = np.array([0, 1, 3, 1, 3, 3])
+_LOWER_COLS = np.array([0, 0, 0, 1, 1, 3])
 
 # the 16 entries of a pair matrix, row-major, as indices into its nine
 # distinct values r11, r12, r14, r22, r24, r44, conj(r12), conj(r14), conj(r24)
@@ -148,15 +153,17 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     the spectrum of rho clamp to zero before the square root.
 
     A matrix whose eg and ge rows and columns are exactly equal, as every
-    pair matrix of a symmetric ensemble is, has the singlet in its kernel:
-    its ``eigh`` and ``svd`` run on the 3x3 triplet block, the positivity
-    check reads the block's spectrum, and lambda4 is exactly 0. Leaving out
-    the singlet's round-off eigenvalue keeps its square root out of the svd.
-    Every other matrix takes the 4x4 problem. The test is made per matrix,
-    so a matrix's result does not depend on the others in its stack. A
-    stack takes one batched ``eigh`` and one batched ``svd`` per route, and
-    every field of the result gains the leading axis P (an empty stack
-    gives empty fields).
+    pair matrix of a symmetric ensemble is, has the singlet in its kernel
+    and lambda4 exactly 0; its lambda1-3 come from the 3x3 triplet block T.
+    If the Cholesky factorization T = L L^H completes with positive pivots,
+    the matrix is positive semidefinite to round-off and lambda1-3 are the
+    singular values of L^T F L, with F the triplet spin flip: one ``svd``,
+    no ``eigh``. Otherwise ``eigh`` and ``svd`` run on the block as above,
+    and the positivity check reads the block's spectrum. Every other matrix
+    takes the 4x4 problem. The routes are chosen per matrix, so a matrix's
+    result does not depend on the others in its stack. A stack takes one
+    batched call per route that has matrices, and every field of the
+    result gains the leading axis P (an empty stack gives empty fields).
     """
     rho = np.asarray(rho, dtype=complex)
     single = rho.shape == (4, 4)
@@ -179,12 +186,22 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
             f"density matrix departs from Hermitian by {asym:.3e} > {HERMITIAN_TOL}"
         )
     # a row whose eg and ge rows and columns are equal has the singlet in its
-    # kernel and takes the 3x3 triplet block; each row's route reads only that row
+    # kernel and takes the 3x3 triplet block; each row's route reads only that
+    # row, and a route with no rows does not run
     triplet = ((rho[:, 1] == rho[:, 2]).all(axis=1)
                & (rho[:, :, 1] == rho[:, :, 2]).all(axis=1))
     lams = np.zeros((len(rho), 4))
-    lams[triplet, :3] = _spin_flip_values(_triplet_block(rho[triplet]), _TRIPLET_FLIP)
-    lams[~triplet] = _spin_flip_values(rho[~triplet], SIGMA_YY)
+    rows = np.flatnonzero(triplet)
+    if rows.size:
+        values, factored = _cholesky_spin_flip_values(rho[rows])
+        lams[rows[factored], :3] = values
+        # a pivot that is not positive: the eigh route validates the row
+        rest = rows[~factored]
+        if rest.size:
+            lams[rest, :3] = _spin_flip_values(_triplet_block(rho[rest]), _TRIPLET_FLIP)
+    rows = np.flatnonzero(~triplet)
+    if rows.size:
+        lams[rows] = _spin_flip_values(rho[rows], SIGMA_YY)
     c = np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
     ref1, ref2 = concurrence_ref(rho)
     if single:
@@ -205,6 +222,53 @@ def _triplet_block(rho: np.ndarray) -> np.ndarray:
     2 rho22.
     """
     return rho[:, _TRIPLET_INDEX[:, None], _TRIPLET_INDEX] * _TRIPLET_SCALE
+
+
+def _cholesky_spin_flip_values(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spin-flip lambda1-3 of exchange-symmetric pair matrices from a Cholesky factor.
+
+    Factors the block A over {ee, eg, gg} as A = L L^H. The triplet block is
+    T = S A S with S = diag(1, sqrt(2), 1), so for any such factor the
+    eigenvalues of T F T* F are the squared singular values of the complex
+    symmetric M = L^T (S F S) L, with S F S = [[0, 0, -1], [0, 2, 0], [-1, 0, 0]].
+    Gives the descending singular values of M for the rows whose three
+    pivots are all positive, and that boolean mask over the (P,) rows; a
+    completed factorization is backward stable, so such a row is positive
+    semidefinite to round-off. The factor is computed elementwise on real
+    and imaginary parts as separate float arrays, whose operations round
+    the same in every position of a vector loop, so a row's bits do not
+    depend on its stack.
+    """
+    # the lower triangle of A, one (P,) row per entry: a00, a10, a30, a11, a31, a33
+    lower = rho[:, _LOWER_ROWS, _LOWER_COLS].T
+    a00, _, _, a11, _, a33 = lower.real
+    a31r, a31i = lower[4].real, lower[4].imag
+    # a non-positive pivot turns the later entries into inf or nan; its row is
+    # masked out before the svd
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        l00 = np.sqrt(a00)
+        # column 0 of L: (l10, l20) = (a10, a30) / l00
+        l10r, l20r = lower[1:3].real / l00
+        l10i, l20i = lower[1:3].imag / l00
+        d1 = a11 - (l10r * l10r + l10i * l10i)
+        l11 = np.sqrt(d1)
+        # l21 = (a31 - l20 conj(l10)) / l11
+        l21r = (a31r - (l20r * l10r + l20i * l10i)) / l11
+        l21i = (a31i - (l20i * l10r - l20r * l10i)) / l11
+        d2 = (a33 - (l20r * l20r + l20i * l20i)) - (l21r * l21r + l21i * l21i)
+        l22 = np.sqrt(d2)
+        # M00 = 2 l10^2 - 2 l00 l20, M01 = 2 l11 l10 - l00 l21, M02 = -l00 l22,
+        # M11 = 2 l11^2 = 2 d1; M12 = M22 = 0
+        m = np.zeros((len(rho), 3, 3), dtype=complex)
+        m_re, m_im = m.real, m.imag
+        m_re[:, 0, 0] = 2.0 * ((l10r * l10r - l10i * l10i) - l00 * l20r)
+        m_im[:, 0, 0] = 2.0 * (2.0 * (l10r * l10i) - l00 * l20i)
+        m_re[:, 0, 1] = m_re[:, 1, 0] = 2.0 * (l11 * l10r) - l00 * l21r
+        m_im[:, 0, 1] = m_im[:, 1, 0] = 2.0 * (l11 * l10i) - l00 * l21i
+        m_re[:, 0, 2] = m_re[:, 2, 0] = -(l00 * l22)
+        m_re[:, 1, 1] = 2.0 * d1
+    factored = (a00 > 0) & (d1 > 0) & (d2 > 0)
+    return np.linalg.svd(m[factored], compute_uv=False), factored
 
 
 def _spin_flip_values(rho: np.ndarray, flip: np.ndarray) -> np.ndarray:

@@ -63,14 +63,16 @@ def charpoly_concurrence(rho, dps=40):
         return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-def spin_flip_eig_concurrence(rho, dps=40):
-    """Concurrence with spin-flip eigenvalues from a high-precision eigensolve of R.
+def spin_flip_eig_spectrum(rho, dps=40):
+    """Concurrence and lambdas from a high-precision eigensolve of R.
 
     Builds R = rho (sy x sy) rho* (sy x sy) in ``dps``-digit arithmetic and
     takes its eigenvalues with ``mpmath.eig``. Where R has clustered or
     vanishing eigenvalues, as for weakly driven pair matrices, this is both
     faster and more accurate than ``charpoly_concurrence`` at the same
-    precision, whose quartic root finder stalls on the cluster.
+    precision, whose quartic root finder stalls on the cluster. Returns
+    (C, lambdas), the four lambdas in descending order, both rounded to
+    doubles from the ``dps``-digit values.
     """
     rho = np.asarray(rho, dtype=complex)
     with mpmath.workdps(dps):
@@ -80,7 +82,8 @@ def spin_flip_eig_concurrence(rho, dps=40):
         r = m * flip * m.apply(mpmath.conj) * flip
         roots = mpmath.eig(r, left=False, right=False)
         lams = sorted((mpmath.sqrt(max(mpmath.re(x), 0)) for x in roots), reverse=True)
-        return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
+        c = max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
+        return c, np.array([float(x) for x in lams])
 
 
 def random_symmetric_rho(rng):

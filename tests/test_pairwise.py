@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from dickepair import pairwise
 from dickepair import (
     NumericalFailure,
     PairUndefined,
@@ -24,7 +25,7 @@ from helpers import (
     pochhammer_pair_entries,
     random_symmetric_rho,
     random_x_state,
-    spin_flip_eig_concurrence,
+    spin_flip_eig_spectrum,
     steady_rho,
 )
 
@@ -249,8 +250,9 @@ def test_empty_stack_gives_empty_fields():
 
 def test_triplet_route_matches_high_precision_on_weak_drive():
     # fig3's weakest drives, every other detuning of its axis: near-zero
-    # eigenvalues of rho, where the 4x4 route read up to 1.1e-10 off the
-    # 40-digit reference and the triplet block reads 2.1e-13
+    # eigenvalues of rho, where the 4x4 route read C up to 1.1e-10 off the
+    # 40-digit reference and the triplet block's eigh route 2.1e-13 (lambdas
+    # 1.7e-10); the Cholesky factor reads below 1e-18 on both
     preset = FIGURES["fig3"]
     rabi_axis, detuning_axis = preset.axes
     (dipole, _), = preset.curves
@@ -263,13 +265,69 @@ def test_triplet_route_matches_high_precision_on_weak_drive():
     assert len(rho) == 126
     res = concurrence(rho)
     assert np.all(res.lambdas[:, 3] == 0.0)
-    error = max(abs(c - spin_flip_eig_concurrence(r)) for c, r in zip(res.concurrence, rho))
-    assert error <= 2e-11
+    c_error = lambda_error = 0.0
+    for c, lams, r in zip(res.concurrence, res.lambdas, rho):
+        c_ref, lams_ref = spin_flip_eig_spectrum(r)
+        c_error = max(c_error, abs(c - c_ref))
+        lambda_error = max(lambda_error, np.abs(lams - lams_ref).max())
+    assert c_error <= 1e-15
+    assert lambda_error <= 1e-15
 
 
-def test_mixed_stack_routes_each_matrix_on_its_own():
-    # pair matrices of the steady state (triplet block) interleaved with
-    # singlet-weighted states (4x4 route): every row has the bits it has alone
+def spy_on_eigh_routes(monkeypatch):
+    """Record the stack size of every call of the eigh-based spin-flip route."""
+    sizes = []
+    eigh_route = pairwise._spin_flip_values
+
+    def spy(rho, flip):
+        sizes.append((len(rho), len(flip)))
+        return eigh_route(rho, flip)
+
+    monkeypatch.setattr(pairwise, "_spin_flip_values", spy)
+    return sizes
+
+
+def pure_triplet_states():
+    """|ee><ee|, |gg><gg| and |T0><T0|: triplet rows with a zero Cholesky pivot."""
+    t0 = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    return np.array([np.diag([1.0, 0, 0, 0]), np.diag([0, 0, 0, 1.0]), np.outer(t0, t0)],
+                    dtype=complex)
+
+
+def test_pair_matrices_skip_the_eigh_routes(monkeypatch):
+    # every row factors, so neither eigh route runs, not even on no rows
+    sizes = spy_on_eigh_routes(monkeypatch)
+    points = ParamBatch(6, np.linspace(0.1, 6.0, 9), np.linspace(-8.0, 4.0, 9), np.full(9, 2.0))
+    res = concurrence(steady_pair_density(points))
+    concurrence(steady_pair_density(SystemParams(n_qubits=74, rabi=30.0)))
+    assert sizes == []
+    assert np.all(res.lambdas[:, 3] == 0.0)
+
+
+def test_zero_pivot_triplet_rows_take_the_eigh_route(monkeypatch):
+    sizes = spy_on_eigh_routes(monkeypatch)
+    res = concurrence(pure_triplet_states())
+    assert sizes == [(3, 3)]
+    assert res.concurrence.tolist() == [0.0, 0.0, 1.0]
+    assert np.all(res.lambdas[:, 3] == 0.0)
+
+
+def test_non_psd_triplet_matrix_rejected():
+    # equal eg and ge rows and columns, unit trace, eigenvalues 0.6, 0.5 (on
+    # T0), 0 and -0.1: the factorization stops at a negative pivot and the
+    # eigh route rejects the matrix
+    rho = np.diag([0.6, 0.0, 0.0, -0.1])
+    rho[1:3, 1:3] = 0.25
+    with pytest.raises(NumericalFailure):
+        concurrence(rho)
+    with pytest.raises(NumericalFailure):
+        concurrence(np.array([steady_pair_density(SystemParams(n_qubits=6, rabi=1.0)), rho]))
+
+
+def test_mixed_stack_routes_each_matrix_on_its_own(monkeypatch):
+    # pair matrices of the steady state (Cholesky route), zero-pivot triplet
+    # rows (eigh on the triplet block) and singlet-weighted states (4x4 route),
+    # interleaved: every row has the bits it has alone
     rng = np.random.default_rng(34)
     points = ParamBatch(6, rng.uniform(0.05, 3.0, 8) * 3, rng.uniform(-10.0, 5.0, 8),
                         rng.choice([0.0, 2.0, 5.0], 8))
@@ -277,14 +335,19 @@ def test_mixed_stack_routes_each_matrix_on_its_own():
     werner = 0.6 * bell_phi_plus() + 0.4 * np.eye(4) / 4
     general = [random_symmetric_rho(rng) for _ in range(7)] + [werner]
     stack = np.array([m for two in zip(pairs, general) for m in two])
+    singlet = np.arange(len(stack)) % 2 == 1
+    stack = np.insert(stack, [3, 8, 13], pure_triplet_states(), axis=0)
+    singlet = np.insert(singlet, [3, 8, 13], False)
+    sizes = spy_on_eigh_routes(monkeypatch)
     res = concurrence(stack)
+    assert sizes == [(3, 3), (8, 4)]
     for i, rho in enumerate(stack):
         one = concurrence(rho)
         assert one.concurrence == res.concurrence[i]
         assert one.lambdas == tuple(res.lambdas[i])
         assert (one.c_ref_1, one.c_ref_2) == (res.c_ref_1[i], res.c_ref_2[i])
-    assert np.all(res.lambdas[::2, 3] == 0.0)
-    assert np.all(res.lambdas[1::2, 3] > 0.0)
+    assert np.all(res.lambdas[~singlet, 3] == 0.0)
+    assert np.all(res.lambdas[singlet, 3] > 0.0)
 
 
 @pytest.mark.parametrize("defect", ["non_finite", "non_hermitian", "non_psd"])

@@ -9,9 +9,11 @@ which also validates it (finite, Hermitian, positive semidefinite), then the
 ``svd`` of sqrt(rho) (sy x sy) sqrt(rho)^T. A pair matrix of a symmetric
 ensemble has equal eg and ge rows and columns, so its singlet weight is
 exactly zero, lambda4 is exactly 0, and lambda1-3 come from its 3x3 block
-over the triplet {|ee>, |T0>, |gg>}: from the ``svd`` of L^T F L, with L its
-Cholesky factor, whenever the factorization completes with positive pivots,
-and from the block's ``eigh`` and ``svd`` otherwise. Every route works on
+over the triplet {|ee>, |T0>, |gg>}. Where its Cholesky factor L completes
+(a last pivot of round-off size clamps to 0), they are the singular values
+of L^T F L: in closed form, as the largest roots of two cubics in its
+invariants, or by ``svd`` where those roots are ill-conditioned; where it
+does not, they come from the block's ``eigh`` and ``svd``. Every route works on
 (P, d, d) stacks: the pair matrices of a :class:`~dickepair.params.ParamBatch`
 are assembled as one stack and go through one batched call per route; a
 single matrix is the stack of one.
@@ -64,6 +66,15 @@ _ENTRY_INDEX = np.array([0, 1, 1, 2, 6, 3, 3, 4, 6, 3, 3, 4, 7, 8, 8, 5])
 
 HERMITIAN_TOL = 1e-9
 EIG_NEG_TOL = -1e-9
+
+# the closed-form triplet spectrum is used where both of its cubics have
+# kappa <= KAPPA_MAX (``_largest_roots``), which bounds a root's first-order
+# error by about 30 eps of the cubic's mean root. Measured: every fig2 and
+# fig3 row and 87-92% of the fig4-fig6 rows pass, with lambdas within 2.2e-15
+# of the svd of M; the rest (near-degenerate or nearly flat spectra) take the svd
+KAPPA_MAX = 30.0
+_KAPPA_FLOOR = 1.0 / (6.0 * KAPPA_MAX**2)
+ROOT_SCALE_MIN = 1e-90
 
 
 @dataclass(frozen=True)
@@ -155,11 +166,17 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     A matrix whose eg and ge rows and columns are exactly equal, as every
     pair matrix of a symmetric ensemble is, has the singlet in its kernel
     and lambda4 exactly 0; its lambda1-3 come from the 3x3 triplet block T.
-    If the Cholesky factorization T = L L^H completes with positive pivots,
-    the matrix is positive semidefinite to round-off and lambda1-3 are the
-    singular values of L^T F L, with F the triplet spin flip: one ``svd``,
-    no ``eigh``. Otherwise ``eigh`` and ``svd`` run on the block as above,
-    and the positivity check reads the block's spectrum. Every other matrix
+    If the Cholesky factorization T = L L^H completes with positive first
+    pivots and a last pivot above -1e-9 (a round-off one clamps to 0), the
+    matrix passes the positivity check and lambda1-3 are the singular values
+    of L^T F L, with F the triplet spin flip. They are taken in closed form:
+    elementwise, from the invariants of L^T F L, as the largest roots of two
+    cubics by the trigonometric formula, with no LAPACK call. A row whose
+    cubics are ill-conditioned (condition kappa above KAPPA_MAX = 30: a
+    nearly flat spectrum or a nearly double top root) or whose invariants
+    leave the normal range takes the ``svd`` of L^T F L instead. Otherwise
+    ``eigh`` and ``svd`` run on the block as above, and the positivity check
+    reads the block's spectrum. Every other matrix
     takes the 4x4 problem. The routes are chosen per matrix, so a matrix's
     result does not depend on the others in its stack. A stack takes one
     batched call per route that has matrices, and every field of the
@@ -231,44 +248,116 @@ def _cholesky_spin_flip_values(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     T = S A S with S = diag(1, sqrt(2), 1), so for any such factor the
     eigenvalues of T F T* F are the squared singular values of the complex
     symmetric M = L^T (S F S) L, with S F S = [[0, 0, -1], [0, 2, 0], [-1, 0, 0]].
-    Gives the descending singular values of M for the rows whose three
-    pivots are all positive, and that boolean mask over the (P,) rows; a
-    completed factorization is backward stable, so such a row is positive
-    semidefinite to round-off. The factor is computed elementwise on real
-    and imaginary parts as separate float arrays, whose operations round
-    the same in every position of a vector loop, so a row's bits do not
-    depend on its stack.
+    M = [[a, b, c], [b, d, 0], [c, 0, 0]] with c = -l00 l22 and d = 2 d1 real,
+    where d1 and d2 are the second and third pivots. With singular values
+    sigma1 >= sigma2 >= sigma3, its invariants are sums of nonnegative terms:
+    S1 = |a|^2 + 2|b|^2 + 2c^2 + d^2, the sum of the squares, and the sum of its
+    squared 2x2 minors S2 = |ad - b^2|^2 + 2|b|^2 c^2 + 2c^2 d^2 + c^4, whose
+    one difference is written out with its l10^2 terms cancelled,
+    ad - b^2 = l00 (-4 d1 l20 + 4 l11 l10 l21 - l00 l21^2), and
+    sigma1 sigma2 sigma3 = |det M| = c^2 d = 2 a00 d1 d2, a product of pivots
+    with no square root. sigma1^2 is the largest root of
+    x^3 - S1 x^2 + S2 x - (c^2 d)^2, sigma1 sigma2 that of the second
+    compound's y^3 - S2 y^2 + (c^2 d)^2 S1 y - (c^2 d)^4, and
+    sigma2 = sigma1 sigma2 / sigma1, sigma3 = c^2 d / (sigma1 sigma2), so a
+    clamped last pivot gives sigma3 exactly 0. Rows whose roots fail the guard of
+    ``_largest_roots`` take the ``svd`` of M instead, built for them only.
+
+    Gives the descending singular values of M for the rows whose first two
+    pivots are positive and whose last pivot is above EIG_NEG_TOL, and that
+    boolean mask over the (P,) rows. A last pivot in (EIG_NEG_TOL, 0] is
+    round-off and clamps to 0: T is then L L^H plus d2 on its gg diagonal,
+    so its smallest eigenvalue is at least d2 and the row passes the
+    positivity check; a completed factorization is backward stable, so a
+    row with three positive pivots is positive semidefinite to round-off.
+    Every operation is elementwise on real and imaginary parts as separate
+    floats, which round the same in every position of a vector loop, so a
+    row's bits do not depend on its stack. A one-row stack runs the same
+    operations on numpy scalars, which spares the fixed cost of about a
+    hundred calls on (1,) arrays.
     """
     # the lower triangle of A, one (P,) row per entry: a00, a10, a30, a11, a31, a33
     lower = rho[:, _LOWER_ROWS, _LOWER_COLS].T
-    a00, _, _, a11, _, a33 = lower.real
-    a31r, a31i = lower[4].real, lower[4].imag
-    # a non-positive pivot turns the later entries into inf or nan; its row is
-    # masked out before the svd
+    if len(rho) == 1:
+        lower = lower[:, 0]
+    a00, a10r, a30r, a11, a31r, a33 = lower.real
+    _, a10i, a30i, _, a31i, _ = lower.imag
+    # a pivot that is not positive turns the later entries into inf or nan;
+    # its row is masked out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         l00 = np.sqrt(a00)
         # column 0 of L: (l10, l20) = (a10, a30) / l00
-        l10r, l20r = lower[1:3].real / l00
-        l10i, l20i = lower[1:3].imag / l00
+        l10r, l10i, l20r, l20i = a10r / l00, a10i / l00, a30r / l00, a30i / l00
         d1 = a11 - (l10r * l10r + l10i * l10i)
         l11 = np.sqrt(d1)
         # l21 = (a31 - l20 conj(l10)) / l11
         l21r = (a31r - (l20r * l10r + l20i * l10i)) / l11
         l21i = (a31i - (l20i * l10r - l20r * l10i)) / l11
         d2 = (a33 - (l20r * l20r + l20i * l20i)) - (l21r * l21r + l21i * l21i)
-        l22 = np.sqrt(d2)
-        # M00 = 2 l10^2 - 2 l00 l20, M01 = 2 l11 l10 - l00 l21, M02 = -l00 l22,
-        # M11 = 2 l11^2 = 2 d1; M12 = M22 = 0
-        m = np.zeros((len(rho), 3, 3), dtype=complex)
-        m_re, m_im = m.real, m.imag
-        m_re[:, 0, 0] = 2.0 * ((l10r * l10r - l10i * l10i) - l00 * l20r)
-        m_im[:, 0, 0] = 2.0 * (2.0 * (l10r * l10i) - l00 * l20i)
-        m_re[:, 0, 1] = m_re[:, 1, 0] = 2.0 * (l11 * l10r) - l00 * l21r
-        m_im[:, 0, 1] = m_im[:, 1, 0] = 2.0 * (l11 * l10i) - l00 * l21i
-        m_re[:, 0, 2] = m_re[:, 2, 0] = -(l00 * l22)
-        m_re[:, 1, 1] = 2.0 * d1
-    factored = (a00 > 0) & (d1 > 0) & (d2 > 0)
-    return np.linalg.svd(m[factored], compute_uv=False), factored
+        factored = (a00 > 0) & (d1 > 0) & (d2 > EIG_NEG_TOL)
+        d2 = np.maximum(d2, 0.0)
+        # a = 2 l10^2 - 2 l00 l20, b = 2 l11 l10 - l00 l21, c^2 = a00 d2
+        ar = 2.0 * ((l10r * l10r - l10i * l10i) - l00 * l20r)
+        ai = 2.0 * (2.0 * (l10r * l10i) - l00 * l20i)
+        br = 2.0 * (l11 * l10r) - l00 * l21r
+        bi = 2.0 * (l11 * l10i) - l00 * l21i
+        d = 2.0 * d1
+        c2 = a00 * d2
+        minor_r = l00 * ((4.0 * (l11 * (l10r * l21r - l10i * l21i)) - 4.0 * (d1 * l20r))
+                         - l00 * (l21r * l21r - l21i * l21i))
+        minor_i = l00 * ((4.0 * (l11 * (l10r * l21i + l10i * l21r)) - 4.0 * (d1 * l20i))
+                         - l00 * (2.0 * (l21r * l21i)))
+        bb, dd = br * br + bi * bi, d * d
+        inv1 = ((ar * ar + ai * ai) + 2.0 * bb) + (2.0 * c2 + dd)
+        inv2 = (minor_r * minor_r + minor_i * minor_i) + c2 * ((2.0 * bb + 2.0 * dd) + c2)
+        det = c2 * d
+        det2 = det * det
+        roots, closed = _largest_roots(np.array([inv1, inv2]), np.array([inv2, det2 * inv1]),
+                                       np.array([det2, det2 * det2]))
+        sigma1, sigma12 = np.sqrt(roots)
+        values = np.column_stack((sigma1, sigma12 / sigma1, det / sigma12))
+    factored, closed = np.atleast_1d(factored, closed[0] & closed[1])
+    rest = np.flatnonzero(factored & ~closed)
+    if rest.size:
+        ar, ai, br, bi, d, l00, d2 = (np.atleast_1d(x)[rest] for x in (ar, ai, br, bi, d, l00, d2))
+        values[rest] = _factor_svd_values(ar, ai, br, bi, -(l00 * np.sqrt(d2)), d)
+    return values[factored], factored
+
+
+def _factor_svd_values(ar, ai, br, bi, c, d) -> np.ndarray:
+    """Descending singular values of M = [[a, b, c], [b, d, 0], [c, 0, 0]] for (k,) entries."""
+    m = np.zeros((len(d), 3, 3), dtype=complex)
+    m_re, m_im = m.real, m.imag
+    m_re[:, 0, 0], m_im[:, 0, 0] = ar, ai
+    m_re[:, 0, 1] = m_re[:, 1, 0] = br
+    m_im[:, 0, 1] = m_im[:, 1, 0] = bi
+    m_re[:, 0, 2] = m_re[:, 2, 0] = c
+    m_re[:, 1, 1] = d
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def _largest_roots(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest roots of x^3 - e1 x^2 + e2 x - e3 with three real nonnegative roots.
+
+    With mean root m = e1/3, p = m^2 - e2/3 and q = m^3 - m e2/2 + e3/2,
+    the roots are m + 2 sqrt(p) cos((arccos(r) - 2 pi k)/3) with
+    r = q / p^(3/2) in [-1, 1], and k = 0 gives the largest. A relative
+    rounding error eps in the coefficients moves q by about eps m^3 and the
+    largest root by about kappa eps m, with kappa = (m^2/p) / sqrt(6 (1 + r)):
+    it grows for a flat spectrum (p/m^2 -> 0) and for a nearly double top
+    root (r -> -1). The mask is true where kappa <= KAPPA_MAX and m >=
+    ROOT_SCALE_MIN, below which the terms of q and p^(3/2) would leave the
+    normal range; nan fails it. Elementwise on arrays of any shape.
+    """
+    m = e1 / 3.0
+    mm = m * m
+    p = mm - e2 / 3.0
+    q = m * (mm - 0.5 * e2) + 0.5 * e3
+    root_p = np.sqrt(p)
+    r = q / (p * root_p)
+    spread = p / mm
+    ok = (m >= ROOT_SCALE_MIN) & ((spread * spread) * (r + 1.0) >= _KAPPA_FLOOR)
+    return m + 2.0 * root_p * np.cos(np.arccos(np.minimum(r, 1.0)) / 3.0), ok
 
 
 def _spin_flip_values(rho: np.ndarray, flip: np.ndarray) -> np.ndarray:

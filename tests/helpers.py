@@ -109,6 +109,30 @@ def random_x_state(rng):
     return rho
 
 
+def triplet_state_with_spectrum(lams, rng):
+    """Pair matrix with equal eg and ge rows whose spin-flip lambdas are lams / sum(lams).
+
+    The X-shaped triplet block [[h, 0, z], [0, t, 0], [z, 0, h]] over
+    {ee, T0, gg} has R = T^2, so its lambdas are t, h + z and h - z. A random
+    u x u, which keeps the lambdas, turns it into a dense block, and the
+    4x4 matrix repeats each T0 entry, scaled by 1/sqrt(2), on eg and ge.
+    """
+    t, top, bottom = lams
+    block = np.array([[top + bottom, 0, top - bottom], [0, 2 * t, 0],
+                      [top - bottom, 0, top + bottom]], dtype=complex)
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    triplet = np.zeros((4, 3))
+    triplet[0, 0] = triplet[3, 2] = 1.0
+    triplet[1, 1] = triplet[2, 1] = 1.0 / math.sqrt(2.0)
+    d = triplet.T @ np.kron(u, u) @ triplet
+    block = d @ block @ d.conj().T
+    block = 0.5 * (block + block.conj().T)
+    rho = triplet @ block @ triplet.T
+    rho[2] = rho[1]
+    rho[:, 2] = rho[:, 1]
+    return rho / np.trace(rho).real
+
+
 def embed_isometry(n):
     """(2^n, n+1) isometry from the symmetric ladder into the full space.
 

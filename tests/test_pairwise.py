@@ -27,6 +27,7 @@ from helpers import (
     random_x_state,
     spin_flip_eig_spectrum,
     steady_rho,
+    triplet_state_with_spectrum,
 )
 
 
@@ -325,9 +326,10 @@ def test_non_psd_triplet_matrix_rejected():
 
 
 def test_mixed_stack_routes_each_matrix_on_its_own(monkeypatch):
-    # pair matrices of the steady state (Cholesky route), zero-pivot triplet
-    # rows (eigh on the triplet block) and singlet-weighted states (4x4 route),
-    # interleaved: every row has the bits it has alone
+    # pair matrices of the steady state (closed form), strong-drive pair
+    # matrices (svd of M), a weak-drive row with a clamped last pivot,
+    # zero-pivot triplet rows (eigh on the triplet block) and singlet-weighted
+    # states (4x4 route), interleaved: every row has the bits it has alone
     rng = np.random.default_rng(34)
     points = ParamBatch(6, rng.uniform(0.05, 3.0, 8) * 3, rng.uniform(-10.0, 5.0, 8),
                         rng.choice([0.0, 2.0, 5.0], 8))
@@ -336,11 +338,16 @@ def test_mixed_stack_routes_each_matrix_on_its_own(monkeypatch):
     general = [random_symmetric_rho(rng) for _ in range(7)] + [werner]
     stack = np.array([m for two in zip(pairs, general) for m in two])
     singlet = np.arange(len(stack)) % 2 == 1
+    edge_rows = np.array([steady_pair_density(SystemParams(n_qubits=n, rabi=1.0).with_pump(pump))
+                          for n, pump in ((74, 1000.0), (2, 30.0), (74, 0.001))])
+    stack = np.insert(stack, [1, 6, 11], edge_rows, axis=0)
     stack = np.insert(stack, [3, 8, 13], pure_triplet_states(), axis=0)
-    singlet = np.insert(singlet, [3, 8, 13], False)
+    singlet = np.insert(np.insert(singlet, [1, 6, 11], False), [3, 8, 13], False)
     sizes = spy_on_eigh_routes(monkeypatch)
+    svd_sizes = spy_on_factor_svd(monkeypatch)
     res = concurrence(stack)
     assert sizes == [(3, 3), (8, 4)]
+    assert svd_sizes == [2]
     for i, rho in enumerate(stack):
         one = concurrence(rho)
         assert one.concurrence == res.concurrence[i]
@@ -348,6 +355,107 @@ def test_mixed_stack_routes_each_matrix_on_its_own(monkeypatch):
         assert (one.c_ref_1, one.c_ref_2) == (res.c_ref_1[i], res.c_ref_2[i])
     assert np.all(res.lambdas[~singlet, 3] == 0.0)
     assert np.all(res.lambdas[singlet, 3] > 0.0)
+
+
+def spy_on_factor_svd(monkeypatch):
+    """Record the stack size of every call of the svd of M in the Cholesky route."""
+    sizes = []
+    svd_route = pairwise._factor_svd_values
+
+    def spy(*entries):
+        sizes.append(len(entries[-1]))
+        return svd_route(*entries)
+
+    monkeypatch.setattr(pairwise, "_factor_svd_values", spy)
+    return sizes
+
+
+def weak_drive_pair_matrices(n, rows):
+    """Pair matrices at pump 0.001-0.05, where the last Cholesky pivot is round-off."""
+    rng = np.random.default_rng(n)
+    pumps = rng.uniform(0.001, 0.05, rows)
+    return steady_pair_density(ParamBatch(n, pumps * n / 2, rng.uniform(-10.0, 5.0, rows),
+                                          rng.choice([0.0, 2.0, 5.0], rows)))
+
+
+@pytest.mark.parametrize("n, bound", [(74, 1e-15), (200, 1e-14)])
+def test_round_off_last_pivot_clamps_and_factors(monkeypatch, n, bound):
+    # 17% (N = 74) and 24% (N = 200) of these rows end the factorization on a
+    # last pivot in (EIG_NEG_TOL, 0], which clamps to 0, so no row takes an
+    # eigh route (which read the lambdas up to 1.6e-8 off). The input's own
+    # pivot is negative there (down to -8e-13), and the reference reads that
+    # matrix as it is: the clamped rows sit up to 4.8e-16 (N = 74) and
+    # 7.1e-15 (N = 200) from it, the other rows within 5.2e-17
+    rho = weak_drive_pair_matrices(n, 160)
+    sizes = spy_on_eigh_routes(monkeypatch)
+    res = concurrence(rho)
+    assert sizes == []
+    for i in range(0, len(rho), 8):
+        c_ref, lams_ref = spin_flip_eig_spectrum(rho[i])
+        assert abs(res.concurrence[i] - c_ref) <= bound
+        assert np.abs(res.lambdas[i] - lams_ref).max() <= bound
+
+
+def test_fig3_chunk_takes_only_the_closed_form(monkeypatch):
+    # the first sweep chunk of fig3 (512 rows) never reaches the svd of M;
+    # strong-drive pair matrices, with nearly flat spectra, do
+    preset = FIGURES["fig3"]
+    rabi_axis, detuning_axis = preset.axes
+    (dipole, _), = preset.curves
+    rabi, detuning = (g.ravel()[:512] for g in np.meshgrid(rabi_axis.values(),
+                                                            detuning_axis.values(), indexing="ij"))
+    chunk = steady_pair_density(ParamBatch(preset.n_qubits, rabi, detuning,
+                                           np.full(512, dipole)))
+    svd_sizes = spy_on_factor_svd(monkeypatch)
+    concurrence(chunk)
+    assert svd_sizes == []
+    concurrence(steady_pair_density(SystemParams(n_qubits=74, rabi=1.0).with_pump(1000.0)))
+    assert svd_sizes == [1]
+
+
+def test_underflowing_invariants_take_the_svd():
+    # X-shaped triplet blocks [[p, 0, z], [0, t, 0], [z, 0, 1]] with lambdas
+    # t and sqrt(p) +- z, scaled down until the second compound's cubic has
+    # terms below the normal range (its mean root is ~1e-107 at p = 1e-53);
+    # read there, the closed form lost up to 9e-6 of lambda1-3
+    for p in (1e-48, 1e-52, 1e-53, 1e-56):
+        t, z = 0.5 * np.sqrt(p), 0.3 * np.sqrt(p)
+        rho = np.diag([p, t / 2, t / 2, 1.0]).astype(complex)
+        rho[1, 2] = rho[2, 1] = t / 2
+        rho[0, 3] = rho[3, 0] = z
+        lams = np.array(concurrence(rho).lambdas) / np.sqrt(p)
+        assert np.abs(lams - [1.3, 0.7, 0.5, 0.0]).max() <= 1e-14
+
+
+def near_degenerate_triplet_states(rng):
+    """All-equal, top-pair and bottom-pair lambdas split by eps = 1e-12 ... 1."""
+    states = []
+    for eps in 10.0 ** -np.arange(13):
+        for lams in ([1.0, 1.0 + eps, 1.0 + 2.0 * eps], [1.0, 1.0 + eps, 0.3],
+                     [1.0, 0.3, 0.3 * (1.0 + eps)], [1.0, 1.0 + eps, 0.0]):
+            states.append(triplet_state_with_spectrum(lams, rng))
+    return np.array(states)
+
+
+def test_closed_form_and_svd_match_high_precision_on_hard_spectra(monkeypatch):
+    # near-degenerate spectra (the closed form's ill-conditioned cubics, which
+    # the guard sends to the svd of M) and strong-drive steady states with
+    # nearly flat spectra; the largest error read 6.1e-16 (seeds 3-5)
+    strong = [steady_pair_density(ParamBatch(n, np.geomspace(3.0, 1000.0, 6) * n / 2,
+                                             np.full(6, detuning), np.full(6, dipole)))
+              for n in (2, 6, 74, 200) for detuning, dipole in ((0.0, 0.0), (-3.0, 2.0))]
+    rho = np.concatenate([near_degenerate_triplet_states(np.random.default_rng(3))] + strong)
+    svd_sizes = spy_on_factor_svd(monkeypatch)
+    res = concurrence(rho)
+    assert 0 < sum(svd_sizes) < len(rho)
+    assert np.all(np.diff(res.lambdas, axis=1) <= 0.0)
+    c_error = lambda_error = 0.0
+    for c, lams, r in zip(res.concurrence, res.lambdas, rho):
+        c_ref, lams_ref = spin_flip_eig_spectrum(r)
+        c_error = max(c_error, abs(c - c_ref))
+        lambda_error = max(lambda_error, np.abs(lams - lams_ref).max())
+    assert c_error <= 2e-15
+    assert lambda_error <= 2e-15
 
 
 @pytest.mark.parametrize("defect", ["non_finite", "non_hermitian", "non_psd"])

@@ -4,12 +4,19 @@ All physics flags are dimensionless ratios to the decay rate gamma, which is
 fixed at 1 and is not a flag. Output is plain CSV preceded by ``#`` metadata
 lines carrying every parameter, the precision mode and the package version;
 floats are written with 17 significant digits so parsing recovers them
-exactly. Exit codes: 0 success, 2 usage error, 3 numerical error.
+exactly. Every cell is byte for byte ``'%.17g' % (x + 0.0)``: rows go out in
+blocks of about BLOCK_CELLS cells, which :func:`~dickepair.csvfloat.csv_rows`
+formats with its numpy kernel, or with ``%`` for a block under
+KERNEL_MIN_CELLS cells (single-point commands, ``maximize``) and for each
+cell the kernel cannot certify (NaN, infinities, |x| outside
+[1e-280, 1e280], near-ties at the 17th digit).
+Exit codes: 0 success, 2 usage error, 3 numerical error.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -18,6 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
+from .csvfloat import BLOCK_CELLS, csv_rows
 from .errors import DickepairError, UnknownFigure
 from .oracle import (
     _check_size,
@@ -33,9 +41,6 @@ from .sweep import CHUNK_ELEMENTS, AxisSpec, find_max_concurrence, sweep
 
 DEFAULT_ORACLE_SIZES = (2, 3, 4, 6)
 DEFAULT_ORACLE_TOL = 1e-8
-
-# CSV rows are formatted in blocks of this many rows.
-_CSV_BLOCK_ROWS = 256
 
 # Shared pump grid for the 1-D presets: 400 points on (0, 3].
 _PUMP_AXIS = AxisSpec("pump", 0.0075, 3.0, 400)
@@ -134,22 +139,21 @@ class _Table:
 def _write_csv(fh, meta: list[str], header: list[str], blocks) -> None:
     """Metadata, header and rows; ``blocks`` yields 2-D float arrays of rows.
 
-    Each block is formatted a row at a time with one format operation, so no
-    more than a block is ever held as Python floats.
+    Each block is written as one string by :func:`~dickepair.csvfloat.csv_rows`,
+    so no more than a block is ever held as text.
     """
     for line in meta:
         fh.write(f"# {line}\n")
     fh.write(",".join(header) + "\n")
-    row_format = ",".join(["%.17g"] * len(header)) + "\n"
     for block in blocks:
-        # + 0.0 turns an exact -0.0 into 0.0 and leaves every other value alone
-        fh.write("".join(row_format % tuple(row) for row in (block + 0.0).tolist()))
+        fh.write(csv_rows(block))
 
 
 def _column_blocks(columns):
-    """Blocks of _CSV_BLOCK_ROWS rows from equal-length columns."""
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        yield np.column_stack([col[start:start + _CSV_BLOCK_ROWS] for col in columns])
+    """Blocks of about BLOCK_CELLS cells, at least one row, from equal-length columns."""
+    rows = max(1, BLOCK_CELLS // len(columns))
+    for start in range(0, len(columns[0]), rows):
+        yield np.column_stack([col[start:start + rows] for col in columns])
 
 
 def _one_row(row) -> list[np.ndarray]:
@@ -396,10 +400,27 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
                      output_path=ns.out, precision=ns.precision)
 
 
+# argparse takes "-5" and "-0.5" as option values but reads a negative
+# number in exponent form, such as repr(-1.5e-05), as an option string
+_NEGATIVE_NUMBER = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -1.5e-05`` as ``--flag=-1.5e-05``, which argparse parses."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_NUMBER.fullmatch(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

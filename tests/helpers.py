@@ -408,3 +408,75 @@ def per_point_transition(template: SystemParams, pumps):
     deriv = np.gradient(sz, pumps)
     idx = int(np.argmax(np.abs(deriv)))
     return idx, float(np.abs(deriv[idx])) * abs(complex(1.0, template.dipole_shift))
+
+
+def reference_csv(meta, header, blocks) -> str:
+    """The CSV text of a command, written a row at a time with ``%``.
+
+    The reference for the CLI's block writer: ``# `` metadata lines, the
+    header, then each row with one ``%.17g`` format operation, -0.0 as 0.
+    """
+    lines = [f"# {line}\n" for line in meta] + [",".join(header) + "\n"]
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    for block in blocks:
+        # + 0.0 turns an exact -0.0 into 0.0 and leaves every other value alone
+        lines += [row_format % tuple(row) for row in (block + 0.0).tolist()]
+    return "".join(lines)
+
+
+def g17_edge_values() -> np.ndarray:
+    """Floats at the edges of ``%.17g``, each with its negative.
+
+    Zero, NaN and infinities; subnormals; every power of two; every power of
+    ten with its neighbours one ulp either side (some of them sit below
+    10^k and still print as 1e+k, so their 17 digits round up a decade); the
+    switches from fixed to scientific notation at exponents -5/-4 and 16/17;
+    3-digit exponents; exact rounding ties at the 17th digit; integers and
+    short decimals.
+    """
+    powers10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    values = [
+        [0.0, math.nan, math.inf, 5e-324, 2.2250738585072009e-308, 1.5e-310, 1e-320],
+        [math.ldexp(1.0, k) for k in range(-1074, 1024)],
+        powers10, np.nextafter(powers10, 0.0), np.nextafter(powers10, math.inf),
+        [9.9999999999999995e-5, 0.0001, 0.00012345678901234567, 1.2345678901234567e-5,
+         9.9999999999999998e15, 1e16, 12345678901234567.0, 99999999999999999.0,
+         123456789012345678.0, 1e17],
+        [1e100, 1e-100, 1.2345678901234567e-250, 9.8765432109876543e299, 1.7976931348623157e308],
+        # 1 + odd * 2^-17 has 18 significant digits, the last a 5
+        [1.0 + i * 2.0**-17 for i in range(1, 200, 2)],
+        np.arange(-1000.0, 1001.0), [2.0**53, 2.0**53 + 2.0, 2.0**63],
+        np.arange(-1000, 1001) / 1000.0, [0.025, 0.1, 0.2, 0.3, 2.675, 1.005, 1.15],
+    ]
+    flat = np.concatenate([np.asarray(v, dtype=float) for v in values])
+    return np.concatenate([flat, -flat])
+
+
+def check_g17(sample: int, seed: int) -> None:
+    """Assert that the CSV float kernel writes each cell as ``'%.17g' % (x + 0.0)``.
+
+    The cells are ``sample`` random float64 bit patterns from ``seed`` (NaNs
+    with payloads, subnormals and the whole exponent range included) and the
+    ``g17_edge_values``. They go through the kernel itself, whatever the
+    block size, in blocks of BLOCK_CELLS cells laid out 7 to a row, so the
+    separators are checked too. Raises AssertionError naming the first
+    mismatching cells.
+    """
+    from dickepair import csvfloat
+
+    rng = np.random.default_rng(seed)
+    cols, chunk = 7, 1 << 16
+    parts = [g17_edge_values()] + [
+        rng.integers(0, 2**64, min(chunk, sample - start), dtype=np.uint64).view(np.float64)
+        for start in range(0, sample, chunk)]
+    for values in parts:
+        values = np.concatenate([values, np.zeros(-len(values) % cols)])
+        rows = values.reshape(-1, cols)
+        step = csvfloat.BLOCK_CELLS // cols
+        text = "".join(csvfloat._kernel_rows(rows[i:i + step]) for i in range(0, len(rows), step))
+        expected = ["%.17g" % (v + 0.0) for v in values.tolist()]
+        cells = text.replace("\n", ",").split(",")[:-1]
+        assert text.count("\n") == len(rows), "row count"
+        bad = [(v.hex(), got, want) for v, got, want in zip(values.tolist(), cells, expected)
+               if got != want]
+        assert len(cells) == len(expected) and not bad, bad[:10]

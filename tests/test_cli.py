@@ -21,6 +21,7 @@ from dickepair import (
 from dickepair import cli
 from dickepair.cli import FIGURES, figure_preset, main
 from dickepair.oracle import density_expectation_set
+from helpers import reference_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MOMENT_FIELDS = ("s_plus", "s_z", "s_z2", "s_plus_sz", "s_plus2", "s_plus_s_minus")
@@ -213,6 +214,38 @@ def test_exact_zeros_print_unsigned(tmp_path):
     cells = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert cells["rho12_re"] == "0"
     assert "-0" not in cells.values()
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig3"],
+    ["figure", "fig6"],
+    ["sweep", "--n", "4", "--dipole", "2", "--axis", "pump:0.1:2.5:40",
+     "--axis", "detuning:-6:2:30"],
+    ["oracle-check", "--n", "2", "--n", "3"],
+    ["maximize", "--n", "2", "--dipole", "5", "--detuning", "-10", "--axis", "rabi:0.2:3:32"],
+    ["rho", "--n", "6", "--pump", "0.7", "--detuning", "-1", "--dipole", "2"],
+    ["expect", "--n", "50", "--pump", "0.9", "--detuning", "-2", "--dipole", "2"],
+    ["concurrence", "--n", "74", "--pump", "0.95", "--precision", "extended"],
+], ids=["fig3", "fig6", "sweep", "oracle-check", "maximize", "rho", "expect", "concurrence"])
+def test_output_matches_the_row_at_a_time_writer(tmp_path, argv):
+    # every block, whether the kernel or '%' writes it, gives the bytes of
+    # one '%.17g' format operation per row
+    config = cli._config_from_args(cli.build_parser().parse_args(argv))
+    table = cli._RUNNERS[config.command](config)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == reference_csv(table.meta, table.header, table.blocks).encode()
+
+
+def test_negative_values_in_exponent_form_parse(tmp_path):
+    # argparse alone reads "-1.5e-05" after --detuning as an option (exit 2)
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main(["rho", "--n", "2", "--rabi", "1", "--detuning", "-1.5e-05",
+                 "--dipole", "-2E+1", "--out", str(spaced)]) == 0
+    assert main(["rho", "--n", "2", "--rabi", "1", "--detuning=-1.5e-05",
+                 "--dipole=-2E+1", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert "# detuning: -1.5e-05\n# dipole_shift: -20\n" in spaced.read_text()
 
 
 def test_pump_flag_converts(tmp_path):

@@ -95,15 +95,20 @@ def test_records_do_not_depend_on_chunk_size(monkeypatch, n, precision):
     assert evaluate_point(one, precision) == evaluate_points(points, precision)[3].item()
 
 
-@pytest.mark.parametrize("precision", ["standard", "extended"])
-@pytest.mark.parametrize("n", [2, 6, 74, 200])
+@pytest.mark.parametrize("n, precision", [
+    *((n, precision) for n in (2, 6, 74, 200) for precision in ("standard", "extended")),
+    (5000, "standard"),
+])
 def test_large_ensemble_rows_do_not_depend_on_their_batch(n, precision):
-    # at the default chunk size, over three full chunks and a partial one,
-    # every record is the one-point evaluation of its row, bit for bit: the
-    # weighted ladder sums reduce each row on its own at every batch shape,
-    # and concurrence picks each row's block size from that row alone
-    step = sweep_module.CHUNK_ELEMENTS // max(n + 1, 16)
-    size = 3 * step + 5
+    # at the default chunk size, over three full chunks and a partial one and
+    # across a concurrence stack boundary, every record is the one-point
+    # evaluation of its row, bit for bit: the weighted ladder sums reduce each
+    # row on its own at every batch shape, and concurrence picks each row's
+    # route from that row alone. From N = 4,096 on a chunk is one row, and
+    # concurrence takes up to CONCURRENCE_ROWS of them at once.
+    step = max(1, sweep_module.CHUNK_ELEMENTS // max(n + 1, 16))
+    stack = step * max(1, sweep_module.CONCURRENCE_ROWS // step)
+    size = max(3 * step, stack) + 5
     rng = np.random.default_rng(1000 + n)
     points = ParamBatch(n, rng.uniform(0.05, 3.0, size) * n / 2, rng.uniform(-10.0, 5.0, size),
                         rng.choice([0.0, 2.0, 5.0], size))

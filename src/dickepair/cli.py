@@ -7,9 +7,9 @@ floats are written with 17 significant digits so parsing recovers them
 exactly. Every cell is byte for byte ``'%.17g' % (x + 0.0)``: rows go out in
 blocks of about BLOCK_CELLS cells, which :func:`~dickepair.csvfloat.csv_rows`
 formats with its numpy kernel, or with ``%`` for a block under
-KERNEL_MIN_CELLS cells (single-point commands, ``maximize``) and for each
-cell the kernel cannot certify (NaN, infinities, |x| outside
-[1e-280, 1e280], near-ties at the 17th digit).
+KERNEL_MIN_CELLS cells (single-point commands, ``maximize``,
+``oracle-check``) and for each cell the kernel cannot certify (NaN,
+infinities, |x| outside [1e-280, 1e280], near-ties at the 17th digit).
 Exit codes: 0 success, 2 usage error, 3 numerical error.
 """
 from __future__ import annotations

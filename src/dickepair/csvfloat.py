@@ -24,8 +24,9 @@ from 1/2; zero prints as ``0``. Every other cell is written with ``%``:
 NaN, infinities, subnormals, the rest of the exponent range, rounding ties
 and near-ties, and a log10 that misses by one near a power of ten (the only
 way y can round up to 10^17). So is every block of fewer than
-KERNEL_MIN_CELLS cells, where the kernel's fixed cost outweighs what it
-saves. The tables are built on first use, not at import.
+KERNEL_MIN_CELLS cells, half a full block, where the kernel's fixed cost
+and, in a fresh process, its table build outweigh what it saves. The
+tables are built on first use, not at import.
 """
 from __future__ import annotations
 
@@ -41,9 +42,15 @@ __all__ = ["BLOCK_CELLS", "KERNEL_MIN_CELLS", "csv_rows"]
 # system and faulted in again on every block: in a fresh process fig3 took
 # 0.20 s at 1,024-1,536 cells and 0.24 s at 4,096.
 BLOCK_CELLS = 1024
-# Blocks of fewer cells take '%': below this the kernel's fixed cost per
-# block exceeds the formatting it saves.
-KERNEL_MIN_CELLS = 192
+# Blocks of fewer cells take '%'. A CLI command is a fresh process, where
+# the first kernel block also builds the tables (about 1 ms) and wins that
+# back only from about 2,000 cells on; once they are built the kernel pays
+# from about 192 cells. So a block smaller than any full block, which is a
+# whole small table (oracle-check's 450 cells a size, a single point) or the
+# last block of a large one, takes '%'. A full block of w columns holds at
+# least BLOCK_CELLS - w + 1 cells, more than half of BLOCK_CELLS, and always
+# takes the kernel.
+KERNEL_MIN_CELLS = BLOCK_CELLS // 2
 
 _CERTIFIED = (1e-280, 1e280)
 # the error of p + t is below 1e-14; a fraction this close to 1/2 may be a tie
@@ -146,8 +153,11 @@ def _tables():
 
 def _percent_rows(block: np.ndarray) -> str:
     row_format = ",".join(["%.17g"] * block.shape[1]) + "\n"
-    # + 0.0 turns an exact -0.0 into 0.0 and leaves every other value alone
-    return "".join(row_format % tuple(row) for row in (block + 0.0).tolist())
+    # + 0.0 turns an exact -0.0 into 0.0 and leaves every other value alone;
+    # a signaling NaN comes out quiet, as the kernel's Python + 0.0 gives it
+    with np.errstate(invalid="ignore"):
+        block = block + 0.0
+    return "".join(row_format % tuple(row) for row in block.tolist())
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,11 @@ and ``oracle_pair_density`` reduces it to the pair matrix by the Dicke
 decomposition, without going through the moments. Like the closed form,
 each step takes a batch: the P points of a
 :class:`~dickepair.params.ParamBatch` give a stack of P Liouvillians, P
-states and P readouts, and a single point is the stack of one.
+states and P readouts, and a single point is the stack of one. The state
+is read off one batched inverse of the trace-constrained Liouvillian, whose
+norm also proves the stationary state unique; a singular-value pass runs
+only for a matrix that bound leaves uncertified, which no physical
+Liouvillian does.
 
 The generator implemented here is
 
@@ -46,6 +50,11 @@ __all__ = [
 MAX_ORACLE_QUBITS = 16
 
 DEGENERACY_TOL = 1e-10
+# 1 / ||C^-1||_F must exceed DEGENERACY_TOL, plus the rounding of the
+# singular values, by this factor to certify a unique stationary state
+# without a singular-value pass (see steady_state_null_space); a fixed part
+# of the proof, not a tolerance to tune
+_CERTIFY_MARGIN = 1e4
 
 
 @dataclass(frozen=True)
@@ -135,49 +144,79 @@ def _trace_row(dim: int) -> np.ndarray:
     return row
 
 
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a C-contiguous complex stack, inf on overflow."""
+    parts = stack.reshape(len(stack), stack.shape[1] * stack.shape[2]).view(float)
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.einsum("pk,pk->p", parts, parts))
+
+
 def steady_state_null_space(liouv: np.ndarray) -> np.ndarray:
     """Unique trace-one Hermitian stationary state of a Liouvillian matrix.
 
-    Solved deterministically by replacing the first row with the trace
-    constraint; the singular spectrum is inspected first and a second
-    singular value below 1e-10 raises DegenerateNullSpace (non-unique
-    stationary state). The smallest singular direction is the fallback for
-    a replaced system that is singular or leaves a residual above
+    Solved deterministically by replacing the first row of L with the trace
+    constraint and inverting that matrix C: the state is column 0 of C^-1.
+    A second singular value of L below 1e-10 raises DegenerateNullSpace
+    (non-unique stationary state). The smallest singular direction of L is
+    the fallback for a C that is singular or leaves a residual above
     1e-8 * max(1, max|vec|).
 
+    The inverse also certifies that the state is unique. C is L with one
+    row replaced, a rank-one change, so Weyl's interlacing gives
+    sigma_min(C) <= sigma_{n-1}(L) with n = d^2, and sigma_min(C) =
+    1 / ||C^-1||_2 >= 1 / ||C^-1||_F. A row is certified when
+    1 / ||C^-1||_F >= _CERTIFY_MARGIN * (1e-10 + n eps s), where
+    s = sqrt(||L||_F^2 + d) bounds the Frobenius norms of both L and C.
+    Rounding cannot flip that verdict: a certified row has
+    n eps kappa_F(C) <= 1 / _CERTIFY_MARGIN, so its computed inverse is
+    relatively accurate to about that, and the singular values a
+    values-only pass would compute lie within about n eps s of the exact
+    ones, far above 1e-10. On physical Liouvillians (N <= 16, rabi from 0
+    to 1e3) 1 / ||C^-1||_F is at least about 0.2 against a threshold below
+    1e-3, and n eps kappa_F(C) is below 1e-7, so every row certifies. Rows
+    the bound does not certify, including rows whose inverse is not
+    finite, take the values-only singular-value pass and the 1e-10 rule,
+    so DegenerateNullSpace is raised exactly where that rule raises.
+
     A (P, d^2, d^2) stack gives a (P, d, d) stack of states: one batched
-    singular-value pass (values only), one batched solve, and full singular
-    vectors only for the rows that fall back. Any degenerate row raises. A
-    singular row makes the batched solve raise, so the rows are then solved
-    one by one and only the singular ones fall back.
+    inverse, the singular values of the uncertified rows, and full
+    singular vectors only for the rows that fall back. Any degenerate row
+    raises. A singular row makes the batched inverse raise, so the rows
+    are then inverted one by one and only the singular ones fall back.
     """
     stack, single = _stack(liouv, "Liouvillian")
     rows, dim2 = stack.shape[:2]
     dim = math.isqrt(dim2)
     if dim * dim != dim2:
         raise ValueError(f"Liouvillian must be square with square size, got {stack.shape[1:]}")
-    svals = np.linalg.svd(stack, compute_uv=False)
-    degenerate = np.flatnonzero(svals[:, -2] < DEGENERACY_TOL)
-    if degenerate.size:
-        s = svals[degenerate[0]]
-        raise DegenerateNullSpace(
-            f"two singular values below {DEGENERACY_TOL}: {s[-2]:.3e}, {s[-1]:.3e}"
-        )
-
     constrained = stack.astype(complex)
+    scale = np.hypot(_frobenius(constrained), math.sqrt(dim))
     constrained[:, 0, :] = _trace_row(dim)
-    rhs = np.zeros((rows, dim2, 1), dtype=complex)
-    rhs[:, 0] = 1.0
     try:
-        vec = np.linalg.solve(constrained, rhs)[..., 0]
+        inverse = np.linalg.inv(constrained)
     except np.linalg.LinAlgError:
-        # NaN on the singular rows fails the residual test below
-        vec = np.full((rows, dim2), np.nan, dtype=complex)
+        # NaN on the singular rows leaves them uncertified and fails the
+        # residual test below
+        inverse = np.full(constrained.shape, np.nan, dtype=complex)
         for i in range(rows):
             try:
-                vec[i] = np.linalg.solve(constrained[i], rhs[i, :, 0])
+                inverse[i] = np.linalg.inv(constrained[i])
             except np.linalg.LinAlgError:
                 pass
+    vec = inverse[:, :, 0]
+
+    # a NaN or overflowing inverse reads as unbounded and is not certified
+    floor = _CERTIFY_MARGIN * (DEGENERACY_TOL + dim2 * np.finfo(float).eps * scale)
+    certified = 1.0 / _frobenius(inverse) >= floor
+    if not certified.all():
+        svals = np.linalg.svd(stack[~certified], compute_uv=False)
+        degenerate = np.flatnonzero(svals[:, -2] < DEGENERACY_TOL)
+        if degenerate.size:
+            s = svals[degenerate[0]]
+            raise DegenerateNullSpace(
+                f"two singular values below {DEGENERACY_TOL}: {s[-2]:.3e}, {s[-1]:.3e}"
+            )
+
     residual = np.abs(stack @ vec[..., None]).max(axis=(1, 2))
     accepted = residual <= 1e-8 * np.maximum(1.0, np.abs(vec).max(axis=1))
     for i in np.flatnonzero(~accepted):

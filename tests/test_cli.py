@@ -18,7 +18,7 @@ from dickepair import (
     steady_state_null_space,
     sweep,
 )
-from dickepair import cli
+from dickepair import cli, csvfloat
 from dickepair.cli import FIGURES, figure_preset, main
 from dickepair.oracle import density_expectation_set
 from helpers import reference_csv
@@ -235,6 +235,29 @@ def test_output_matches_the_row_at_a_time_writer(tmp_path, argv):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == reference_csv(table.meta, table.header, table.blocks).encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig6"],
+    ["sweep", "--n", "4", "--dipole", "2", "--axis", "pump:0.1:2.5:40",
+     "--axis", "detuning:-6:2:30"],
+    ["oracle-check"],
+], ids=["fig6", "sweep", "oracle-check"])
+def test_full_blocks_take_the_kernel_and_small_tables_take_percent(tmp_path, monkeypatch,
+                                                                   argv):
+    blocks, kernel = [], []
+    csv_rows, kernel_rows = cli.csv_rows, csvfloat._kernel_rows
+    monkeypatch.setattr(cli, "csv_rows", lambda b: blocks.append(b.shape) or csv_rows(b))
+    monkeypatch.setattr(csvfloat, "_kernel_rows",
+                        lambda b: kernel.append(b.shape) or kernel_rows(b))
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert kernel == [shape for shape in blocks if shape[0] * shape[1] >= csvfloat.KERNEL_MIN_CELLS]
+    full = [shape for shape in blocks if shape[0] == csvfloat.BLOCK_CELLS // shape[1]]
+    if argv[0] == "oracle-check":
+        # one 75-row block per default size, each a whole table in '%'
+        assert blocks == [(75, 6)] * 4 and kernel == []
+    else:
+        assert full and set(full) <= set(kernel)
 
 
 def test_negative_values_in_exponent_form_parse(tmp_path):

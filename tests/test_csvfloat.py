@@ -1,4 +1,6 @@
 """CSV float cells: the numpy kernel writes what ``'%.17g' %`` writes."""
+import warnings
+
 import numpy as np
 
 from dickepair import csvfloat
@@ -19,4 +21,19 @@ def test_blocks_on_both_sides_of_the_break_even_match_percent():
         block[0, :3] = (-0.0, 0.0, np.nan)
         expected = "".join(",".join("%.17g" % (v + 0.0) for v in row) + "\n"
                            for row in block.tolist())
+        assert csvfloat.csv_rows(block) == expected
+
+
+def test_signaling_nans_under_the_break_even_write_quietly():
+    # quiet and signaling NaNs of both signs, among ordinary cells, in a
+    # block that '%' writes
+    bits = np.array([0x7FF0000000000001, 0xFFF0000000000001, 0x7FF4000000000000,
+                     0x7FF8000000000000, 0x3FF8000000000000, 0x8000000000000000],
+                    dtype=np.uint64)
+    block = bits.view(float).reshape(2, 3)
+    assert block.size < csvfloat.KERNEL_MIN_CELLS
+    expected = "".join(",".join("%.17g" % (v + 0.0) for v in row) + "\n"
+                       for row in block.tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert csvfloat.csv_rows(block) == expected

@@ -1,4 +1,6 @@
 """Dense master-equation solver: operators, Liouvillian, stationary states."""
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from dickepair import (
     oracle_pair_density,
     steady_state_null_space,
 )
+from dickepair import cli
 from dickepair.oracle import DickeBasisOperators, density_expectation_set
 from helpers import NotConverged, dense_ladder_steady_state, evolve_to_steady, steady_rho
 
@@ -143,6 +146,94 @@ def test_singular_trace_system_falls_back_on_its_row_only():
     assert np.abs(states[0] - steady_state_null_space(good)).max() <= 1e-14
     assert states[1] == pytest.approx(np.diag([1.0, 0.0]), abs=1e-12)
     assert steady_state_null_space(odd) == pytest.approx(np.diag([1.0, 0.0]), abs=1e-12)
+
+
+def svd_spy(monkeypatch):
+    """Record the shape and compute_uv of every np.linalg.svd call."""
+    calls, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def constrained_inverse_bound(liouv):
+    """1 / ||C^-1||_F of L with its first row replaced by the trace row."""
+    dim = math.isqrt(liouv.shape[-1])
+    constrained = liouv.astype(complex)
+    constrained[..., 0, :] = 0.0
+    constrained[..., 0, :: dim + 1] = 1.0
+    return 1.0 / np.linalg.norm(np.linalg.inv(constrained), axis=(-2, -1))
+
+
+def with_singular_values(svals, seed):
+    """A complex matrix with the given singular values and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    size = len(svals)
+    u, v = (np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))[0]
+            for _ in range(2))
+    return (u * np.asarray(svals)) @ v.conj().T
+
+
+def test_oracle_check_grid_takes_no_svd(monkeypatch):
+    calls, solved = [], []
+    solve = cli.steady_state_null_space
+
+    def spied_solve(liouv):
+        solved.append(len(liouv))
+        with monkeypatch.context() as patch:
+            spied = svd_spy(patch)
+            states = solve(liouv)
+        calls.extend(spied)
+        return states
+
+    monkeypatch.setattr(cli, "steady_state_null_space", spied_solve)
+    assert cli.main(["oracle-check", "--n", "2", "--n", "3", "--n", "4", "--n", "6",
+                     "--out", "-"]) == 0
+    assert sum(solved) == 4 * 75 and calls == []
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_larger_random_batches_take_no_svd(monkeypatch, n):
+    calls = svd_spy(monkeypatch)
+    states = steady_state_null_space(build_liouvillian(random_batch(n, 3, seed=30 + n)))
+    assert calls == [] and states.shape == (3, n + 1, n + 1)
+
+
+@pytest.mark.parametrize("second", [1e-12, 1e-11, 9.9e-11, 1.01e-10, 1e-9, 1e-8, 1e-7])
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+def test_uncertified_matrices_keep_the_singular_value_rule(monkeypatch, second, stacked):
+    # d = 4: 16 x 16, the size of an N = 3 Liouvillian; sigma_n = 0
+    odd = with_singular_values([5.0] * 8 + [1.0] * 6 + [second, 0.0], seed=7)
+    physical = build_liouvillian(SystemParams(n_qubits=3, rabi=1.3, detuning=-2.0,
+                                              dipole_shift=1.5))
+    liouv = np.stack([physical, odd]) if stacked else odd
+    expected = np.linalg.svd(odd, compute_uv=False)[-2] < 1e-10
+    calls = svd_spy(monkeypatch)
+    if expected:
+        with pytest.raises(DegenerateNullSpace):
+            steady_state_null_space(liouv)
+    else:
+        states = steady_state_null_space(liouv)
+        if stacked:
+            assert np.abs(states[0] - steady_state_null_space(physical)).max() <= 1e-14
+    # sigma_{n-1} <= 1e-7 is far under the certified floor, so only the odd
+    # matrix takes the values-only pass; the physical row is certified
+    assert calls[0] == ((1, 16, 16), False)
+    assert (second < 1e-10) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_inverse_bound_lies_under_the_second_singular_value(n):
+    dim2 = (n + 1) ** 2
+    rng = np.random.default_rng(40 + n)
+    random = rng.normal(size=(20, dim2, dim2)) + 1j * rng.normal(size=(20, dim2, dim2))
+    for liouv in (random, build_liouvillian(random_batch(n, 20, seed=50 + n))):
+        second = np.linalg.svd(liouv, compute_uv=False)[:, -2]
+        assert (constrained_inverse_bound(liouv) <= second * (1.0 + 1e-9)).all()
 
 
 def test_decay_from_excited_state():

@@ -233,9 +233,9 @@ def _run_figure(config: RunConfig) -> _Table:
 def _run_oracle_check(config: RunConfig) -> _Table:
     """Closed form against the dense null space on a 75-point grid per size.
 
-    Every size is checked and evaluated in closed form (one batch, whose
-    moments and pair matrices share one table build) before any dense
-    solve. The dense side solves chunks of
+    Every size is checked and evaluated in closed form (one batch each for
+    its moments and its pair matrices) before any dense solve. The dense
+    side reuses its per-size operators and dissipator and solves chunks of
     CHUNK_ELEMENTS // (N + 1)^4 rows, at least one, so no Liouvillian stack
     holds more than CHUNK_ELEMENTS entries; the moments and pair matrices
     of the states are then read off as one stack per size.

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,21 +110,40 @@ def _stack(arr: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
+@lru_cache(maxsize=None)
+def _fixed_parts(n_qubits: int):
+    """(ladder operators, I, S+S-, dissipator) of one N, built once, read-only.
+
+    The dissipator is 2 S- x S- - (S+S- x I + I x (S+S-)^T). S+S- is
+    diagonal and S- x S- lowers both indices, so its two terms have
+    disjoint supports: adding their sum to a commutator rounds as adding
+    them one after the other does.
+    """
+    ops = DickeBasisOperators.build(n_qubits)
+    eye = np.eye(ops.dimension)
+    spsm = ops.s_plus @ ops.s_minus
+    # S- rho S+ lifts to kron(S-, (S+)^T) = kron(S-, S-) for real elements
+    dissipator = 2.0 * _kron(ops.s_minus, ops.s_minus) - (_kron(spsm, eye) + _kron(eye, spsm.T))
+    for arr in (eye, spsm, dissipator):
+        arr.setflags(write=False)
+    return ops, eye, spsm, dissipator
+
+
 def build_liouvillian(params: SystemParams | ParamBatch) -> np.ndarray:
     """Matrix L with vec(d rho/dt) = L vec(rho), row-major vectorization.
 
     A :class:`ParamBatch` of P points gives a (P, d^2, d^2) stack with
     d = N + 1; one :class:`SystemParams` gives its matrix, the batch of one.
     Every matrix is built by the same elementwise arithmetic whatever P, so
-    a row of a stack is bit-identical to its single-point build. Unlike the
+    a row of a stack is bit-identical to its single-point build. The ladder
+    operators and the dissipator are built once per N; a call builds only
+    the Hamiltonian commutator of its points and adds them. Unlike the
     closed-form solver, rabi = 0 is allowed here.
     """
     _check_size(params.n_qubits)
     single = isinstance(params, SystemParams)
     points = ParamBatch.of(params) if single else params
-    ops = DickeBasisOperators.build(points.n_qubits)
-    eye = np.eye(ops.dimension)
-    spsm = ops.s_plus @ ops.s_minus
+    ops, eye, spsm, dissipator = _fixed_parts(points.n_qubits)
     tilde = points.detuning + points.dipole_shift
     ham = (
         tilde[:, None, None] * ops.s_z
@@ -132,9 +152,7 @@ def build_liouvillian(params: SystemParams | ParamBatch) -> np.ndarray:
     )
     # A rho lifts to kron(A, I) and rho B to kron(I, B^T)
     liouv = -1j * (_kron(ham, eye) - _kron(eye, np.swapaxes(ham, 1, 2)))
-    liouv -= _kron(spsm, eye) + _kron(eye, spsm.T)
-    # S- rho S+ lifts to kron(S-, (S+)^T) = kron(S-, S-) for real elements
-    liouv += 2.0 * _kron(ops.s_minus, ops.s_minus)
+    liouv += dissipator
     return liouv[0] if single else liouv
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalFailure, PairUndefined
 from .params import ParamBatch, SystemParams
-from .steady import ExpectationSet, _batch_tables, _steady_tables
+from .steady import ExpectationSet, _tables
 
 __all__ = [
     "ConcurrenceResult",
@@ -144,9 +144,8 @@ def steady_pair_density(params: SystemParams | ParamBatch,
         raise PairUndefined(
             f"pair reduction needs at least 2 qubits, got {params.n_qubits}"
         )
-    if isinstance(params, ParamBatch):
-        return _assemble(*_batch_tables(params, precision).pair_entries())
-    return _assemble(*_steady_tables(params, precision).pair_entries())[0]
+    rho = _assemble(*_tables(params, precision).pair_entries())
+    return rho if isinstance(params, ParamBatch) else rho[0]
 
 
 def concurrence(rho: np.ndarray) -> ConcurrenceResult:

@@ -17,7 +17,7 @@ recurrence in O(N) big-integer steps, and the weight w_q = S_q / S_0 is a
 float of modest size, the correctly rounded value of a small exact
 rational. Only the float rows log S_0 and w_q are cached. That leaves O(N)
 sums over n, evaluated in log space because their terms reach (2N+1)!
-scale. All sums that share a drive power (p, f) share one base
+scale. The sums taken together at one drive power (p, f) share one base
 C_{n-f,n-p} S_0[n], exponentiated once, and differ only in their weight
 rows (:func:`dickepair.logcomplex.logsum_complex`); each sum comes back as
 exp(scale) * mantissa.
@@ -167,12 +167,14 @@ def _pair_rows(n_qubits: int):
 class _SteadyTables:
     """Coefficients shared by all moments, for a batch of P operating points.
 
-    ``a_log``, ``a_unit`` and ``u_log`` are (P, N+1) arrays, ``v_unit`` is
-    (P, N), and ``log_z`` and the ladder sums are (P,) arrays: each ladder
-    sum is one row reduction over the batch. A :class:`SystemParams` is
-    taken as the batch of one. The base of each drive power, the moment
-    sums, ``a_unit`` and ``log_z`` are built on first use and kept;
-    concurrent reads may build one twice, with the same result.
+    ``a_log`` and ``u_log`` are (P, N+1) arrays, ``v_unit`` is (P, N), and
+    ``log_z`` and the ladder sums are (P,) arrays: each ladder sum is one
+    row reduction over the batch. A :class:`SystemParams` is taken as the
+    batch of one. The moment sums and ``log_z`` are built on first use and
+    kept; concurrent reads may build one twice, with the same result. The
+    base of a drive power is built for each ladder sum that reads it.
+    Tables live as long as the call that built them (:func:`_tables`), or
+    in the single-point LRU.
     """
 
     def __init__(self, params: SystemParams | ParamBatch, precision: str = "standard"):
@@ -199,15 +201,7 @@ class _SteadyTables:
         # u_n = (-1)^n alpha^-n a_n gives C_{n-f, n-p} = u_{n-f} conj(u_{n-p})
         self.u_log = self.a_log - np.arange(N + 1) * np.log(abs_alpha)[:, None]
         self.alpha_unit = -alpha.conjugate() / abs_alpha
-        self._bases = {}
         self._moment_sums = {}
-
-    @cached_property
-    def a_unit(self) -> np.ndarray:
-        """The phases a_n / |a_n|, running products of the steps v_k."""
-        a_unit = np.ones((len(self.v_unit), self.n_qubits + 1), dtype=complex)
-        np.cumprod(self.v_unit, axis=1, out=a_unit[:, 1:])
-        return a_unit
 
     @cached_property
     def log_z(self) -> np.ndarray:
@@ -218,29 +212,25 @@ class _SteadyTables:
     def _base(self, p: int, f: int, log_s0: np.ndarray):
         """(log magnitudes, units) of C_{n-f, n-p} S_0[n] over rows n = max(p, f)..N.
 
-        Kept per (p, f): every row set of one N carries the same log S_0.
         The unit factor of row n, a_{n-f} conj(a_{n-p}) / |a_{n-f} a_{n-p}|,
         is the product of the phase steps v_k for k = n-p+1..n-f when p > f
         (one step, a view, for rho12), and its conjugate when p < f. On the
         diagonal it is 1 and left out (units None).
         """
-        base = self._bases.get((p, f))
-        if base is None:
-            N, lo = self.n_qubits, max(p, f)
-            # rows n = lo..N read the prefix columns n - f and n - p
-            a_f, a_p = slice(lo - f, N + 1 - f), slice(lo - p, N + 1 - p)
-            log_mags = self.u_log[:, a_f] + self.u_log[:, a_p] + log_s0[lo:]
-            units = None
-            if p != f:
-                # step k sits in column k - 1; row n takes k = n - j + 1, j = min+1..max
-                steps = range(min(p, f) + 1, lo + 1)
-                units = self.v_unit[:, lo - steps[0]:N + 1 - steps[0]]
-                for j in steps[1:]:
-                    units = units * self.v_unit[:, lo - j:N + 1 - j]
-                if p < f:
-                    units = np.conj(units)
-            base = self._bases[(p, f)] = (log_mags, units)
-        return base
+        N, lo = self.n_qubits, max(p, f)
+        # rows n = lo..N read the prefix columns n - f and n - p
+        a_f, a_p = slice(lo - f, N + 1 - f), slice(lo - p, N + 1 - p)
+        log_mags = self.u_log[:, a_f] + self.u_log[:, a_p] + log_s0[lo:]
+        units = None
+        if p != f:
+            # step k sits in column k - 1; row n takes k = n - j + 1, j = min+1..max
+            steps = range(min(p, f) + 1, lo + 1)
+            units = self.v_unit[:, lo - steps[0]:N + 1 - steps[0]]
+            for j in steps[1:]:
+                units = units * self.v_unit[:, lo - j:N + 1 - j]
+            if p < f:
+                units = np.conj(units)
+        return log_mags, units
 
     def _ladder_sums(self, p: int, f: int, rows):
         """sum_{n >= max(p, f)} C_{n-f, n-p} S_0[n] w[n] for each weight row w.
@@ -323,20 +313,11 @@ def _steady_tables(params: SystemParams, precision: str) -> _SteadyTables:
     return _SteadyTables(params, precision)
 
 
-# The tables of the last batch, keyed by its values, so that the moments and
-# the pair matrices of one batch (oracle-check reads both) share one build.
-_last_batch: dict[tuple, _SteadyTables] = {}
-
-
-def _batch_tables(points: ParamBatch, precision: str) -> _SteadyTables:
-    key = (points.n_qubits, precision, points.rabi.tobytes(), points.detuning.tobytes(),
-           points.dipole_shift.tobytes())
-    tables = _last_batch.get(key)
-    if tables is None:
-        tables = _SteadyTables(points, precision)
-        _last_batch.clear()
-        _last_batch[key] = tables
-    return tables
+def _tables(params: SystemParams | ParamBatch, precision: str) -> _SteadyTables:
+    """Fresh tables for a :class:`ParamBatch`, the LRU entry for a :class:`SystemParams`."""
+    if isinstance(params, ParamBatch):
+        return _SteadyTables(params, precision)
+    return _steady_tables(params, precision)
 
 
 def expectation(params: SystemParams, p: int, r: int, f: int,
@@ -358,8 +339,7 @@ def expectation_set(params: SystemParams | ParamBatch,
     from one table build; one :class:`SystemParams` gives its scalars, the
     batch of one.
     """
-    batch = isinstance(params, ParamBatch)
-    tables = _batch_tables(params, precision) if batch else _steady_tables(params, precision)
+    tables = _tables(params, precision)
     moments = {
         "s_plus": tables.moment(1, 0, 0),
         "s_z": tables.moment(0, 1, 0).real,
@@ -368,6 +348,6 @@ def expectation_set(params: SystemParams | ParamBatch,
         "s_plus2": tables.moment(2, 0, 0),
         "s_plus_s_minus": tables.moment(1, 0, 1).real,
     }
-    if batch:
+    if isinstance(params, ParamBatch):
         return ExpectationSet(**moments)
     return ExpectationSet(**{name: m[0].item() for name, m in moments.items()})

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GridTooCoarse
 from .pairwise import concurrence, steady_pair_density
-from .params import ParamBatch, SystemParams, derive_params
+from .params import ParamBatch, SystemParams
 # perfbench/tracer.py patches sweep.expectation (tests/test_bench_contract.py)
 from .steady import expectation
 
@@ -33,7 +33,6 @@ __all__ = [
     "sweep",
     "find_max_concurrence",
     "detect_transition",
-    "SHARPNESS_THRESHOLD",
     "expectation",  # the tracer's patch target; no caller in this module
 ]
 
@@ -78,12 +77,6 @@ MAXIMIZE_AXES = ("rabi", "pump", "detuning")
 MAXIMIZE_COARSE_POINTS = 33
 MAXIMIZE_ZOOM_POINTS = 5
 MAXIMIZE_TOL_PUMP = 1e-4
-
-# |d(<Sz>/N)/dx| on x = pump / |1 + i delta| above this flags a sharp
-# transition candidate; smooth small-N curves stay well below 1 while
-# collective kinks exceed it.
-SHARPNESS_THRESHOLD = 1.0
-
 
 @dataclass(frozen=True)
 class AxisSpec:
@@ -257,17 +250,12 @@ class TransitionReport:
     grid by central differences, on the axis x = pump / |1 + i delta|: at
     zero effective detuning Delta + delta the curve is the resonant one with
     the pump stretched by that factor, and on x both read the same.
-    ``critical_pump`` is where that maximum sits, and ``sharp`` flags
-    sharpness above SHARPNESS_THRESHOLD. The kind labels follow the
-    parameter regime (first order needs nonzero detuning, dipole shift and
-    effective detuning), not an independent thermodynamic criterion. Pumps
-    are in ordinary pump units.
+    ``critical_pump`` is where that maximum sits. Pumps are in ordinary
+    pump units.
     """
 
     critical_pump: float
-    kind: str
     sharpness: float
-    sharp: bool
     peak_pump: float
     peak_c: float
     collapse_pump: float
@@ -293,15 +281,10 @@ def detect_transition(result: SweepResult) -> TransitionReport:
     zero = np.flatnonzero(c[peak + 1:] <= 0.0)
     deriv = np.gradient(result.data["sz_norm"], pumps)
     idx = int(np.argmax(np.abs(deriv)))
-    template = points.point(0)
-    sharpness = float(np.abs(deriv[idx])) * abs(complex(1.0, template.dipole_shift))
-    first_order = (template.dipole_shift != 0.0 and template.detuning != 0.0
-                   and derive_params(template).tilde_detuning != 0.0)
+    sharpness = float(np.abs(deriv[idx])) * abs(complex(1.0, points.dipole_shift[0]))
     return TransitionReport(
         critical_pump=float(pumps[idx]),
-        kind="first_order_candidate" if first_order else "second_order_candidate",
         sharpness=sharpness,
-        sharp=sharpness >= SHARPNESS_THRESHOLD,
         peak_pump=float(pumps[peak]),
         peak_c=float(c[peak]),
         collapse_pump=float(pumps[peak + 1 + zero[0]]) if len(zero) else math.nan,

@@ -46,13 +46,14 @@ def test_module_imports_are_used():
 
 def test_module_imports_stay_within_declared_dependencies():
     # numpy is the only declared runtime dependency; scipy, mpmath and the
-    # test tools are installed for the tests but stay out of the package
+    # test tools are installed for the tests but stay out of the package,
+    # at module level and inside functions alike
     allowed = set(sys.stdlib_module_names) | {"numpy", dickepair.__name__}
     for module in MODULES:
         with open(module.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         roots = set()
-        for node in tree.body:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 roots |= {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:

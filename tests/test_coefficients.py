@@ -46,11 +46,11 @@ def params_for_beta(beta, n_qubits):
 
 
 def prefix(tables, n):
-    """a_n = prod_{k<=n} (1 + beta/k) from the a_log and a_unit prefix arrays.
+    """a_n = prod_{k<=n} (1 + beta/k) from the a_log prefix and the phase steps v_k.
 
     Tables built from one SystemParams are a batch of one: row 0.
     """
-    return math.exp(tables.a_log[0, n]) * tables.a_unit[0, n]
+    return math.exp(tables.a_log[0, n]) * complex(np.prod(tables.v_unit[0, :n]))
 
 
 def one_point(pair):
@@ -74,14 +74,14 @@ def value(pair):
 def test_pochhammer_empty_product():
     for beta in (0.0, 1j, -2.3 + 0.7j):
         tables = _SteadyTables(params_for_beta(beta, 3))
-        assert tables.a_log[0, 0] == 0.0 and tables.a_unit[0, 0] == 1.0
+        assert tables.a_log[0, 0] == 0.0 and prefix(tables, 0) == 1.0
 
 
 def test_pochhammer_real_factorial():
     # beta = 0: Gamma(1+n)/(Gamma(1) n!) = 1 for every n, exactly
     tables = _SteadyTables(params_for_beta(0, 6))
     assert derive_params(tables.params).beta == 0
-    assert (tables.a_log == 0.0).all() and (tables.a_unit == 1.0).all()
+    assert (tables.a_log == 0.0).all() and (tables.v_unit == 1.0).all()
 
 
 def test_pochhammer_complex_example():

@@ -14,7 +14,7 @@ from dickepair import (
     oracle_pair_density,
     steady_state_null_space,
 )
-from dickepair import cli
+from dickepair import cli, oracle
 from dickepair.oracle import DickeBasisOperators, density_expectation_set
 from helpers import NotConverged, dense_ladder_steady_state, evolve_to_steady, steady_rho
 
@@ -118,6 +118,45 @@ def test_liouvillian_stack_rows_are_single_point_builds(n):
     assert stack.shape == (7, dim2, dim2)
     for i in range(7):
         assert np.array_equal(stack[i], build_liouvillian(batch.point(i)))
+
+
+def test_liouvillian_parts_are_built_once_per_size(monkeypatch):
+    builds, krons = [], []
+    real_build, real_kron = DickeBasisOperators.build, oracle._kron
+
+    def spy_build(n_qubits):
+        builds.append(n_qubits)
+        return real_build(n_qubits)
+
+    def spy_kron(a, b):
+        krons.append(max(a.ndim, b.ndim))
+        return real_kron(a, b)
+
+    monkeypatch.setattr(DickeBasisOperators, "build", spy_build)
+    monkeypatch.setattr(oracle, "_kron", spy_kron)
+    oracle._fixed_parts.cache_clear()
+    batch = random_batch(3, 4, seed=60)
+    first = build_liouvillian(batch)
+    # the first build at a size makes the operators and the three dissipator terms
+    assert builds == [3] and krons.count(2) == 3
+    builds.clear()
+    krons.clear()
+    expected, expected_row = first.tobytes(), first[2].tobytes()
+    second = build_liouvillian(batch)
+    # a second build makes only the two Hamiltonian terms, on the (P, d, d) stack
+    assert builds == [] and krons == [3, 3]
+    assert second.tobytes() == expected
+
+    ops, *fixed = oracle._fixed_parts(3)
+    cached = [ops.s_plus, ops.s_minus, ops.s_z, *fixed]
+    assert not any(arr.flags.writeable for arr in cached)
+    for arr in cached + [first]:
+        assert not np.shares_memory(second, arr)
+    # writing into a result leaves the next stack and single-point builds alone
+    first[...] = 7.0
+    second[...] = 7.0
+    assert build_liouvillian(batch).tobytes() == expected
+    assert build_liouvillian(batch.point(2)).tobytes() == expected_row
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])

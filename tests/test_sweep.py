@@ -1,6 +1,7 @@
 """Grid sweeps, maximization and transition detection."""
 import importlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dickepair import (
     find_max_concurrence,
     sweep,
 )
-from dickepair.sweep import RECORD_FIELDS, SHARPNESS_THRESHOLD, evaluate_point, evaluate_points
+from dickepair.sweep import RECORD_FIELDS, evaluate_point, evaluate_points
 from helpers import per_point_transition
 
 # the package re-exports the function ``sweep`` under the module's name
@@ -162,6 +163,24 @@ def test_sweep_is_deterministic():
     assert np.array_equal(a.data, b.data)
 
 
+def test_concurrent_sweeps_match_serial_runs():
+    # distinct parameter points can be evaluated concurrently: no sweep reads
+    # or writes tables of another, so four threads give the serial records
+    jobs = [
+        (SystemParams(n_qubits=2, rabi=1.0, dipole_shift=5.0),
+         (AxisSpec("pump", 0.1, 2.0, 40), AxisSpec("detuning", -10.0, 0.0, 30))),
+        (SystemParams(n_qubits=6, rabi=1.0, detuning=-1.0), (AxisSpec("pump", 0.2, 1.5, 700),)),
+        (SystemParams(n_qubits=50, rabi=1.0, dipole_shift=2.0),
+         (AxisSpec("pump", 0.5, 1.2, 150), AxisSpec("detuning", -3.0, 1.0, 3))),
+        (SystemParams(n_qubits=74, rabi=1.0), (AxisSpec("pump", 0.8, 1.1, 300),)),
+    ]
+    serial = [sweep(t, axes).data.tobytes() for t, axes in jobs]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for _ in range(2):
+            futures = [pool.submit(sweep, t, axes) for t, axes in jobs]
+            assert [f.result().data.tobytes() for f in futures] == serial
+
+
 def test_concurrence_in_unit_interval_across_grid():
     t = SystemParams(n_qubits=6, rabi=1.0, dipole_shift=3.0, detuning=-4.2)
     result = sweep(t, (AxisSpec("pump", 0.05, 2.5, 40),))
@@ -306,34 +325,20 @@ def test_detect_transition_needs_fine_grid():
 def test_small_system_is_not_sharp():
     t = SystemParams(n_qubits=2, rabi=1.0)
     report = detect_transition(sweep(t, (AxisSpec("pump", 0.05, 3.0, 200),)))
-    assert report.sharpness < SHARPNESS_THRESHOLD
-    assert not report.sharp
-    assert report.kind == "second_order_candidate"
+    assert report.sharpness < 1.0
     assert 0.05 <= report.critical_pump <= 3.0
-
-
-def test_transition_kind_classification():
-    resonant = SystemParams(n_qubits=20, rabi=1.0)
-    shifted = SystemParams(n_qubits=20, rabi=1.0, detuning=-4.0, dipole_shift=2.0)
-    # detuning = -dipole_shift zeroes the effective detuning: a stretched resonant curve
-    cancelled = SystemParams(n_qubits=20, rabi=1.0, detuning=-2.0, dipole_shift=2.0)
-    axis = (AxisSpec("pump", 0.05, 2.0, 200),)
-    assert detect_transition(sweep(resonant, axis)).kind == "second_order_candidate"
-    assert detect_transition(sweep(shifted, axis)).kind == "first_order_candidate"
-    assert detect_transition(sweep(cancelled, axis)).kind == "second_order_candidate"
 
 
 def test_cancelled_detuning_reads_as_resonant_curve():
     # at Delta = -delta the curve is the resonant one with the pump stretched by
-    # |1 + i delta/gamma|; on the stretched axis kind, sharpness and flag agree
+    # |1 + i delta/gamma|; on the stretched axis both read the same sharpness
     stretch = abs(complex(1.0, 5.0))
     axis = AxisSpec("pump", 0.05, 6.0 / stretch, 800)
     stretched = AxisSpec("pump", axis.start * stretch, axis.stop * stretch, axis.points)
     resonant = detect_transition(sweep(SystemParams(n_qubits=50, rabi=1.0), (axis,)))
     shifted = detect_transition(
         sweep(SystemParams(n_qubits=50, rabi=1.0, detuning=-5.0, dipole_shift=5.0), (stretched,)))
-    assert resonant.kind == shifted.kind == "second_order_candidate"
-    assert resonant.sharp and shifted.sharp
+    assert resonant.sharpness >= 1.0 and shifted.sharpness >= 1.0
     assert shifted.sharpness == pytest.approx(resonant.sharpness, rel=0.01)
     assert shifted.critical_pump == pytest.approx(resonant.critical_pump * stretch, rel=1e-12)
 
@@ -343,7 +348,7 @@ def test_collective_kink_sharpens_with_size():
     small = detect_transition(sweep(SystemParams(n_qubits=6, rabi=1.0), axis))
     large = detect_transition(sweep(SystemParams(n_qubits=40, rabi=1.0), axis))
     assert large.sharpness > small.sharpness
-    assert large.sharp
+    assert large.sharpness >= 1.0
 
 
 # the pump axis of acceptance criterion 4

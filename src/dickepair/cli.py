@@ -11,10 +11,18 @@ KERNEL_MIN_CELLS cells (single-point commands, ``maximize``,
 ``oracle-check``) and for each cell the kernel cannot certify (NaN,
 infinities, |x| outside [1e-280, 1e280], near-ties at the 17th digit).
 Exit codes: 0 success, 2 usage error, 3 numerical error.
+
+On glibc, :func:`main` sets the process's allocator once, before its first
+command, to keep freed memory (``_MALLOC_SETTINGS``): each sweep chunk, CSV
+block and dense-oracle stack then reuses pages the one before it faulted
+in, where glibc's defaults hand them back and fault them in again. The
+output does not change. Without ``mallopt`` nothing changes, and library
+calls never touch the allocator.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import re
 import sys
@@ -417,7 +425,43 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+# glibc's mallopt parameters (malloc.h) and the values main() sets: arrays
+# up to 3 MiB come from the heap, not from mmaps of their own, and up to
+# 8 MiB freed at the heap's top stays in the process. Both are the smallest
+# of {2, 3, 4} MiB and {4, 8, 16} MiB that remove the re-faulting: the
+# largest block allocated per chunk is the dense oracle's at N = 16
+# (2.5-2.75 MiB by bisection), and `oracle-check --n 12 --n 16` re-faults
+# 133,000 pages with a 7 MiB trim threshold and 2 from 8 MiB on.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MALLOC_SETTINGS = ((_M_MMAP_THRESHOLD, 3 << 20), (_M_TRIM_THRESHOLD, 8 << 20))
+
+
+def _load_libc():
+    return ctypes.CDLL("libc.so.6")
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Apply ``_MALLOC_SETTINGS`` to this process, once and best effort.
+
+    Where there is no glibc (the load fails or has no ``mallopt``) or
+    ``mallopt`` refuses a value (returns 0), the allocator stays as it was.
+    Only :func:`main` calls this: library calls leave their host process's
+    allocator alone.
+    """
+    try:
+        mallopt = _load_libc().mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOC_SETTINGS:
+        mallopt(param, value)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         ns = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))

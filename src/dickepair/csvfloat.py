@@ -37,11 +37,14 @@ import numpy as np
 __all__ = ["BLOCK_CELLS", "KERNEL_MIN_CELLS", "csv_rows"]
 
 # CSV blocks hold about this many cells. A larger block spreads the
-# kernel's fixed cost (about 0.1 ms) over more cells, but from about 2,000
-# cells on its temporaries (about 0.4 kB a cell) are handed back to the
-# system and faulted in again on every block: in a fresh process fig3 took
-# 0.20 s at 1,024-1,536 cells and 0.24 s at 4,096.
-BLOCK_CELLS = 1024
+# kernel's fixed cost (about 0.1 ms) over more cells, but its temporaries
+# (about 0.4 kB a cell) stay resident as part of the peak. With the CLI
+# keeping freed memory in the process, so that no block faults its pages in
+# again, fig3's benchmark wall time read 0.205 s at 1,024 cells, 0.175 s at
+# 2,048 and 0.162 s at 4,096 (medians of 10 runs on a 2-vCPU machine), and
+# its peak RSS 34.66, 34.69 and 35.58 MB: 4,096 cells cost 2.7% more
+# memory, 2,048 cells 0.1%.
+BLOCK_CELLS = 2048
 # Blocks of fewer cells take '%'. A CLI command is a fresh process, where
 # the first kernel block also builds the tables (about 1 ms) and wins that
 # back only from about 2,000 cells on; once they are built the kernel pays

@@ -252,7 +252,7 @@ def _run_oracle_check(config: RunConfig) -> _Table:
         np.linspace(0.2, 5.0, 5), np.linspace(-10.0, 2.0, 5), (0.0, 2.0, 5.0), indexing="ij")]
     closed_form = []
     for n in config.oracle_sizes:
-        points = ParamBatch(int(n), *grid)
+        points = ParamBatch(n, *grid)
         _check_size(points.n_qubits)
         closed_form.append((points, expectation_set(points, precision=config.precision),
                             steady_pair_density(points, precision=config.precision)))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalFailure, PairUndefined
 from .params import ParamBatch, SystemParams
-from .steady import ExpectationSet, _tables
+from .steady import ExpectationSet, _SteadyTables
 
 __all__ = [
     "ConcurrenceResult",
@@ -144,7 +144,7 @@ def steady_pair_density(params: SystemParams | ParamBatch,
         raise PairUndefined(
             f"pair reduction needs at least 2 qubits, got {params.n_qubits}"
         )
-    rho = _assemble(*_tables(params, precision).pair_entries())
+    rho = _assemble(*_SteadyTables(params, precision).pair_entries())
     return rho if isinstance(params, ParamBatch) else rho[0]
 
 

@@ -12,6 +12,7 @@ the batch of one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +25,8 @@ class SystemParams:
     Parameters
     ----------
     n_qubits : int
-        Number of two-level emitters, N >= 1 (pair quantities need N >= 2).
+        Number of two-level emitters, N >= 1 (pair quantities need N >= 2);
+        any integral type but ``bool``, stored as a Python int.
     rabi : float
         Drive amplitude Omega >= 0. Zero is allowed here but rejected by the
         steady-state formulas, which are singular at zero drive.
@@ -40,8 +42,11 @@ class SystemParams:
     dipole_shift: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
+        n = self.n_qubits
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"n_qubits must be a positive integer, got {n!r}")
+        # the exact row sums step big integers in N, which a numpy integer overflows
+        object.__setattr__(self, "n_qubits", int(n))
         if not (self.rabi >= 0.0 and math.isfinite(self.rabi)):
             raise ValueError(f"rabi must be finite and >= 0, got {self.rabi!r}")
         for name in ("detuning", "dipole_shift"):
@@ -69,8 +74,8 @@ class SystemParams:
 class ParamBatch:
     """P operating points sharing ``n_qubits``.
 
-    ``rabi``, ``detuning`` and ``dipole_shift`` are float arrays of shape
-    (P,), validated row by row as :class:`SystemParams` validates them.
+    ``rabi``, ``detuning`` and ``dipole_shift`` are float arrays of shape (P,);
+    they (row by row) and ``n_qubits`` are taken as :class:`SystemParams` takes them.
     """
 
     n_qubits: int
@@ -79,7 +84,7 @@ class ParamBatch:
     dipole_shift: np.ndarray
 
     def __post_init__(self):
-        SystemParams(self.n_qubits, rabi=0.0)  # checks n_qubits
+        object.__setattr__(self, "n_qubits", SystemParams(self.n_qubits, rabi=0.0).n_qubits)
         for name in ("rabi", "detuning", "dipole_shift"):
             values = getattr(self, name)
             if values.shape != (len(self.rabi),):

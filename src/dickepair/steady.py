@@ -29,7 +29,8 @@ avoids complex-gamma branch cuts and overflow.
 The parameter-dependent tables carry a leading batch axis: P operating points
 of one ensemble (a :class:`~dickepair.params.ParamBatch`) give (P, N+1)
 coefficient arrays, and each ladder sum is one row reduction over them. The
-single-point functions below evaluate the batch of one.
+single-point functions below evaluate the batch of one on tables built for
+the call; only :func:`expectation` keeps the tables of its last 128 points.
 """
 from __future__ import annotations
 
@@ -173,8 +174,8 @@ class _SteadyTables:
     batch of one. The moment sums and ``log_z`` are built on first use and
     kept; concurrent reads may build one twice, with the same result. The
     base of a drive power is built for each ladder sum that reads it.
-    Tables live as long as the call that built them (:func:`_tables`), or
-    in the single-point LRU.
+    Tables live as long as the call that built them, except in
+    :func:`expectation`'s memo.
     """
 
     def __init__(self, params: SystemParams | ParamBatch, precision: str = "standard"):
@@ -313,20 +314,13 @@ def _steady_tables(params: SystemParams, precision: str) -> _SteadyTables:
     return _SteadyTables(params, precision)
 
 
-def _tables(params: SystemParams | ParamBatch, precision: str) -> _SteadyTables:
-    """Fresh tables for a :class:`ParamBatch`, the LRU entry for a :class:`SystemParams`."""
-    if isinstance(params, ParamBatch):
-        return _SteadyTables(params, precision)
-    return _steady_tables(params, precision)
-
-
 def expectation(params: SystemParams, p: int, r: int, f: int,
                 precision: str = "standard") -> complex:
     """Steady-state <(S+)^p Sz^r (S-)^f> for any p, r, f >= 0.
 
     Sz^r is defined for every r; for p or f above N the ladder operator power
     vanishes on the N-qubit ladder and the moment is exactly 0. Negative
-    indices raise IndexRange.
+    indices raise IndexRange. The tables of the last 128 points are kept.
     """
     return complex(_steady_tables(params, precision).moment(p, r, f)[0])
 
@@ -339,7 +333,7 @@ def expectation_set(params: SystemParams | ParamBatch,
     from one table build; one :class:`SystemParams` gives its scalars, the
     batch of one.
     """
-    tables = _tables(params, precision)
+    tables = _SteadyTables(params, precision)
     moments = {
         "s_plus": tables.moment(1, 0, 0),
         "s_z": tables.moment(0, 1, 0).real,

@@ -1,9 +1,14 @@
 """Moment-level checks of the closed-form steady state."""
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from dickepair import (
     IndexRange,
+    ParamBatch,
     SystemParams,
     ZeroDrive,
     expectation,
@@ -11,6 +16,7 @@ from dickepair import (
     steady_pair_density,
 )
 from helpers import MOMENT_FIELDS, steady_rho
+from dickepair import steady
 from dickepair.oracle import density_expectation_set
 
 GRID = [
@@ -167,3 +173,41 @@ def test_hundred_qubits_stable():
         assert np.linalg.eigvalsh(rho).min() >= -1e-9
         res = concurrence(rho)
         assert 0.0 <= res.concurrence <= 1.0
+
+
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+@pytest.mark.parametrize("n", [6, 5000])
+def test_a_single_point_keeps_nothing_and_is_the_batch_of_one(monkeypatch, n, precision):
+    built = []
+    init = steady._SteadyTables.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(steady._SteadyTables, "__init__", tracked_init)
+    points = [SystemParams(n_qubits=n, rabi=pump * n / 2, detuning=detuning,
+                           dipole_shift=0.7)
+              for pump, detuning in ((0.43, -1.1), (0.97, 0.0), (1.61, 2.3))]
+    memo_size = steady._steady_tables.cache_info().currsize
+    results = [(steady_pair_density(p, precision), expectation_set(p, precision))
+               for p in points]
+    assert steady._steady_tables.cache_info().currsize == memo_size
+    assert len(built) == 2 * len(points)
+    gc.collect()
+    assert all(ref() is None for ref in built)
+    for p, (rho, moments) in zip(points, results):
+        batch = ParamBatch.of(p)
+        assert rho.tobytes() == steady_pair_density(batch, precision)[0].tobytes()
+        batch_moments = expectation_set(batch, precision)
+        for field in dataclasses.fields(moments):
+            one = getattr(moments, field.name)
+            row = getattr(batch_moments, field.name)[0].item()
+            assert type(one) is type(row), field.name
+            assert np.array(one).tobytes() == np.array(row).tobytes(), field.name
+    # expectation alone keeps a point's tables, for its next index
+    before = steady._steady_tables.cache_info()
+    first = expectation(points[0], 0, 1, 0, precision)
+    assert expectation(points[0], 0, 2, 0, precision) != first
+    after = steady._steady_tables.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dickepair import ParamBatch, SystemParams, derive_params
+from dickepair.sweep import evaluate_points
 
 
 def test_validation():
@@ -15,6 +16,27 @@ def test_validation():
         SystemParams(n_qubits=2, rabi=1.0, detuning=float("nan"))
     with pytest.raises(ValueError):
         SystemParams(n_qubits=2.5, rabi=1.0)
+
+
+def test_any_integral_qubit_count_is_stored_as_an_int():
+    # numpy integers come from arrays of N; the exact row sums need a Python int
+    p = SystemParams(np.int64(6), rabi=1.0)
+    assert p == SystemParams(6, rabi=1.0) and type(p.n_qubits) is int
+    rabi = np.array([0.5, 37.0])
+    batch = ParamBatch(np.int64(74), rabi=rabi, detuning=np.array([-2.0, 0.0]),
+                       dipole_shift=np.array([2.0, 0.0]))
+    assert type(batch.n_qubits) is int
+    assert (evaluate_points(batch).tobytes()
+            == evaluate_points(ParamBatch(74, rabi=rabi, detuning=np.array([-2.0, 0.0]),
+                                          dipole_shift=np.array([2.0, 0.0]))).tobytes())
+
+
+@pytest.mark.parametrize("n_qubits", [True, False, np.int64(0), 2.0])
+def test_non_integral_or_bool_qubit_counts_raise(n_qubits):
+    with pytest.raises(ValueError, match="n_qubits must be a positive integer"):
+        SystemParams(n_qubits, rabi=1.0)
+    with pytest.raises(ValueError, match="n_qubits must be a positive integer"):
+        ParamBatch(n_qubits, rabi=np.ones(1), detuning=np.zeros(1), dipole_shift=np.zeros(1))
 
 
 def test_gamma_is_the_unit_not_a_parameter():

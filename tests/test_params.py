@@ -22,13 +22,11 @@ def test_any_integral_qubit_count_is_stored_as_an_int():
     # numpy integers come from arrays of N; the exact row sums need a Python int
     p = SystemParams(np.int64(6), rabi=1.0)
     assert p == SystemParams(6, rabi=1.0) and type(p.n_qubits) is int
-    rabi = np.array([0.5, 37.0])
-    batch = ParamBatch(np.int64(74), rabi=rabi, detuning=np.array([-2.0, 0.0]),
-                       dipole_shift=np.array([2.0, 0.0]))
+    rows = {"rabi": np.array([0.5, 37.0]), "detuning": np.array([-2.0, 0.0]),
+            "dipole_shift": np.array([2.0, 0.0])}
+    batch = ParamBatch(np.int64(74), **rows)
     assert type(batch.n_qubits) is int
-    assert (evaluate_points(batch).tobytes()
-            == evaluate_points(ParamBatch(74, rabi=rabi, detuning=np.array([-2.0, 0.0]),
-                                          dipole_shift=np.array([2.0, 0.0]))).tobytes())
+    assert evaluate_points(batch).tobytes() == evaluate_points(ParamBatch(74, **rows)).tobytes()
 
 
 @pytest.mark.parametrize("n_qubits", [True, False, np.int64(0), 2.0])

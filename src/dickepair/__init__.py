@@ -17,7 +17,6 @@ from .errors import (
     NumericalFailure,
     PairUndefined,
     SizeExceeded,
-    UnknownFigure,
     ZeroDrive,
 )
 from .logcomplex import logsum_complex
@@ -62,5 +61,4 @@ __all__ = [
     "find_max_concurrence", "detect_transition",
     "DickepairError", "ZeroDrive", "IndexRange", "PairUndefined",
     "NumericalFailure", "SizeExceeded", "DegenerateNullSpace", "GridTooCoarse",
-    "UnknownFigure",
 ]

@@ -1,5 +1,10 @@
 """Command-line front end: single-point evaluations, sweeps, figure presets.
 
+:func:`run` takes the namespace that :func:`build_parser` parses and hands
+it to the command's runner, which reads its flags from it: ``_params``
+builds the operating point of the physics flags, a figure takes its
+template from ``FIGURES``, and ``oracle-check`` its sizes from ``--n``.
+
 All physics flags are dimensionless ratios to the decay rate gamma, which is
 fixed at 1 and is not a flag. Output is plain CSV preceded by ``#`` metadata
 lines carrying every parameter, the precision mode and the package version;
@@ -34,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .csvfloat import BLOCK_CELLS, csv_rows
-from .errors import DickepairError, UnknownFigure
+from .errors import DickepairError
 from .oracle import (
     _check_size,
     build_liouvillian,
@@ -78,55 +83,34 @@ FIGURES = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    params: SystemParams | None = None
-    axes: tuple[AxisSpec, ...] = ()
-    output_path: str | None = None
-    precision: str = "standard"
-    figure: str | None = None
-    oracle_sizes: tuple[int, ...] = DEFAULT_ORACLE_SIZES
-
-
-def figure_preset(name: str) -> RunConfig:
-    """RunConfig reproducing one of the named result figures."""
-    if name not in FIGURES:
-        raise UnknownFigure(f"no preset named {name!r}; choose from {sorted(FIGURES)}")
-    preset = FIGURES[name]
-    dipole, detuning = preset.curves[0]
-    template = SystemParams(
-        n_qubits=preset.n_qubits, rabi=1.0, detuning=detuning, dipole_shift=dipole
-    )
-    return RunConfig(
-        command="figure",
-        figure=name,
-        params=template,
-        axes=preset.axes,
-    )
-
-
 def _fmt(x: float) -> str:
     # + 0.0 turns an exact -0.0 into 0.0 and leaves every other value alone
     return format(float(x) + 0.0, ".17g")
 
 
-def _meta_lines(config: RunConfig) -> list[str]:
-    p = config.params
+def _params(ns: argparse.Namespace) -> SystemParams:
+    """The operating point of the flags: rabi 1 without a drive flag, ``--pump`` converted."""
+    params = SystemParams(n_qubits=ns.n, rabi=1.0 if ns.rabi is None else ns.rabi,
+                          detuning=ns.detuning, dipole_shift=ns.dipole)
+    return params if ns.pump is None else params.with_pump(ns.pump)
+
+
+def _meta_lines(ns: argparse.Namespace, params: SystemParams | None = None,
+                axes: Iterable[AxisSpec] = ()) -> list[str]:
     lines = [
         f"dickepair {__version__}",
-        f"command: {config.command}" + (f" {config.figure}" if config.figure else ""),
-        f"precision: {config.precision}",
+        f"command: {ns.command}" + (f" {ns.name}" if ns.command == "figure" else ""),
+        f"precision: {ns.precision}",
     ]
-    if p is not None:
+    if params is not None:
         lines += [
-            f"n_qubits: {p.n_qubits}",
-            f"rabi: {_fmt(p.rabi)}",
-            f"detuning: {_fmt(p.detuning)}",
-            f"dipole_shift: {_fmt(p.dipole_shift)}",
+            f"n_qubits: {params.n_qubits}",
+            f"rabi: {_fmt(params.rabi)}",
+            f"detuning: {_fmt(params.detuning)}",
+            f"dipole_shift: {_fmt(params.dipole_shift)}",
             "decay: 1",  # gamma, the unit of every rate
         ]
-    for ax in config.axes:
+    for ax in axes:
         lines.append(f"axis: {ax.name} start={_fmt(ax.start)} stop={_fmt(ax.stop)} points={ax.points}")
     return lines
 
@@ -174,8 +158,9 @@ def _out_stream(path: str | None):
     return open(path, "w", encoding="utf-8")
 
 
-def _run_expect(config: RunConfig) -> _Table:
-    m = expectation_set(config.params, precision=config.precision)
+def _run_expect(ns: argparse.Namespace) -> _Table:
+    params = _params(ns)
+    m = expectation_set(params, precision=ns.precision)
     header = [
         "s_plus_re", "s_plus_im", "s_z", "s_z2",
         "s_plus_sz_re", "s_plus_sz_im", "s_plus2_re", "s_plus2_im", "s_plus_s_minus",
@@ -185,60 +170,71 @@ def _run_expect(config: RunConfig) -> _Table:
         m.s_plus_sz.real, m.s_plus_sz.imag, m.s_plus2.real, m.s_plus2.imag,
         m.s_plus_s_minus,
     )
-    return _Table(_meta_lines(config), header, _one_row(row))
+    return _Table(_meta_lines(ns, params), header, _one_row(row))
 
 
-def _run_rho(config: RunConfig) -> _Table:
-    rho = steady_pair_density(config.params, precision=config.precision)
+def _run_rho(ns: argparse.Namespace) -> _Table:
+    params = _params(ns)
+    rho = steady_pair_density(params, precision=ns.precision)
     header, row = [], []
     for i in range(4):
         for j in range(4):
             header += [f"rho{i + 1}{j + 1}_re", f"rho{i + 1}{j + 1}_im"]
             row += [rho[i, j].real, rho[i, j].imag]
-    return _Table(_meta_lines(config), header, _one_row(row))
+    return _Table(_meta_lines(ns, params), header, _one_row(row))
 
 
-def _run_concurrence(config: RunConfig) -> _Table:
-    res = concurrence(steady_pair_density(config.params, precision=config.precision))
+def _run_concurrence(ns: argparse.Namespace) -> _Table:
+    params = _params(ns)
+    res = concurrence(steady_pair_density(params, precision=ns.precision))
     header = ["concurrence", "lambda1", "lambda2", "lambda3", "lambda4", "c_ref_1", "c_ref_2"]
     row = (res.concurrence, *res.lambdas, res.c_ref_1, res.c_ref_2)
-    return _Table(_meta_lines(config), header, _one_row(row))
+    return _Table(_meta_lines(ns, params), header, _one_row(row))
 
 
-def _run_sweep(config: RunConfig) -> _Table:
-    result = sweep(config.params, config.axes, precision=config.precision)
+def _sweep_table(ns: argparse.Namespace, params: SystemParams,
+                 axes: tuple[AxisSpec, ...]) -> _Table:
+    result = sweep(params, axes, precision=ns.precision)
     field_names = [name for name, _ in result.data.dtype.descr]
-    header = [ax.name for ax in config.axes] + field_names
+    header = [ax.name for ax in axes] + field_names
     columns = [*result.columns, *(result.data[name] for name in field_names)]
-    return _Table(_meta_lines(config), header, _column_blocks(columns))
+    return _Table(_meta_lines(ns, params, axes), header, _column_blocks(columns))
 
 
-def _run_maximize(config: RunConfig) -> _Table:
-    argmax, cmax = find_max_concurrence(config.params, config.axes, precision=config.precision)
+def _run_sweep(ns: argparse.Namespace) -> _Table:
+    return _sweep_table(ns, _params(ns), tuple(ns.axis))
+
+
+def _run_maximize(ns: argparse.Namespace) -> _Table:
+    params, axes = _params(ns), tuple(ns.axis)
+    argmax, cmax = find_max_concurrence(params, axes, precision=ns.precision)
     header = ["rabi", "pump", "detuning", "c_max"]
     row = (argmax.rabi, argmax.pump, argmax.detuning, cmax)
-    return _Table(_meta_lines(config), header, _one_row(row))
+    return _Table(_meta_lines(ns, params, axes), header, _one_row(row))
 
 
-def _run_figure(config: RunConfig) -> _Table:
-    preset = FIGURES[config.figure]
+def _run_figure(ns: argparse.Namespace) -> _Table:
+    preset = FIGURES[ns.name]
+    dipole, detuning = preset.curves[0]
+    template = SystemParams(n_qubits=preset.n_qubits, rabi=1.0, detuning=detuning,
+                            dipole_shift=dipole)
     if len(preset.axes) == 2:
-        return _run_sweep(config)
+        return _sweep_table(ns, template, preset.axes)
 
     axis = preset.axes[0]
-    meta = _meta_lines(config)
+    meta = _meta_lines(ns, template, preset.axes)
     header = [axis.name]
     columns = [axis.values()]
     for k, (dipole, detuning) in enumerate(preset.curves, start=1):
         meta.append(f"curve {k}: dipole_shift={_fmt(dipole)} detuning={_fmt(detuning)}")
-        curve_template = replace(config.params, dipole_shift=dipole, detuning=detuning)
-        result = sweep(curve_template, (axis,), precision=config.precision)
+        curve_template = replace(template, dipole_shift=dipole, detuning=detuning)
+        result = sweep(curve_template, (axis,), precision=ns.precision)
         header += [f"c_{k}", f"c_ref1_{k}"]
         columns += [result.data["c"], result.data["c_ref1"]]
     return _Table(meta, header, _column_blocks(columns))
 
 
-def _run_oracle_check(config: RunConfig) -> _Table:
+def _run_oracle_check(ns: argparse.Namespace) -> _Table:
     """Closed form against the dense null space on a 75-point grid per size.
 
     Every size is checked and evaluated in closed form (one batch each for
@@ -251,11 +247,11 @@ def _run_oracle_check(config: RunConfig) -> _Table:
     grid = [axis.ravel() for axis in np.meshgrid(
         np.linspace(0.2, 5.0, 5), np.linspace(-10.0, 2.0, 5), (0.0, 2.0, 5.0), indexing="ij")]
     closed_form = []
-    for n in config.oracle_sizes:
+    for n in ns.n or DEFAULT_ORACLE_SIZES:
         points = ParamBatch(n, *grid)
         _check_size(points.n_qubits)
-        closed_form.append((points, expectation_set(points, precision=config.precision),
-                            steady_pair_density(points, precision=config.precision)))
+        closed_form.append((points, expectation_set(points, precision=ns.precision),
+                            steady_pair_density(points, precision=ns.precision)))
     blocks = []
     for points, analytic, pair in closed_form:
         n = points.n_qubits
@@ -275,7 +271,7 @@ def _run_oracle_check(config: RunConfig) -> _Table:
                                        moment_err, rho_err]))
     worst = max((float(block[:, 4:].max()) for block in blocks), default=0.0)
     header = ["n_qubits", "rabi", "detuning", "dipole_shift", "moment_err", "rho_err"]
-    meta = _meta_lines(config) + [f"worst_error: {_fmt(worst)}",
+    meta = _meta_lines(ns) + [f"worst_error: {_fmt(worst)}",
                                   f"tolerance: {_fmt(DEFAULT_ORACLE_TOL)}"]
     error = None
     if worst > DEFAULT_ORACLE_TOL:
@@ -295,14 +291,15 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated configuration, writing CSV to its output path.
+def run(ns: argparse.Namespace) -> int:
+    """Run a command parsed by :func:`build_parser`, writing CSV to ``ns.out``.
 
-    The output is opened only once the result is computed, so a command
-    that fails leaves an existing output file as it was.
+    The runner of ``ns.command`` reads its flags from the namespace. The
+    output is opened only once the result is computed, so a command that
+    fails leaves an existing output file as it was.
     """
-    table = _RUNNERS[config.command](config)
-    with _out_stream(config.output_path) as fh:
+    table = _RUNNERS[ns.command](ns)
+    with _out_stream(ns.out) as fh:
         _write_csv(fh, table.meta, table.header, table.blocks)
     if table.error is not None:
         print(f"error: {table.error}", file=sys.stderr)
@@ -381,31 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle-check", help="compare closed form against the dense solver")
     sp.add_argument("--n", type=int, action="append",
-                    help="ensemble size to check (repeatable, default 2 3 4 6)")
+                    help="ensemble size to check (repeatable, default "
+                         f"{' '.join(map(str, DEFAULT_ORACLE_SIZES))})")
     _add_output(sp)
 
     return parser
-
-
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    if ns.command == "figure":
-        config = figure_preset(ns.name)
-        config.precision = ns.precision
-        config.output_path = ns.out
-        return config
-
-    if ns.command == "oracle-check":
-        sizes = tuple(ns.n) if ns.n else DEFAULT_ORACLE_SIZES
-        return RunConfig(command="oracle-check", oracle_sizes=sizes,
-                         output_path=ns.out, precision=ns.precision)
-
-    params = SystemParams(n_qubits=ns.n, rabi=1.0 if ns.rabi is None else ns.rabi,
-                          detuning=ns.detuning, dipole_shift=ns.dipole)
-    if ns.pump is not None:
-        params = params.with_pump(ns.pump)
-    axes = tuple(getattr(ns, "axis", None) or ())
-    return RunConfig(command=ns.command, params=params, axes=axes,
-                     output_path=ns.out, precision=ns.precision)
 
 
 # argparse takes "-5" and "-0.5" as option values but reads a negative
@@ -468,8 +445,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(ns)
-        return run(config)
+        return run(ns)
     except DickepairError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -8,7 +8,10 @@ class DickepairError(Exception):
 class ZeroDrive(DickepairError):
     """Steady-state formulas are singular at zero drive (alpha^-n undefined).
 
-    The zero-drive limit is the pure ground state; callers wanting that limit
+    Raised where the drive |alpha| = rabi / |1 + i*dipole_shift| has no
+    finite reciprocal: at rabi = 0, and for a finite drive that is
+    numerically zero (below about 5.6e-309 at zero pair shift). The
+    zero-drive limit is the pure ground state; callers wanting that limit
     should use a small but finite drive, e.g. rabi = 1e-4 (rates are in
     units of gamma).
     """
@@ -36,7 +39,3 @@ class DegenerateNullSpace(DickepairError):
 
 class GridTooCoarse(DickepairError):
     """Transition detection needs a finer parameter grid."""
-
-
-class UnknownFigure(DickepairError):
-    """No preset with the requested name."""

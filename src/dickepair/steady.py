@@ -175,18 +175,32 @@ class _SteadyTables:
     kept; concurrent reads may build one twice, with the same result. The
     base of a drive power is built for each ladder sum that reads it.
     Tables live as long as the call that built them, except in
-    :func:`expectation`'s memo.
+    :func:`expectation`'s memo. A point whose 1/|alpha| is not finite
+    raises ZeroDrive, and one whose beta is not finite (Delta + delta
+    overflows) NumericalFailure, before any table is built.
     """
 
     def __init__(self, params: SystemParams | ParamBatch, precision: str = "standard"):
         points = params if isinstance(params, ParamBatch) else ParamBatch.of(params)
-        if not points.rabi.all():
-            raise ZeroDrive("steady-state formulas are singular at rabi = 0")
+        # finite flags can still give a drive |alpha| whose reciprocal overflows
+        # (alpha_unit divides through it) or an overflowing Delta + delta;
+        # both are typed errors here, before numpy could warn about them
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            derived = derive_params(points)
+            abs_alpha = np.abs(derived.alpha)
+            zero_drive = ~np.isfinite(1.0 / abs_alpha)
+        if zero_drive.any():
+            rabi = points.rabi[zero_drive][0]
+            raise ZeroDrive("steady-state formulas are singular at rabi = 0" if rabi == 0 else
+                            f"drive |alpha| = {abs_alpha[zero_drive][0]:.3g} at rabi = "
+                            f"{rabi:.3g} is numerically zero")
+        if not np.isfinite(derived.beta).all():
+            raise NumericalFailure("beta = i (detuning + dipole_shift) / (1 + i dipole_shift) "
+                                   "is not finite")
         self.params = params
         self.precision = precision
         N = points.n_qubits
         self.n_qubits = N
-        derived = derive_params(points)
 
         # a_n = prod_{k=1..n} (1 + beta/k) = Gamma(1+n+beta) / (Gamma(1+beta) n!);
         # dividing a complex by a real is multiplying by its reciprocal
@@ -198,7 +212,6 @@ class _SteadyTables:
         self.v_unit = ratios * (1.0 / magnitudes)
 
         alpha = derived.alpha
-        abs_alpha = np.abs(alpha)
         # u_n = (-1)^n alpha^-n a_n gives C_{n-f, n-p} = u_{n-f} conj(u_{n-p})
         self.u_log = self.a_log - np.arange(N + 1) * np.log(abs_alpha)[:, None]
         self.alpha_unit = -alpha.conjugate() / abs_alpha

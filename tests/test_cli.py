@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dickepair
 from dickepair import (
     AxisSpec,
     SystemParams,
-    UnknownFigure,
     build_liouvillian,
     expectation_set,
     find_max_concurrence,
@@ -23,7 +23,7 @@ from dickepair import (
     sweep,
 )
 from dickepair import cli, csvfloat
-from dickepair.cli import FIGURES, figure_preset, main
+from dickepair.cli import FIGURES, main
 from dickepair.oracle import density_expectation_set
 from helpers import reference_csv
 
@@ -69,11 +69,6 @@ def test_figure_presets_cover_reported_parameter_sets():
     assert fig3.axes[1].start == -20.0 and fig3.axes[1].stop == 5.0
 
 
-def test_unknown_figure():
-    with pytest.raises(UnknownFigure):
-        figure_preset("fig7")
-
-
 def test_unknown_figure_exits_usage(capsys):
     assert main(["figure", "fig7"]) == 2
     capsys.readouterr()
@@ -97,6 +92,31 @@ def test_zero_drive_inside_sweep_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "ZeroDrive" in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["rho", "--n", "2", "--rabi", "1e-300", "--dipole", "1e20"], "ZeroDrive"),
+    (["expect", "--n", "2", "--rabi", "1e-310"], "ZeroDrive"),
+    (["concurrence", "--n", "2", "--rabi", "1e-310"], "ZeroDrive"),
+    (["rho", "--n", "2", "--pump", "1", "--detuning", "1e308", "--dipole", "1e308"],
+     "NumericalFailure"),
+    (["expect", "--n", "3", "--pump", "1", "--detuning", "-1e308", "--dipole", "-1e308"],
+     "NumericalFailure"),
+    # sweeps whose first or last row is such a point
+    (["sweep", "--n", "2", "--axis", "rabi:1e-310:1:3"], "ZeroDrive"),
+    (["sweep", "--n", "2", "--detuning", "1e308", "--axis", "dipole_shift:-1:1e308:2"],
+     "NumericalFailure"),
+])
+def test_non_finite_derived_parameters_exit_3_without_warnings(capsys, argv, error):
+    # finite flags whose drive |alpha| has no finite reciprocal, or whose
+    # Delta + delta overflows, fail typed instead of printing NaN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert not caught and "Warning" not in captured.err
+    assert captured.err.startswith(f"error: {error}: ") and captured.out == ""
 
 
 def test_unwritable_output_exits_usage(capsys, tmp_path):
@@ -182,6 +202,55 @@ def test_single_point_concurrence(tmp_path):
         assert key in joined
 
 
+def _point_meta(n, rabi, detuning, dipole):
+    return [f"n_qubits: {n}", f"rabi: {rabi}", f"detuning: {detuning}",
+            f"dipole_shift: {dipole}", "decay: 1"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["figure", "fig2"],
+     ["command: figure fig2", "precision: standard", *_point_meta(2, 1, 0, 0),
+      "axis: pump start=0.0074999999999999997 stop=3 points=400",
+      "curve 1: dipole_shift=0 detuning=0", "curve 2: dipole_shift=5 detuning=-10",
+      "curve 3: dipole_shift=10 detuning=-20", "curve 4: dipole_shift=15 detuning=-30"]),
+    (["figure", "fig3", "--precision", "extended"],
+     ["command: figure fig3", "precision: extended", *_point_meta(2, 1, 0, 5),
+      "axis: rabi start=0.025000000000000001 stop=5 points=200",
+      "axis: detuning start=-20 stop=5 points=126"]),
+    (["sweep", "--n", "3", "--dipole", "1", "--axis", "pump:0.2:2:5"],
+     ["command: sweep", "precision: standard", *_point_meta(3, 1, 0, 1),
+      "axis: pump start=0.20000000000000001 stop=2 points=5"]),
+    (["sweep", "--n", "4", "--dipole", "2", "--axis", "pump:0.1:2.5:4",
+      "--axis", "detuning:-6:2:3"],
+     ["command: sweep", "precision: standard", *_point_meta(4, 1, 0, 2),
+      "axis: pump start=0.10000000000000001 stop=2.5 points=4",
+      "axis: detuning start=-6 stop=2 points=3"]),
+    (["maximize", "--n", "2", "--dipole", "5", "--detuning", "-10", "--axis", "rabi:0.2:3:32"],
+     ["command: maximize", "precision: standard", *_point_meta(2, 1, -10, 5),
+      "axis: rabi start=0.20000000000000001 stop=3 points=32"]),
+    (["oracle-check"], ["command: oracle-check", "precision: standard"]),
+    (["oracle-check", "--n", "2", "--n", "3", "--precision", "extended"],
+     ["command: oracle-check", "precision: extended"]),
+    (["expect", "--n", "6", "--pump", "0.5", "--detuning", "-1.5"],
+     ["command: expect", "precision: standard", *_point_meta(6, 1.5, -1.5, 0)]),
+    (["rho", "--n", "4", "--rabi", "1.2", "--dipole", "2", "--precision", "extended"],
+     ["command: rho", "precision: extended", *_point_meta(4, 1.2, 0, 2)]),
+    (["concurrence", "--n", "2", "--rabi", "1.8", "--detuning", "-12", "--dipole", "5"],
+     ["command: concurrence", "precision: standard", *_point_meta(2, 1.8, -12, 5)]),
+], ids=["fig2", "fig3", "sweep-1axis", "sweep-2axis", "maximize", "oracle-check",
+        "oracle-check-n", "expect-pump", "rho", "concurrence"])
+def test_metadata_block_line_for_line(tmp_path, argv, expected):
+    # without a drive flag the template's rabi is 1; --pump prints the rabi it gives
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    meta, _, rows = read_csv(out)
+    expected = [f"dickepair {dickepair.__version__}", *expected]
+    if argv[0] == "oracle-check":
+        worst = max(max(row[4], row[5]) for row in rows)
+        expected += [f"worst_error: {worst:.17g}", "tolerance: 1e-08"]
+    assert meta == expected
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     out = tmp_path / "expect.csv"
     assert main(["expect", "--n", "3", "--rabi", "0.7", "--detuning", "-1.5",
@@ -234,8 +303,8 @@ def test_exact_zeros_print_unsigned(tmp_path):
 def test_output_matches_the_row_at_a_time_writer(tmp_path, argv):
     # every block, whether the kernel or '%' writes it, gives the bytes of
     # one '%.17g' format operation per row
-    config = cli._config_from_args(cli.build_parser().parse_args(argv))
-    table = cli._RUNNERS[config.command](config)
+    ns = cli.build_parser().parse_args(argv)
+    table = cli._RUNNERS[ns.command](ns)
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == reference_csv(table.meta, table.header, table.blocks).encode()
@@ -349,12 +418,9 @@ def test_oracle_check_command(tmp_path):
 
 
 def test_oracle_check_config_reruns_with_one_metadata_block(tmp_path):
-    from dickepair.cli import RunConfig, run
-
     out = tmp_path / "oracle.csv"
-    config = RunConfig(command="oracle-check", oracle_sizes=(2,), output_path=str(out))
     for _ in range(2):
-        assert run(config) == 0
+        assert main(["oracle-check", "--n", "2", "--out", str(out)]) == 0
         meta, _, _ = read_csv(out)
         assert sum(line.startswith("worst_error:") for line in meta) == 1
         assert sum(line.startswith("tolerance:") for line in meta) == 1

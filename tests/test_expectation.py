@@ -1,6 +1,7 @@
 """Moment-level checks of the closed-form steady state."""
 import dataclasses
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from dickepair import (
     IndexRange,
+    NumericalFailure,
     ParamBatch,
     SystemParams,
     ZeroDrive,
@@ -18,6 +20,7 @@ from dickepair import (
 from helpers import MOMENT_FIELDS, steady_rho
 from dickepair import steady
 from dickepair.oracle import density_expectation_set
+from dickepair.sweep import evaluate_points
 
 GRID = [
     SystemParams(n_qubits=2, rabi=1.0),
@@ -102,6 +105,43 @@ def test_zero_drive_rejected():
         expectation(SystemParams(n_qubits=2, rabi=0.0), 0, 1, 0)
     with pytest.raises(ZeroDrive):
         expectation_set(SystemParams(n_qubits=2, rabi=0.0))
+
+
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+@pytest.mark.parametrize("fields, error", [
+    # |alpha| = rabi / |1 + i dipole_shift| with a reciprocal beyond the double range
+    (dict(rabi=1e-300, dipole_shift=1e20), ZeroDrive),
+    (dict(rabi=1e-310), ZeroDrive),
+    # Delta + delta overflows
+    (dict(rabi=1.0, detuning=1e308, dipole_shift=1e308), NumericalFailure),
+    (dict(rabi=1.5, detuning=-1e308, dipole_shift=-1e308), NumericalFailure),
+], ids=["tiny-alpha", "subnormal-rabi", "beta-overflow", "beta-negative-overflow"])
+def test_non_finite_derived_parameters_raise_without_warnings(fields, error, precision):
+    # finite flags whose alpha or beta is not finite give a typed error, not NaN
+    params = SystemParams(n_qubits=3, **fields)
+    # a sweep of one good row and the bad one fails as the bad point does
+    batch = ParamBatch(3, np.array([1.0, params.rabi]), np.array([0.0, params.detuning]),
+                       np.array([0.0, params.dipole_shift]))
+    calls = {
+        "steady_pair_density": lambda: steady_pair_density(params, precision),
+        "expectation_set": lambda: expectation_set(params, precision),
+        "expectation": lambda: expectation(params, 1, 0, 0, precision),
+        "batch steady_pair_density": lambda: steady_pair_density(batch, precision),
+        "evaluate_points": lambda: evaluate_points(batch, precision),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                call()
+
+
+@pytest.mark.parametrize("n, rabi", [(3, 2e-308), (2, 5.6e-309)])
+def test_weakest_representable_drive_still_evaluates(n, rabi):
+    # just above the ZeroDrive threshold: 1 / |alpha| is still finite
+    m = expectation_set(SystemParams(n_qubits=n, rabi=rabi))
+    assert m.s_plus.imag == pytest.approx(rabi, rel=1e-12)
+    assert m.s_z == -n / 2 and m.s_plus_s_minus == 0.0
 
 
 def test_expectation_set_ground_limit():

@@ -250,10 +250,13 @@ def density_expectation_set(rho: np.ndarray) -> ExpectationSet:
     """Collective moments of a ladder-basis density matrix by direct trace.
 
     A (P, d, d) stack gives an :class:`ExpectationSet` of (P,) arrays; the
-    ladder operators and the six operator products are built once for it.
+    ladder operators are the cached ones of N = d - 1 (N <= 16, as for the
+    Liouvillian), and the six operator products are built once for it.
     """
     stack, single = _stack(rho, "state")
-    ops = DickeBasisOperators.build(stack.shape[1] - 1)
+    n_qubits = stack.shape[1] - 1
+    _check_size(n_qubits)
+    ops = _fixed_parts(n_qubits)[0]
     sp, sz, sm = ops.s_plus, ops.s_z, ops.s_minus
     products = {
         "s_plus": sp,

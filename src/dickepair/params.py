@@ -133,20 +133,17 @@ class DerivedParams:
 
     alpha: complex
     beta: complex
-    tilde_detuning: float
 
 
 def derive_params(params: SystemParams | ParamBatch) -> DerivedParams:
     """Derived complex parameters for a valid operating point or batch.
 
-    alpha = i*Omega / (1 + i*delta), beta = i*(Delta + delta) / (1 + i*delta),
-    with tilde_detuning = Delta + delta; for a batch each is a (P,) array.
+    alpha = i*Omega / (1 + i*delta), beta = i*(Delta + delta) / (1 + i*delta);
+    for a batch each is a (P,) array.
     The denominator 1 + i*delta (gamma + i*delta at gamma = 1) never vanishes.
     """
     denom = 1.0 + 1j * params.dipole_shift
-    tilde = params.detuning + params.dipole_shift
     return DerivedParams(
         alpha=1j * params.rabi / denom,
-        beta=1j * tilde / denom,
-        tilde_detuning=tilde,
+        beta=1j * (params.detuning + params.dipole_shift) / denom,
     )

@@ -12,15 +12,19 @@ ladder-operator products reduces every collective moment
 over combinatorial weights. The inner sum S_q[n] does not depend on the
 parameters and closes in exact arithmetic (:func:`_row_sums`). Every row is
 written as S_q[n] = S_0[n] w_q[n]: S_0 is the row of q = 1, the partition
-function's, built for all rows of an N by an exact integer ratio
-recurrence in O(N) big-integer steps, and the weight w_q = S_q / S_0 is a
-float of modest size, the correctly rounded value of a small exact
-rational. Only the float rows log S_0 and w_q are cached. That leaves O(N)
-sums over n, evaluated in log space because their terms reach (2N+1)!
+function's, built once per N for all rows by an exact integer ratio
+recurrence in O(N) big-integer steps (:func:`_log_s0`), and the weight
+w_q = S_q / S_0 is a float of modest size, the correctly rounded value of
+a small exact rational. Only the float rows are cached: one log S_0 per N,
+which every weight table of that N shares, and the weights. That leaves
+O(N) sums over n, evaluated in log space because their terms reach (2N+1)!
 scale. The sums taken together at one drive power (p, f) share one base
 C_{n-f,n-p} S_0[n], exponentiated once, and differ only in their weight
 rows (:func:`dickepair.logcomplex.logsum_complex`); each sum comes back as
-exp(scale) * mantissa.
+exp(scale) * mantissa. Z is the q = 1 sum at (0, 0), and every moment or
+pair entry is exp(scale - z_scale) * mantissa / z_mantissa: the scales
+cancel before the one exp, so a sum of Z's own group is a plain ratio of
+mantissas.
 
 Gamma-function ratios are evaluated as Pochhammer products
 Gamma(1+n+beta)/Gamma(1+beta) = prod_{k=1..n} (k+beta), which is exact and
@@ -37,7 +41,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,6 +76,27 @@ class ExpectationSet:
     s_plus_s_minus: float
 
 
+@lru_cache(maxsize=None)
+def _log_s0(n_qubits: int) -> np.ndarray:
+    """log S_0[n] over n = 0..N, one read-only (N+1,) array per N.
+
+    S_0 = T_0 is the row sum of q = 1 (see :func:`_row_sums`), positive for
+    every n. T_0(0) = N + 1, and the exact ratio recurrence
+        T_0(n+1) = T_0(n) (n+1)^2 (N+n+2)(N-n) / ((2n+2)(2n+3))
+    steps it with one small-integer multiply and one exact division per row,
+    O(N) big-integer steps; only the log of each row is kept.
+    """
+    N = n_qubits
+    s0 = N + 1
+    log_s0 = []
+    for n in range(N + 1):
+        log_s0.append(math.log(s0))
+        s0 = s0 * ((n + 1) ** 2 * (N + n + 2) * (N - n)) // ((2 * n + 2) * (2 * n + 3))
+    out = np.array(log_s0)
+    out.setflags(write=False)
+    return out
+
+
 def _row_sums(n_qubits: int, polys: tuple[tuple[int, ...], ...],
               denominators: tuple[int, ...] | None = None):
     """(log S_0, weights) over n = 0..N for the polynomials q in ``polys``.
@@ -85,12 +110,10 @@ def _row_sums(n_qubits: int, polys: tuple[tuple[int, ...], ...],
         sum_m C(N-m, n) C(m+n+j, n+j) = C(N+n+j+1, 2n+j+1),
     so S_q[n] = sum_j c_j T_j(n) with T_j(n) = n! (n+j)! C(N+n+j+1, 2n+j+1).
 
-    S_0 = T_0 is the row of q = 1, positive for every n; its log is the (K,)
-    array ``log S_0``. T_0(0) = N + 1, and the exact ratio recurrence
-        T_0(n+1) = T_0(n) (n+1)^2 (N+n+2)(N-n) / ((2n+2)(2n+3))
-    steps it with one small-integer multiply and one exact division per row,
-    O(N) big-integer steps. The other T_j are small rational multiples of
-    it, r_j(n) = T_j(n) / T_0(n) = prod_{i=1..j} (n+i)(N+n+1+i) / (2n+1+i),
+    S_0 = T_0 is the row of q = 1; ``log S_0`` is the one cached array of
+    :func:`_log_s0` for this N, shared by every weight table. The other T_j
+    are small rational multiples of it,
+    r_j(n) = T_j(n) / T_0(n) = prod_{i=1..j} (n+i)(N+n+1+i) / (2n+1+i),
     so row g of the (G, K) ``weights``, S_q[n] / (denominators[g] S_0[n])
     (denominators default to 1), is sum_j c_j r_j(n) over denominators[g]:
     one correctly rounded true division of two small exact integers. Rows
@@ -113,11 +136,8 @@ def _row_sums(n_qubits: int, polys: tuple[tuple[int, ...], ...],
         terms.append([(j, c) for j, c in enumerate(rising) if c])
     dens = denominators or (1,) * len(polys)
     width = max((j + 1 for pairs in terms for j, _ in pairs), default=1)
-    s0 = N + 1
-    log_s0 = []
     rows = [[] for _ in polys]
     for n in range(N + 1):
-        log_s0.append(math.log(s0))
         # r_j(n) = ratios[j] / common, common = prod_{i=1..width-1} (2n+1+i)
         ratios, common = [1], 1
         for i in range(1, width):
@@ -132,11 +152,9 @@ def _row_sums(n_qubits: int, polys: tuple[tuple[int, ...], ...],
                     f"ladder row weight {s}/{common * den} leaves double range "
                     f"at N={N}, n={n}")
             row.append(weight)
-        s0 = s0 * ((n + 1) ** 2 * (N + n + 2) * (N - n)) // ((2 * n + 2) * (2 * n + 3))
-    out = (np.array(log_s0), np.array(rows, dtype=float))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    weights = np.array(rows, dtype=float)
+    weights.setflags(write=False)
+    return _log_s0(N), weights
 
 
 @lru_cache(maxsize=None)
@@ -165,15 +183,32 @@ def _pair_rows(n_qubits: int):
                          (N, -1), (-1, 1)))
 
 
+def _over_z(scale: np.ndarray, mantissa: np.ndarray, z, shift: float = 0.0) -> np.ndarray:
+    """exp(scale + shift) * mantissa as a fraction of z = (z_scale, z_mantissa).
+
+    ``mantissa`` is a (P,) or (P, G) array of ladder sums, ``z`` the (P,)
+    scale and mantissa of the normaliser, and ``shift`` a log factor the
+    sums carry outside their scale. The scales are subtracted before the
+    one exp, so a sum at the normaliser's own scale (a sum of its group)
+    is the plain ratio of the mantissas: exp(0) = 1. Returns the (P,) or
+    (G, P) values, one row per sum.
+    """
+    z_scale, z_mantissa = z
+    return np.exp(scale - z_scale + shift) * mantissa.T / z_mantissa
+
+
 class _SteadyTables:
     """Coefficients shared by all moments, for a batch of P operating points.
 
     ``a_log`` and ``u_log`` are (P, N+1) arrays, ``v_unit`` is (P, N), and
-    ``log_z`` and the ladder sums are (P,) arrays: each ladder sum is one
-    row reduction over the batch. A :class:`SystemParams` is taken as the
-    batch of one. The moment sums and ``log_z`` are built on first use and
-    kept; concurrent reads may build one twice, with the same result. The
-    base of a drive power is built for each ladder sum that reads it.
+    the ladder sums are (P,) arrays: each ladder sum is one row reduction
+    over the batch. A :class:`SystemParams` is taken as the batch of one.
+    Every sum becomes a value by :func:`_over_z`, divided by Z from the
+    (0, 0) sums of its own caller: row 0 (q = 1) of the pair entries'
+    diagonal group or of the moments' low group. The moment sums are built
+    on first use and kept; concurrent reads may build one twice, with the
+    same result. The base of a drive power is built for each ladder sum
+    that reads it.
     Tables live as long as the call that built them, except in
     :func:`expectation`'s memo. A point whose 1/|alpha| is not finite
     raises ZeroDrive, and one whose beta is not finite (Delta + delta
@@ -216,12 +251,6 @@ class _SteadyTables:
         self.u_log = self.a_log - np.arange(N + 1) * np.log(abs_alpha)[:, None]
         self.alpha_unit = -alpha.conjugate() / abs_alpha
         self._moment_sums = {}
-
-    @cached_property
-    def log_z(self) -> np.ndarray:
-        """log Z of each point, from the (0, 0) moment sums (q = 1 is their first row)."""
-        scale, mantissa = self._moment_group(0, 0, _LOW_MOMENTS)
-        return scale + np.log(mantissa[:, 0])
 
     def _base(self, p: int, f: int, log_s0: np.ndarray):
         """(log magnitudes, units) of C_{n-f, n-p} S_0[n] over rows n = max(p, f)..N.
@@ -293,8 +322,9 @@ class _SteadyTables:
                 raise IndexRange(f"moment index {name}={v} is negative")
         powers = _LOW_MOMENTS if r in _LOW_MOMENTS else (r,)
         scale, mantissa = self._moment_group(p, f, powers)
-        return (np.exp(scale - self.log_z + r * math.log(N / 2.0))
-                * mantissa[:, powers.index(r)])
+        z_scale, z_rows = self._moment_group(0, 0, _LOW_MOMENTS)
+        return _over_z(scale, mantissa[:, powers.index(r)], (z_scale, z_rows[:, 0]),
+                       r * math.log(N / 2.0))
 
     def pair_entries(self):
         """The six independent pair-matrix entries as dedicated ladder sums.
@@ -313,12 +343,13 @@ class _SteadyTables:
         N = self.n_qubits
         log_s0, weights = _pair_rows(N)
         diag_scale, diag = self._ladder_sums(0, 0, (log_s0, weights[:4]))
-        log_norm = diag_scale + np.log(diag[:, 0]) + math.log(N) + math.log(N - 1)
-        r11, r22, r44 = (np.exp(diag_scale - log_norm)[:, None] * diag[:, 1:]).T
+        # every entry is a fraction of Z N(N-1); the diagonal shares Z's scale
+        z = diag_scale, diag[:, 0] * (N * (N - 1))
+        r11, r22, r44 = _over_z(diag_scale, diag[:, 1:], z)
         scale, mantissa = self._ladder_sums(1, 0, (log_s0, weights[4:]))
-        r12, r24 = (np.exp(scale - log_norm)[:, None] * mantissa).T
+        r12, r24 = _over_z(scale, mantissa, z)
         scale, mantissa = self._ladder_sums(2, 0, (log_s0, weights[:1]))
-        r14 = np.exp(scale - log_norm) * mantissa[:, 0]
+        r14 = _over_z(scale, mantissa[:, 0], z)
         return r11, r12, r14, r22, r24, r44
 
 

@@ -19,6 +19,7 @@ from dickepair import (
     expectation,
     steady_state_null_space,
 )
+from dickepair import steady
 
 SIGMA_YY = np.array(
     [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
@@ -388,6 +389,16 @@ def coefficient_c(n, m, params: SystemParams):
 
     return ((-1) ** (n + m) * d.alpha ** -n * np.conj(d.alpha) ** -m
             * a(n) * np.conj(a(m)))
+
+
+def log_z_of(tables):
+    """log Z of each point of a ``_SteadyTables``, from Z's (scale, mantissa).
+
+    Z is row 0 (q = 1) of the (0, 0) moment group, the sum the moments
+    divide by: log Z = scale + log(mantissa).
+    """
+    scale, mantissa = tables._moment_group(0, 0, steady._LOW_MOMENTS)
+    return scale + np.log(mantissa[:, 0])
 
 
 def steady_rho(params: SystemParams):

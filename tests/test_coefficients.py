@@ -2,6 +2,7 @@
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -15,11 +16,13 @@ from dickepair import (
 )
 from dickepair.oracle import DickeBasisOperators
 from dickepair import steady
+from dickepair.cli import main
 from dickepair.steady import _row_sums, _SteadyTables
 from helpers import (
     closed_form_row_sums,
     coefficient_c,
     ladder_row_sum,
+    log_z_of,
     pair_polynomials,
     pochhammer_sz_power,
 )
@@ -117,7 +120,7 @@ def test_coefficient_c_trivial():
     # are S_0 = 2, S_1 = 1, so Z = 3 and the (S+) ladder sum is C_10 = i
     tables = _SteadyTables(SystemParams(n_qubits=1, rabi=1.0))
     assert derive_params(tables.params).alpha == 1j
-    assert math.exp(tables.log_z[0]) == pytest.approx(3.0, rel=1e-14)
+    assert math.exp(log_z_of(tables)[0]) == pytest.approx(3.0, rel=1e-14)
     assert value(ladder_sum(tables, 1, 0, (1,))) == pytest.approx(1j, rel=1e-14)
 
 
@@ -161,29 +164,29 @@ def test_ladder_sums_match_direct_coefficients():
                          * ladder_row_sum(n_qubits, n, poly)
                          for n in range(max(p, f), n_qubits + 1))
             got = value(ladder_sum(tables, p, f, poly))
-            assert abs(got - direct) <= 1e-12 * max(abs(direct), math.exp(tables.log_z[0]))
+            assert abs(got - direct) <= 1e-12 * max(abs(direct), math.exp(log_z_of(tables)[0]))
 
 
 def test_partition_strong_drive_limit():
     # only the n=0 term survives as |alpha| grows; for N=1 that term is 2
-    log_z = _SteadyTables(SystemParams(n_qubits=1, rabi=1000.0)).log_z[0]
+    log_z = log_z_of(_SteadyTables(SystemParams(n_qubits=1, rabi=1000.0)))[0]
     assert math.exp(log_z) == pytest.approx(2.0, rel=1e-5)
 
 
 def test_partition_exactly_real():
-    # the tables keep log Z alone; the imaginary part they drop is exactly zero
+    # Z is a real (0, 0) sum; the imaginary part it would carry is exactly zero
     params = SystemParams(n_qubits=7, rabi=1.1, detuning=-3.0, dipole_shift=2.0)
-    log_z = _SteadyTables(params).log_z[0]
+    log_z = log_z_of(_SteadyTables(params))[0]
     assert isinstance(log_z, float)
     scale, mantissa = ladder_sum(_SteadyTables(params), 0, 0, (1,))
     assert mantissa.imag[0] == 0.0 and mantissa.real[0] > 0.0
-    # the tables take the log of the whole batch's real parts with numpy
+    # the moments' Z is the q = 1 ladder sum to the bit
     assert scale[0] + np.log(mantissa.real)[0] == log_z
 
 
 def test_partition_zero_drive():
     with pytest.raises(ZeroDrive):
-        _SteadyTables(SystemParams(n_qubits=2, rabi=1e-300 * 0.0)).log_z[0]
+        log_z_of(_SteadyTables(SystemParams(n_qubits=2, rabi=1e-300 * 0.0)))[0]
 
 
 def test_partition_against_ladder_trace():
@@ -201,23 +204,23 @@ def test_partition_against_ladder_trace():
                 ops.s_plus, n
             )
             direct += (coefficient_c(n, n, params) * np.trace(ladder)).real
-        assert math.exp(_SteadyTables(params).log_z[0]) == pytest.approx(direct, rel=1e-12)
+        assert math.exp(log_z_of(_SteadyTables(params))[0]) == pytest.approx(direct, rel=1e-12)
 
 
 def test_partition_log_scale_large_ensemble():
     # the N=74 normalization overflows doubles; its log must stay finite
-    log_z = _SteadyTables(SystemParams(n_qubits=74, rabi=0.05 * 74 / 2)).log_z[0]
+    log_z = log_z_of(_SteadyTables(SystemParams(n_qubits=74, rabi=0.05 * 74 / 2)))[0]
     assert math.isfinite(log_z)
     assert log_z > 400.0
 
 
 def test_partition_precision_modes_agree():
     params = SystemParams(n_qubits=40, rabi=7.0, detuning=-2.0, dipole_shift=3.0)
-    a = _SteadyTables(params, precision="standard").log_z[0]
-    b = _SteadyTables(params, precision="extended").log_z[0]
+    a = log_z_of(_SteadyTables(params, precision="standard"))[0]
+    b = log_z_of(_SteadyTables(params, precision="extended"))[0]
     assert a == pytest.approx(b, rel=1e-14)
     with pytest.raises(ValueError):
-        _SteadyTables(params, precision="double").log_z[0]
+        log_z_of(_SteadyTables(params, precision="double"))[0]
 
 
 def exact_weight(s_q, s_0, denominator=1):
@@ -273,6 +276,23 @@ def test_row_sum_recurrence_matches_closed_form_bit_for_bit():
             for (log_s0, weights), g in candidates:
                 assert np.array_equal(log_s0, ref_log_s0), (n_qubits, poly)
                 assert np.array_equal(weights[g], ref), (n_qubits, poly)
+
+
+def test_rho_then_expect_at_a_new_n_steps_t0_once(monkeypatch, capsys):
+    # the pair rows (rho) and the moment rows (expect) of one N share one
+    # log S_0 array, so a process running both steps the big-integer T_0
+    # recurrence once; fresh caches make N = 733 new to this test
+    log_s0 = lru_cache(maxsize=None)(steady._log_s0.__wrapped__)
+    monkeypatch.setattr(steady, "_log_s0", log_s0)
+    for name in ("_pair_rows", "_moment_rows"):
+        monkeypatch.setattr(steady, name, lru_cache(maxsize=None)(getattr(steady, name).__wrapped__))
+    for command in ("rho", "expect"):
+        assert main([command, "--n", "733", "--pump", "0.9"]) == 0
+    assert log_s0.cache_info().misses == 1 and log_s0.cache_info().hits >= 1
+    assert steady._pair_rows(733)[0] is steady._moment_rows(733, (0, 1, 2))[0]
+    assert steady._moment_rows(733, (3,))[0] is log_s0(733)
+    assert log_s0.cache_info().misses == 1
+    capsys.readouterr()
 
 
 def test_weight_out_of_double_range_raises():

@@ -33,6 +33,8 @@ def test_su2_commutators(n):
 def test_size_guard():
     with pytest.raises(SizeExceeded):
         build_liouvillian(SystemParams(n_qubits=17, rabi=1.0))
+    with pytest.raises(SizeExceeded):
+        density_expectation_set(np.eye(18) / 18)
 
 
 def test_liouvillian_preserves_trace():
@@ -146,6 +148,19 @@ def test_liouvillian_parts_are_built_once_per_size(monkeypatch):
     # a second build makes only the two Hamiltonian terms, on the (P, d, d) stack
     assert builds == [] and krons == [3, 3]
     assert second.tobytes() == expected
+    # the moment readout traces against the same cached operators
+    states = steady_state_null_space(second)
+    moments = density_expectation_set(states)
+    single = density_expectation_set(states[2])
+    assert builds == []
+    # the same bits as tracing against freshly built operators
+    ops = real_build(3)
+    traced = np.trace(states @ (ops.s_plus @ ops.s_z), axis1=1, axis2=2)
+    assert moments.s_plus_sz.tobytes() == traced.tobytes()
+    assert single.s_z2 == np.trace(states[2:] @ (ops.s_z @ ops.s_z), axis1=1, axis2=2)[0].real
+    density_expectation_set(np.eye(5) / 5)
+    density_expectation_set(np.eye(5) / 5)
+    assert builds == [4]
 
     ops, *fixed = oracle._fixed_parts(3)
     cached = [ops.s_plus, ops.s_minus, ops.s_z, *fixed]

@@ -94,6 +94,30 @@ def test_matches_literal_partial_trace():
         assert np.abs(via_moments - literal).max() < 1e-10
 
 
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+def test_weak_drive_pair_matrix_is_the_ground_state_exactly(precision):
+    # at rabi 1e-50 and 1e-300 only the n = N term of the sums survives; the
+    # diagonal entries are ratios of mantissas at Z's own scale, so rho44 is
+    # N(N-1) / N(N-1) = 1 and the trace is exactly 1
+    for n in (50, 200, 1000):
+        for rabi in (1e-50, 1e-300):
+            rho = steady_pair_density(SystemParams(n_qubits=n, rabi=rabi), precision)
+            assert rho[3, 3] == 1.0 and np.trace(rho) == 1.0, (n, rabi)
+
+
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+@pytest.mark.parametrize("n", [74, 200])
+def test_pair_trace_is_one_to_a_few_ulp(n, precision):
+    # pump 1e-3 to 3, any detuning and dipole shift: the trace misses 1 by at
+    # most 2 eps here
+    rng = np.random.default_rng(1000 + n)
+    pumps = 10 ** rng.uniform(-3.0, 0.5, 400)
+    rho = steady_pair_density(ParamBatch(n, pumps * n / 2, rng.uniform(-10.0, 5.0, 400),
+                                         rng.choice([0.0, 2.0, 5.0], 400)), precision)
+    trace = np.trace(rho, axis1=1, axis2=2)
+    assert np.abs(trace - 1.0).max() <= 4 * np.finfo(float).eps
+
+
 def test_closed_form_pair_matches_dense_solver():
     params = SystemParams(n_qubits=6, rabi=0.8 * 6 / 2)
     analytic = two_qubit_rho(expectation_set(params), 6)

@@ -87,12 +87,10 @@ def test_derived_resonance():
     d = derive_params(SystemParams(n_qubits=1, rabi=1.0))
     assert d.alpha == pytest.approx(1j)
     assert d.beta == pytest.approx(0.0)
-    assert d.tilde_detuning == 0.0
 
 
 def test_derived_tilde_cancellation():
     d = derive_params(SystemParams(n_qubits=2, rabi=2.0, detuning=-5.0, dipole_shift=5.0))
-    assert d.tilde_detuning == 0.0
     assert d.beta == pytest.approx(0.0)
     assert d.alpha == pytest.approx(2j / (1 + 5j))
 
@@ -100,7 +98,6 @@ def test_derived_tilde_cancellation():
 def test_derived_off_resonant_operating_point():
     d = derive_params(SystemParams(n_qubits=2, rabi=1.8, detuning=-12.0, dipole_shift=5.0))
     assert d.beta == pytest.approx(-7j / (1 + 5j))
-    assert d.tilde_detuning == pytest.approx(-7.0)
 
 
 def test_derived_finite_for_any_valid_params():

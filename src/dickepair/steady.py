@@ -33,8 +33,15 @@ avoids complex-gamma branch cuts and overflow.
 The parameter-dependent tables carry a leading batch axis: P operating points
 of one ensemble (a :class:`~dickepair.params.ParamBatch`) give (P, N+1)
 coefficient arrays, and each ladder sum is one row reduction over them. The
-single-point functions below evaluate the batch of one on tables built for
-the call; only :func:`expectation` keeps the tables of its last 128 points.
+beta tables (the log Pochhammer prefix and its phase steps) depend on beta
+alone, so a batch whose rows all have the same beta bit for bit, such as a
+pump curve, builds them as one (1, N+1) and one (1, N) row that broadcast
+against the P rows; any other batch builds (P, N+1) and (P, N). The log
+magnitudes log|u_n| = log|a_n| - n log|alpha| stay (P, N+1), each row with
+its own n log|alpha|, so every row is rounded as its batch of one rounds
+it. The single-point functions below evaluate the batch of one on tables
+built for the call; only :func:`expectation` keeps the tables of its last
+128 points.
 """
 from __future__ import annotations
 
@@ -200,9 +207,15 @@ def _over_z(scale: np.ndarray, mantissa: np.ndarray, z, shift: float = 0.0) -> n
 class _SteadyTables:
     """Coefficients shared by all moments, for a batch of P operating points.
 
-    ``a_log`` and ``u_log`` are (P, N+1) arrays, ``v_unit`` is (P, N), and
-    the ladder sums are (P,) arrays: each ladder sum is one row reduction
-    over the batch. A :class:`SystemParams` is taken as the batch of one.
+    ``u_log`` is a (P, N+1) array and the ladder sums are (P,) arrays: each
+    ladder sum is one row reduction over the batch. The beta tables
+    ``a_log`` and ``v_unit`` are (1, N+1) and (1, N) when every row has the
+    same beta bit for bit and (P, N+1) and (P, N) otherwise; numpy
+    broadcasts a single row, and the products of ``v_unit`` columns in
+    :meth:`_base` stay single rows too.
+    ``u_log`` = ``a_log`` - n log|alpha| keeps each row's own log|alpha| (one
+    shared log|alpha| would round differently), so a row's bits are those of
+    its batch of one. A :class:`SystemParams` is taken as the batch of one.
     Every sum becomes a value by :func:`_over_z`, divided by Z from the
     (0, 0) sums of its own caller: row 0 (q = 1) of the pair entries'
     diagonal group or of the moments' low group. The moment sums are built
@@ -238,10 +251,16 @@ class _SteadyTables:
         self.n_qubits = N
 
         # a_n = prod_{k=1..n} (1 + beta/k) = Gamma(1+n+beta) / (Gamma(1+beta) n!);
-        # dividing a complex by a real is multiplying by its reciprocal
-        ratios = 1.0 + derived.beta[:, None] * (1.0 / np.arange(1, N + 1))
+        # dividing a complex by a real is multiplying by its reciprocal. Rows
+        # whose beta has the same bytes (a pump curve) share one table row;
+        # bytes, not ==, so that betas -0.0 and 0.0 keep a row each
+        beta = derived.beta
+        raw = beta.tobytes()
+        if raw == raw[:beta.itemsize] * len(beta):
+            beta = beta[:1]
+        ratios = 1.0 + beta[:, None] * (1.0 / np.arange(1, N + 1))
         magnitudes = np.abs(ratios)
-        self.a_log = np.zeros((len(points), N + 1))
+        self.a_log = np.zeros((len(beta), N + 1))
         np.cumsum(np.log(magnitudes), axis=1, out=self.a_log[:, 1:])
         # column k-1 holds the phase step v_k = a_k |a_{k-1}| / (|a_k| a_{k-1})
         self.v_unit = ratios * (1.0 / magnitudes)

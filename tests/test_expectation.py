@@ -251,3 +251,40 @@ def test_a_single_point_keeps_nothing_and_is_the_batch_of_one(monkeypatch, n, pr
     expectation(points[0], 0, 2, 0, precision)
     after = steady._steady_tables.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+@pytest.mark.parametrize("n", [2, 6, 74, 200])
+def test_one_beta_batch_moments_equal_one_point_moments(n, precision):
+    # the moments go through the same broadcast base as the pair entries
+    for detuning, dipole in ((-3.0, 2.0), (-2.5, 2.5), (1.5, 0.0)):
+        points = ParamBatch(n, np.linspace(0.05, 3.0, 9) * n / 2, np.full(9, detuning),
+                            np.full(9, dipole))
+        batch = expectation_set(points, precision)
+        for i in range(len(points)):
+            one = expectation_set(points.point(i), precision)
+            for field in dataclasses.fields(one):
+                row = getattr(batch, field.name)[i].item()
+                assert np.array(getattr(one, field.name)).tobytes() == np.array(row).tobytes(), \
+                    (detuning, dipole, i, field.name)
+
+
+@pytest.mark.parametrize("n", [2, 74])
+def test_beta_tables_are_one_row_for_one_beta(n):
+    # a batch whose rows share beta bit for bit builds one row of beta tables
+    # (detuning = dipole = -0.0 derives the same beta bytes as 0.0); u_log
+    # keeps each row's n log|alpha|
+    def tables(detuning, dipole):
+        size = len(detuning)
+        return steady._SteadyTables(ParamBatch(n, np.linspace(0.5, 2.0, size) * n / 2,
+                                               np.array(detuning), np.array(dipole)))
+
+    for detuning, dipole in (([-3.0] * 5, [2.0] * 5), ([-0.0, 0.0, -0.0], [-0.0, 0.0, 0.0])):
+        one = tables(detuning, dipole)
+        assert one.a_log.shape == (1, n + 1) and one.v_unit.shape == (1, n)
+        assert one.u_log.shape == (len(detuning), n + 1)
+    # two betas, and betas -0.0 and 0.0, whose bits differ, keep a row each
+    for detuning, dipole in (([-3.0, -3.0, 1.0], [2.0] * 3), ([3.0, -3.0], [-3.0, 3.0])):
+        mixed = tables(detuning, dipole)
+        size = len(detuning)
+        assert mixed.a_log.shape == (size, n + 1) and mixed.v_unit.shape == (size, n)

@@ -118,6 +118,61 @@ def test_large_ensemble_rows_do_not_depend_on_their_batch(n, precision):
         assert evaluate_point(points.point(i), precision) == records[i].item(), i
 
 
+def pump_curve(n, detuning, dipole, size=25):
+    """A pump curve at N: every row has the same detuning and dipole, so the same beta."""
+    return ParamBatch(n, np.linspace(0.05, 3.0, size) * n / 2, np.full(size, detuning),
+                      np.full(size, dipole))
+
+
+def chunked_records(monkeypatch, points, precision):
+    """evaluate_points at the default chunks and at chunks of 7 rows and of one row."""
+    row = max(points.n_qubits + 1, 16)
+    runs = [evaluate_points(points, precision)]
+    for budget in (7 * row, row):
+        monkeypatch.setattr(sweep_module, "CHUNK_ELEMENTS", budget)
+        runs.append(evaluate_points(points, precision))
+    monkeypatch.undo()
+    return runs
+
+
+def one_point_bytes(points, precision):
+    """The bytes of every row's evaluate_point record, in row order."""
+    return np.array([evaluate_point(points.point(i), precision) for i in range(len(points))],
+                    dtype=RECORD_FIELDS).tobytes()
+
+
+@pytest.mark.parametrize("n, precision", [
+    *((n, precision) for n in (2, 6, 74, 200) for precision in ("standard", "extended")),
+    (5000, "standard"),
+])
+def test_pump_curve_records_equal_one_point_records(monkeypatch, n, precision):
+    # a chunk of one pump curve builds its beta tables as one row and
+    # broadcasts it, and every record is still its row's one-point evaluation,
+    # bit for bit; beta = 0 at detuning = -dipole, and a curve at dipole 0
+    for detuning, dipole in ((-3.0, 2.0), (-2.5, 2.5), (1.5, 0.0)):
+        points = pump_curve(n, detuning, dipole)
+        one_point = one_point_bytes(points, precision)
+        for records in chunked_records(monkeypatch, points, precision):
+            assert records.tobytes() == one_point, (detuning, dipole)
+
+
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+@pytest.mark.parametrize("n", [2, 74])
+def test_mixed_beta_chunks_equal_one_point_records(monkeypatch, n, precision):
+    # two curves that meet inside a chunk take the per-row tables, and so do
+    # (3, -3) beside (-3, 3), whose betas -0.0 and 0.0 compare equal but differ
+    # in their bits; rows at detuning = dipole = -0.0 sit beside rows at 0.0
+    two_curves = (pump_curve(n, -3.0, 2.0, 11), pump_curve(n, 1.5, 0.0, 12))
+    signed_zeros = [pump_curve(n, det, dip, 3) for det, dip in
+                    ((-0.0, -0.0), (0.0, 0.0), (-0.0, -0.0), (3.0, -3.0), (-3.0, 3.0))]
+    for curves in (two_curves, signed_zeros):
+        points = ParamBatch(n, *(np.concatenate([getattr(c, name) for c in curves])
+                                 for name in ("rabi", "detuning", "dipole_shift")))
+        one_point = one_point_bytes(points, precision)
+        for records in chunked_records(monkeypatch, points, precision):
+            assert records.tobytes() == one_point
+
+
 def test_one_large_chunk_matches_default_chunks(monkeypatch):
     # a chunk of 20,000 rows at N = 2 holds complex temporaries above numpy's
     # 256 KiB threshold for reusing a temporary operand as the output

@@ -12,7 +12,9 @@ states and P readouts, and a single point is the stack of one. The state
 is read off one batched inverse of the trace-constrained Liouvillian, whose
 norm also proves the stationary state unique; a singular-value pass runs
 only for a matrix that bound leaves uncertified, which no physical
-Liouvillian does.
+Liouvillian does. ``_fixed_parts`` builds each size's S+, Sz, identity,
+S+S- and dissipator once, read-only, and is their only builder; S- is
+read as S+.T.
 
 The generator implemented here is
 
@@ -28,7 +30,6 @@ reproduces the analytic moments to machine precision for all parameters
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +40,6 @@ from .steady import ExpectationSet
 
 __all__ = [
     "MAX_ORACLE_QUBITS",
-    "DickeBasisOperators",
     "build_liouvillian",
     "steady_state_null_space",
     "density_expectation_set",
@@ -56,33 +56,6 @@ DEGENERACY_TOL = 1e-10
 # without a singular-value pass (see steady_state_null_space); a fixed part
 # of the proof, not a tolerance to tune
 _CERTIFY_MARGIN = 1e4
-
-
-@dataclass(frozen=True)
-class DickeBasisOperators:
-    """Collective ladder operators on the maximal-spin ladder.
-
-    Basis index k = number of excitations (k = 0 is the ground state), so
-    Sz is diagonal with entries k - N/2 and S+ has the real positive
-    elements sqrt((N-k)(k+1)) one step above the diagonal.
-    """
-
-    dimension: int
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-    s_z: np.ndarray
-
-    @classmethod
-    def build(cls, n_qubits: int) -> "DickeBasisOperators":
-        dim = n_qubits + 1
-        s_plus = np.zeros((dim, dim))
-        for k in range(n_qubits):
-            s_plus[k + 1, k] = math.sqrt((n_qubits - k) * (k + 1))
-        s_minus = s_plus.T.copy()
-        s_z = np.diag([k - n_qubits / 2.0 for k in range(dim)])
-        for arr in (s_plus, s_minus, s_z):
-            arr.setflags(write=False)
-        return cls(dimension=dim, s_plus=s_plus, s_minus=s_minus, s_z=s_z)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,21 +85,29 @@ def _stack(arr: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
 
 @lru_cache(maxsize=None)
 def _fixed_parts(n_qubits: int):
-    """(ladder operators, I, S+S-, dissipator) of one N, built once, read-only.
+    """(S+, Sz, I, S+S-, dissipator) of one N, built once, read-only.
 
+    Basis index k = number of excitations (k = 0 is the ground state), so
+    Sz is diagonal with entries k - N/2 and S+ has the real positive
+    elements sqrt((N-k)(k+1)) one step below the diagonal; S- is S+.T.
     The dissipator is 2 S- x S- - (S+S- x I + I x (S+S-)^T). S+S- is
     diagonal and S- x S- lowers both indices, so its two terms have
     disjoint supports: adding their sum to a commutator rounds as adding
     them one after the other does.
     """
-    ops = DickeBasisOperators.build(n_qubits)
-    eye = np.eye(ops.dimension)
-    spsm = ops.s_plus @ ops.s_minus
+    dim = n_qubits + 1
+    s_plus = np.zeros((dim, dim))
+    for k in range(n_qubits):
+        s_plus[k + 1, k] = math.sqrt((n_qubits - k) * (k + 1))
+    s_minus = s_plus.T
+    s_z = np.diag([k - n_qubits / 2.0 for k in range(dim)])
+    eye = np.eye(dim)
+    spsm = s_plus @ s_minus
     # S- rho S+ lifts to kron(S-, (S+)^T) = kron(S-, S-) for real elements
-    dissipator = 2.0 * _kron(ops.s_minus, ops.s_minus) - (_kron(spsm, eye) + _kron(eye, spsm.T))
-    for arr in (eye, spsm, dissipator):
+    dissipator = 2.0 * _kron(s_minus, s_minus) - (_kron(spsm, eye) + _kron(eye, spsm.T))
+    for arr in (s_plus, s_z, eye, spsm, dissipator):
         arr.setflags(write=False)
-    return ops, eye, spsm, dissipator
+    return s_plus, s_z, eye, spsm, dissipator
 
 
 def build_liouvillian(params: SystemParams | ParamBatch) -> np.ndarray:
@@ -143,23 +124,17 @@ def build_liouvillian(params: SystemParams | ParamBatch) -> np.ndarray:
     _check_size(params.n_qubits)
     single = isinstance(params, SystemParams)
     points = ParamBatch.of(params) if single else params
-    ops, eye, spsm, dissipator = _fixed_parts(points.n_qubits)
+    s_plus, s_z, eye, spsm, dissipator = _fixed_parts(points.n_qubits)
     tilde = points.detuning + points.dipole_shift
     ham = (
-        tilde[:, None, None] * ops.s_z
+        tilde[:, None, None] * s_z
         + points.dipole_shift[:, None, None] * spsm
-        + points.rabi[:, None, None] * (ops.s_plus + ops.s_minus)
+        + points.rabi[:, None, None] * (s_plus + s_plus.T)
     )
     # A rho lifts to kron(A, I) and rho B to kron(I, B^T)
     liouv = -1j * (_kron(ham, eye) - _kron(eye, np.swapaxes(ham, 1, 2)))
     liouv += dissipator
     return liouv[0] if single else liouv
-
-
-def _trace_row(dim: int) -> np.ndarray:
-    row = np.zeros(dim * dim, dtype=complex)
-    row[:: dim + 1] = 1.0
-    return row
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -209,7 +184,7 @@ def steady_state_null_space(liouv: np.ndarray) -> np.ndarray:
         raise ValueError(f"Liouvillian must be square with square size, got {stack.shape[1:]}")
     constrained = stack.astype(complex)
     scale = np.hypot(_frobenius(constrained), math.sqrt(dim))
-    constrained[:, 0, :] = _trace_row(dim)
+    constrained[:, 0, :] = np.eye(dim).ravel()
     try:
         inverse = np.linalg.inv(constrained)
     except np.linalg.LinAlgError:
@@ -256,15 +231,14 @@ def density_expectation_set(rho: np.ndarray) -> ExpectationSet:
     stack, single = _stack(rho, "state")
     n_qubits = stack.shape[1] - 1
     _check_size(n_qubits)
-    ops = _fixed_parts(n_qubits)[0]
-    sp, sz, sm = ops.s_plus, ops.s_z, ops.s_minus
+    sp, sz = _fixed_parts(n_qubits)[:2]
     products = {
         "s_plus": sp,
         "s_z": sz,
         "s_z2": sz @ sz,
         "s_plus_sz": sp @ sz,
         "s_plus2": sp @ sp,
-        "s_plus_s_minus": sp @ sm,
+        "s_plus_s_minus": sp @ sp.T,
     }
     moments = {name: np.trace(stack @ op, axis1=1, axis2=2) for name, op in products.items()}
     for name in ("s_z", "s_z2", "s_plus_s_minus"):

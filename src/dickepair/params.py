@@ -74,8 +74,9 @@ class SystemParams:
 class ParamBatch:
     """P operating points sharing ``n_qubits``.
 
-    ``rabi``, ``detuning`` and ``dipole_shift`` are float arrays of shape (P,);
-    they (row by row) and ``n_qubits`` are taken as :class:`SystemParams` takes them.
+    ``rabi``, ``detuning`` and ``dipole_shift`` are real numpy arrays of
+    shape (P,); they (row by row) and ``n_qubits`` are taken as
+    :class:`SystemParams` takes them.
     """
 
     n_qubits: int
@@ -87,6 +88,9 @@ class ParamBatch:
         object.__setattr__(self, "n_qubits", SystemParams(self.n_qubits, rabi=0.0).n_qubits)
         for name in ("rabi", "detuning", "dipole_shift"):
             values = getattr(self, name)
+            if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+                got = values.dtype if isinstance(values, np.ndarray) else type(values).__name__
+                raise ValueError(f"{name} must be a real numpy array, got {got}")
             if values.shape != (len(self.rabi),):
                 raise ValueError(f"{name} must be a 1-D array as long as rabi")
             if not np.isfinite(values).all():

@@ -12,6 +12,7 @@ pump sweep.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -85,7 +86,8 @@ class AxisSpec:
     ``pump`` axes are converted to rabi internally via
     rabi = pump * n_qubits / 2; rabi, detuning and dipole_shift values are
     in units of gamma. The bounds and the span stop - start must be finite,
-    so ``values()`` never overflows.
+    so ``values()`` never overflows, and ``points`` an integer >= 2 (not a
+    bool), so ``values()`` cannot raise.
     """
 
     name: str
@@ -101,6 +103,8 @@ class AxisSpec:
                              f"got [{self.start}, {self.stop}]")
         if not self.start < self.stop:
             raise ValueError(f"axis needs start < stop, got [{self.start}, {self.stop}]")
+        if not isinstance(self.points, numbers.Integral) or isinstance(self.points, bool):
+            raise ValueError(f"axis points must be an integer, got {self.points!r}")
         if self.points < 2:
             raise ValueError(f"axis needs at least 2 points, got {self.points}")
 

@@ -322,14 +322,15 @@ def closed_form_row_sums(n_qubits, poly):
         for n in range(N + 1))
 
 
-def pochhammer_pair_entries(params: SystemParams, dps=50):
+def pochhammer_pair_entries(params: SystemParams, dps=50, rounded=True):
     """The six pair entries (r11, r12, r14, r22, r24, r44) in mpmath, for large N.
 
     The closed form sum_n C_{n, n-p} S_n with the coefficients
     C_nm = (-1)^(n+m) alpha^-n (alpha*)^-m a_n conj(a_m) at ``dps`` digits,
     a_n = prod_{k<=n} (1 + beta/k) and alpha^-n kept as running products,
     times the exact integers of ``closed_form_row_sums``. No log space, no
-    floats inside the sums and no package code.
+    floats inside the sums and no package code. Rounded to complex unless
+    ``rounded`` is false, which returns the ``dps``-digit mpc values.
     """
     n_qubits = params.n_qubits
     with mpmath.workdps(dps):
@@ -347,8 +348,27 @@ def pochhammer_pair_entries(params: SystemParams, dps=50):
                                for n in range(p, n_qubits + 1))
 
         norm = ladder(0, (1,)) * n_qubits * (n_qubits - 1)
-        return tuple(complex(ladder(p, poly) / norm)
-                     for p, poly in pair_polynomials(n_qubits))
+        entries = tuple(ladder(p, poly) / norm for p, poly in pair_polynomials(n_qubits))
+    return tuple(map(complex, entries)) if rounded else entries
+
+
+def moments_of_pair_entries(entries, n):
+    """The six collective moments from the pair entries (r11, r12, r14, r22, r24, r44).
+
+    The inverse of the pair reduction, as ``ExpectationSet`` field names;
+    plain arithmetic, so it runs on doubles or, inside ``mpmath.workdps``,
+    on mpc values. The Hermitian moments are the real parts.
+    """
+    r11, r12, r14, r22, r24, r44 = entries
+    s_plus = n * (r12 + r24)
+    return {
+        "s_plus": s_plus,
+        "s_z": (n * (r11 - r44) / 2).real,
+        "s_z2": (n * n / 4 - n * (n - 1) * r22).real,
+        "s_plus_sz": n * (n - 1) * r12 - n * s_plus / 2,
+        "s_plus2": n * (n - 1) * r14,
+        "s_plus_s_minus": (n * (r11 + r22) + n * (n - 1) * r22).real,
+    }
 
 
 def pochhammer_sz_power(params: SystemParams, r, dps=50):

@@ -178,6 +178,14 @@ def test_readme_command_line_block_runs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("axis", ["pump:0.1:1", "pump:0.1:1:5:2"])
+def test_axis_without_four_fields_exits_usage(capsys, axis):
+    code = main(["sweep", "--n", "2", "--axis", axis])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"axis must be name:start:stop:points, got {axis!r}" in err
+
+
 def test_too_many_axes_exits_usage(capsys):
     code = main([
         "sweep", "--n", "2", "--axis", "pump:0.1:1:5", "--axis",

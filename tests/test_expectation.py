@@ -4,6 +4,7 @@ import gc
 import warnings
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,12 @@ from dickepair import (
     expectation_set,
     steady_pair_density,
 )
-from helpers import MOMENT_FIELDS, steady_rho
+from helpers import (
+    MOMENT_FIELDS,
+    moments_of_pair_entries,
+    pochhammer_pair_entries,
+    steady_rho,
+)
 from dickepair import steady
 from dickepair.oracle import density_expectation_set
 from dickepair.sweep import evaluate_points
@@ -170,17 +176,45 @@ def test_expectation_set_matches_dense_solver():
 def test_moments_of_individual_orders_match_dense_solver():
     params = SystemParams(n_qubits=3, rabi=2.0, detuning=-1.0, dipole_shift=2.0)
     rho = steady_rho(params)
-    from dickepair.oracle import DickeBasisOperators
+    from dickepair import oracle
 
-    ops = DickeBasisOperators.build(3)
+    s_plus, s_z = oracle._fixed_parts(3)[:2]
     for p, r, f in ((1, 0, 0), (0, 1, 0), (0, 2, 0), (1, 1, 0), (2, 0, 0), (1, 0, 1)):
         op = (
-            np.linalg.matrix_power(ops.s_plus, p)
-            @ np.linalg.matrix_power(ops.s_z, r)
-            @ np.linalg.matrix_power(ops.s_minus, f)
+            np.linalg.matrix_power(s_plus, p)
+            @ np.linalg.matrix_power(s_z, r)
+            @ np.linalg.matrix_power(s_plus.T, f)
         )
         direct = complex(np.trace(rho @ op))
         assert expectation(params, p, r, f) == pytest.approx(direct, abs=1e-8)
+
+
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+def test_moments_from_pair_entries_and_moment_sums_against_50_digits(precision):
+    # two ways to the six moments at N = 200: the moment row sums of
+    # expectation_set, and the pair entries of steady_pair_density mapped
+    # back to moments. The reference is that map applied at 50 digits to the
+    # unrounded 50-digit pair entries. Both paths measured within 1.7e-13
+    # (moment sums) and 2.6e-13 (pair entries, on <S+S-> off resonance at
+    # weak drive) of max(1, |reference|) over these points.
+    n = 200
+    for pump, detuning, dipole in ((0.02, 0.0, 0.0), (0.05, -3.0, 2.0), (0.98, 0.0, 0.0),
+                                   (1.02, -2.0, 2.0), (0.7, -3.0, 2.0), (1.5, 1.0, -3.5)):
+        params = SystemParams(n, rabi=1.0, detuning=detuning, dipole_shift=dipole).with_pump(pump)
+        entries = pochhammer_pair_entries(params, rounded=False)
+        rho = steady_pair_density(params, precision=precision)
+        from_pair = moments_of_pair_entries(
+            (rho[0, 0], rho[0, 1], rho[0, 3], rho[1, 1], rho[1, 3], rho[3, 3]), n)
+        from_sums = expectation_set(params, precision=precision)
+        with mpmath.workdps(50):
+            reference = moments_of_pair_entries(entries, n)
+            for name in MOMENT_FIELDS:
+                ref = reference[name]
+                scale = max(1.0, abs(ref))
+                sums_err = abs(complex(getattr(from_sums, name)) - ref) / scale
+                pair_err = abs(complex(from_pair[name]) - ref) / scale
+                assert sums_err <= 2.5e-13, (pump, name, float(sums_err))
+                assert pair_err <= 4e-13, (pump, name, float(pair_err))
 
 
 def test_standard_vs_extended_self_consistency():

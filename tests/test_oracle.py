@@ -15,19 +15,19 @@ from dickepair import (
     steady_state_null_space,
 )
 from dickepair import cli, oracle
-from dickepair.oracle import DickeBasisOperators, density_expectation_set
+from dickepair.oracle import density_expectation_set
 from helpers import NotConverged, dense_ladder_steady_state, evolve_to_steady, steady_rho
 
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_su2_commutators(n):
-    ops = DickeBasisOperators.build(n)
-    sp, sm, sz = ops.s_plus, ops.s_minus, ops.s_z
+    sp, sz, eye, spsm = oracle._fixed_parts(n)[:4]
+    sm = sp.T
     assert np.abs(sz @ sp - sp @ sz - sp).max() < 1e-12
     assert np.abs(sz @ sm - sm @ sz + sm).max() < 1e-12
     assert np.abs(sp @ sm - sm @ sp - 2 * sz).max() < 1e-12
-    assert np.array_equal(sm, sp.T)
-    assert ops.dimension == n + 1
+    assert np.array_equal(spsm, sp @ sm)
+    assert np.array_equal(eye, np.eye(n + 1)) and sp.shape == sz.shape == (n + 1, n + 1)
 
 
 def test_size_guard():
@@ -123,49 +123,49 @@ def test_liouvillian_stack_rows_are_single_point_builds(n):
 
 
 def test_liouvillian_parts_are_built_once_per_size(monkeypatch):
-    builds, krons = [], []
-    real_build, real_kron = DickeBasisOperators.build, oracle._kron
-
-    def spy_build(n_qubits):
-        builds.append(n_qubits)
-        return real_build(n_qubits)
+    krons = []
+    real_kron = oracle._kron
 
     def spy_kron(a, b):
         krons.append(max(a.ndim, b.ndim))
         return real_kron(a, b)
 
-    monkeypatch.setattr(DickeBasisOperators, "build", spy_build)
+    def builds():
+        return oracle._fixed_parts.cache_info().misses
+
     monkeypatch.setattr(oracle, "_kron", spy_kron)
     oracle._fixed_parts.cache_clear()
     batch = random_batch(3, 4, seed=60)
     first = build_liouvillian(batch)
     # the first build at a size makes the operators and the three dissipator terms
-    assert builds == [3] and krons.count(2) == 3
-    builds.clear()
+    assert builds() == 1 and krons.count(2) == 3
     krons.clear()
     expected, expected_row = first.tobytes(), first[2].tobytes()
     second = build_liouvillian(batch)
     # a second build makes only the two Hamiltonian terms, on the (P, d, d) stack
-    assert builds == [] and krons == [3, 3]
+    assert builds() == 1 and krons == [3, 3]
     assert second.tobytes() == expected
     # the moment readout traces against the same cached operators
     states = steady_state_null_space(second)
     moments = density_expectation_set(states)
     single = density_expectation_set(states[2])
-    assert builds == []
-    # the same bits as tracing against freshly built operators
-    ops = real_build(3)
-    traced = np.trace(states @ (ops.s_plus @ ops.s_z), axis1=1, axis2=2)
+    assert builds() == 1
+    # the same bits as tracing against freshly built ladder operators
+    s_plus = np.zeros((4, 4))
+    for k in range(3):
+        s_plus[k + 1, k] = math.sqrt((3 - k) * (k + 1))
+    s_z = np.diag([k - 1.5 for k in range(4)])
+    traced = np.trace(states @ (s_plus @ s_z), axis1=1, axis2=2)
     assert moments.s_plus_sz.tobytes() == traced.tobytes()
-    assert single.s_z2 == np.trace(states[2:] @ (ops.s_z @ ops.s_z), axis1=1, axis2=2)[0].real
+    assert single.s_z2 == np.trace(states[2:] @ (s_z @ s_z), axis1=1, axis2=2)[0].real
     density_expectation_set(np.eye(5) / 5)
     density_expectation_set(np.eye(5) / 5)
-    assert builds == [4]
+    assert builds() == 2
 
-    ops, *fixed = oracle._fixed_parts(3)
-    cached = [ops.s_plus, ops.s_minus, ops.s_z, *fixed]
+    cached = oracle._fixed_parts(3)
+    assert [arr.tobytes() for arr in cached[:2]] == [s_plus.tobytes(), s_z.tobytes()]
     assert not any(arr.flags.writeable for arr in cached)
-    for arr in cached + [first]:
+    for arr in cached + (first,):
         assert not np.shares_memory(second, arr)
     # writing into a result leaves the next stack and single-point builds alone
     first[...] = 7.0
@@ -348,6 +348,19 @@ def test_pair_density_of_ground_state():
 def test_pair_density_shape_guard():
     with pytest.raises(ValueError):
         oracle_pair_density(np.eye(3) / 3, 4)
+
+
+def test_readouts_reject_a_non_square_state():
+    with pytest.raises(ValueError, match=r"state must be a square matrix or a stack of them"):
+        density_expectation_set(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match=r"state must be a square matrix or a stack of them"):
+        oracle_pair_density(np.zeros((2, 3, 4)), 2)
+
+
+def test_null_space_rejects_a_size_that_is_not_a_square():
+    # a 5 x 5 matrix cannot be the Liouvillian of a d x d state
+    with pytest.raises(ValueError, match=r"Liouvillian must be square with square size"):
+        steady_state_null_space(np.eye(5))
 
 
 def test_pair_density_needs_two_qubits():

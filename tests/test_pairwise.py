@@ -249,6 +249,16 @@ def test_non_finite_input_rejected(value):
         concurrence(np.full((4, 4), value))
 
 
+def test_non_4x4_input_rejected():
+    with pytest.raises(ValueError, match=r"expected a 4x4 density matrix or a stack"):
+        concurrence(np.eye(3) / 3)
+
+
+def test_zero_trace_input_rejected():
+    with pytest.raises(NumericalFailure, match="non-positive trace"):
+        concurrence(np.diag([0.5, -0.5, 0.0, 0.0]))
+
+
 def test_non_psd_input_rejected():
     # unit trace and Hermitian, but an eigenvalue of -0.5
     with pytest.raises(NumericalFailure):

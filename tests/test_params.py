@@ -73,6 +73,39 @@ def test_batch_reports_negative_rabi_as_a_plain_float():
                    dipole_shift=np.zeros(2))
 
 
+@pytest.mark.parametrize("name, value, got", [
+    ("rabi", np.array([1 + 2j]), "complex128"),
+    ("detuning", np.array([-2j]), "complex128"),
+    ("dipole_shift", [0.0], "list"),
+    ("rabi", np.array([True]), "bool"),
+])
+def test_batch_takes_only_real_arrays(name, value, got):
+    # unchecked, a complex rabi evaluates to a record, a complex detuning
+    # reaches numpy's log and a list fails on .shape
+    fields = {"rabi": np.ones(1), "detuning": np.zeros(1), "dipole_shift": np.zeros(1)}
+    fields[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be a real numpy array, got {got}$"):
+        ParamBatch(3, **fields)
+
+
+def test_batch_fields_must_match_in_length():
+    with pytest.raises(ValueError, match="^detuning must be a 1-D array as long as rabi$"):
+        ParamBatch(3, rabi=np.ones(2), detuning=np.zeros(3), dipole_shift=np.zeros(2))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_batch_fields_must_be_finite(value):
+    with pytest.raises(ValueError, match="^dipole_shift must be finite$"):
+        ParamBatch(3, rabi=np.ones(2), detuning=np.zeros(2),
+                   dipole_shift=np.array([0.0, value]))
+
+
+def test_batch_takes_integer_arrays():
+    ints = ParamBatch(3, rabi=np.array([1, 2]), detuning=np.array([-1, 0]),
+                      dipole_shift=np.array([2, 0], dtype=np.uint8))
+    assert ints.point(1) == SystemParams(3, rabi=2.0)
+
+
 def test_batch_row_is_the_point():
     # a batch row comes back as the SystemParams it was built from
     p = SystemParams(n_qubits=6, rabi=1.3, detuning=-2.5, dipole_shift=1.5)

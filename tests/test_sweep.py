@@ -38,6 +38,11 @@ def test_axis_validation():
                         (float("nan"), 1.0), (0.0, float("nan"))):
         with pytest.raises(ValueError, match="detuning axis needs finite"):
             AxisSpec("detuning", start, stop, 3)
+    # a point count that is not an integer would make values() raise TypeError
+    for points in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="^axis points must be an integer, got "):
+            AxisSpec("pump", 0.1, 1.0, points)
+    assert len(AxisSpec("pump", 0.1, 1.0, np.int64(3)).values()) == 3
     ax = AxisSpec("pump", 0.1, 2.0, 20)
     vals = ax.values()
     assert vals[0] == 0.1 and vals[-1] == 2.0 and len(vals) == 20

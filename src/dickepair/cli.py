@@ -50,10 +50,13 @@ from .oracle import (
 from .pairwise import concurrence, steady_pair_density
 from .params import ParamBatch, SystemParams
 from .steady import expectation_set
-from .sweep import CHUNK_ELEMENTS, AxisSpec, find_max_concurrence, sweep
+from .sweep import AxisSpec, find_max_concurrence, sweep
 
 DEFAULT_ORACLE_SIZES = (2, 3, 4, 6)
 DEFAULT_ORACLE_TOL = 1e-8
+# oracle-check solves stacks of ORACLE_CHUNK_ELEMENTS // (N + 1)^4 dense
+# Liouvillians, at least one: 101 at N = 2, 3 at N = 6, one from N = 9 on
+ORACLE_CHUNK_ELEMENTS = 1 << 13
 
 # Shared pump grid for the 1-D presets: 400 points on (0, 3].
 _PUMP_AXIS = AxisSpec("pump", 0.0075, 3.0, 400)
@@ -240,9 +243,9 @@ def _run_oracle_check(ns: argparse.Namespace) -> _Table:
     Every size is checked and evaluated in closed form (one batch each for
     its moments and its pair matrices) before any dense solve. The dense
     side reuses its per-size operators and dissipator and solves chunks of
-    CHUNK_ELEMENTS // (N + 1)^4 rows, at least one, so no Liouvillian stack
-    holds more than CHUNK_ELEMENTS entries; the moments and pair matrices
-    of the states are then read off as one stack per size.
+    ORACLE_CHUNK_ELEMENTS // (N + 1)^4 rows, at least one, so no Liouvillian
+    stack holds more than ORACLE_CHUNK_ELEMENTS entries; the moments and
+    pair matrices of the states are then read off as one stack per size.
     """
     grid = [axis.ravel() for axis in np.meshgrid(
         np.linspace(0.2, 5.0, 5), np.linspace(-10.0, 2.0, 5), (0.0, 2.0, 5.0), indexing="ij")]
@@ -255,7 +258,7 @@ def _run_oracle_check(ns: argparse.Namespace) -> _Table:
     blocks = []
     for points, analytic, pair in closed_form:
         n = points.n_qubits
-        step = max(1, CHUNK_ELEMENTS // (n + 1) ** 4)
+        step = max(1, ORACLE_CHUNK_ELEMENTS // (n + 1) ** 4)
         states = np.concatenate([
             steady_state_null_space(build_liouvillian(points.rows(start, start + step)))
             for start in range(0, len(points), step)

@@ -56,13 +56,17 @@ _TRIPLET_SCALE = np.array([
     [np.sqrt(2.0), 2.0, np.sqrt(2.0)],
     [1.0, np.sqrt(2.0), 1.0],
 ])
-# the lower triangle of the block over {ee, eg, gg}: a00, a10, a30, a11, a31, a33
-_LOWER_ROWS = np.array([0, 1, 3, 1, 3, 3])
-_LOWER_COLS = np.array([0, 0, 0, 1, 1, 3])
-
-# the 16 entries of a pair matrix, row-major, as indices into its nine
-# distinct values r11, r12, r14, r22, r24, r44, conj(r12), conj(r14), conj(r24)
-_ENTRY_INDEX = np.array([0, 1, 1, 2, 6, 3, 3, 4, 6, 3, 3, 4, 7, 8, 8, 5])
+# the diagonal and upper triangle of a 4x4 matrix by row-major index 4 i + j
+# (entries 00, 11, 22, 33, 01, 02, 03, 12, 13, 23), then its mirror image
+# (00, 11, 22, 33, 10, 20, 30, 21, 31, 32); rho14 and rho23 are entries 6 and 7
+_HALVES = np.array([0, 5, 10, 15, 1, 2, 3, 6, 7, 11, 0, 5, 10, 15, 4, 8, 12, 9, 13, 14])
+# the lower triangle of the block over {ee, eg, gg} in the mirror image:
+# a00, a10, a30, a11, a31, a33
+_LOWER = np.array([0, 4, 6, 1, 8, 3])
+# the eg row and column against the ge row and column, as positions in
+# _HALVES: entry (1, j) against (2, j), then (i, 1) against (i, 2)
+_EG, _GE = (np.array([_HALVES.tolist().index(k) for k in entries]) for entries in
+            ((4, 5, 6, 7, 1, 5, 9, 13), (8, 9, 10, 11, 2, 6, 10, 14)))
 
 HERMITIAN_TOL = 1e-9
 EIG_NEG_TOL = -1e-9
@@ -122,10 +126,18 @@ def two_qubit_rho(moments: ExpectationSet, n_qubits: int) -> np.ndarray:
 
 
 def _assemble(r11, r12, r14, r22, r24, r44) -> np.ndarray:
-    """(P, 4, 4) pair matrices from the six entry arrays of shape (P,)."""
-    values = np.array((r11, r12, r14, r22, r24, r44, np.conj(r12), np.conj(r14), np.conj(r24)),
-                      dtype=complex)
-    return values[_ENTRY_INDEX].T.reshape(-1, 4, 4)
+    """(P, 4, 4) pair matrices from the six entry arrays of shape (P,), filled in place."""
+    rho = np.empty((len(r11), 4, 4), dtype=complex)
+    # row 4 i + j is entry (i, j) of every matrix; the eg and ge rows and
+    # columns repeat
+    entries = rho.reshape(-1, 16).T
+    entries[0], entries[15], entries[3], entries[12] = r11, r44, r14, np.conj(r14)
+    entries[5] = entries[6] = entries[9] = entries[10] = r22
+    entries[1] = entries[2] = r12
+    entries[4] = entries[8] = np.conj(r12)
+    entries[7] = entries[11] = r24
+    entries[13] = entries[14] = np.conj(r24)
+    return rho
 
 
 def steady_pair_density(params: SystemParams | ParamBatch,
@@ -193,33 +205,49 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     trace = ((rho[:, 0, 0].real + rho[:, 1, 1].real) + rho[:, 2, 2].real) + rho[:, 3, 3].real
     if (trace <= 0).any():
         raise NumericalFailure(f"density matrix has non-positive trace {trace.min()}")
-    rho = rho / trace[:, None, None]
 
-    # the worst matrix of the stack decides
-    asym = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(initial=0.0)
+    # no normalised copy of the stack is made: the entries the checks and
+    # routes read are divided by the trace, and numpy divides a complex
+    # number by a real one entry by entry, so each has the bits of
+    # rho / trace. Row k of ``entries`` is entry k of every matrix, so the
+    # division runs along the stack
+    entries = rho.reshape(len(rho), 16).T
+    halves = entries[_HALVES]
+    halves /= trace
+    # a row whose eg and ge rows and columns are equal has the singlet in its
+    # kernel and takes the 3x3 triplet block; each row's route reads only that
+    # row, and a route with no rows does not run
+    triplet = (halves[_EG] == halves[_GE]).all(axis=0)
+    upper, mirror = halves[:10], halves[10:]
+    ref1, ref2 = _reference_values(upper[:4].real.T, upper[6], upper[7])
+    # |a - conj(b)| rounds as |b - conj(a)|, so the upper triangle against
+    # its mirror gives the defect of the whole matrix; the worst matrix of
+    # the stack decides
+    np.subtract(upper, np.conjugate(mirror, out=mirror), out=upper)
+    asym = np.abs(upper).max(initial=0.0)
     if asym > HERMITIAN_TOL:
         raise NumericalFailure(
             f"density matrix departs from Hermitian by {asym:.3e} > {HERMITIAN_TOL}"
         )
-    # a row whose eg and ge rows and columns are equal has the singlet in its
-    # kernel and takes the 3x3 triplet block; each row's route reads only that
-    # row, and a route with no rows does not run
-    triplet = ((rho[:, 1] == rho[:, 2]).all(axis=1)
-               & (rho[:, :, 1] == rho[:, :, 2]).all(axis=1))
+    # conjugated back, the mirror gives the lower triangle of the block
+    lower = mirror[_LOWER]
+    np.conjugate(lower, out=lower)
+    del halves, upper, mirror
     lams = np.zeros((len(rho), 4))
     rows = np.flatnonzero(triplet)
     if rows.size:
-        values, factored = _cholesky_spin_flip_values(rho[rows])
+        values, factored = _cholesky_spin_flip_values(
+            lower if len(rows) == len(rho) else lower[:, rows])
         lams[rows[factored], :3] = values
         # a pivot that is not positive: the eigh route validates the row
         rest = rows[~factored]
         if rest.size:
-            lams[rest, :3] = _spin_flip_values(_triplet_block(rho[rest]), _TRIPLET_FLIP)
+            block = _triplet_block(rho[rest] / trace[rest, None, None])
+            lams[rest, :3] = _spin_flip_values(block, _TRIPLET_FLIP)
     rows = np.flatnonzero(~triplet)
     if rows.size:
-        lams[rows] = _spin_flip_values(rho[rows], SIGMA_YY)
+        lams[rows] = _spin_flip_values(rho[rows] / trace[rows, None, None], SIGMA_YY)
     c = np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
-    ref1, ref2 = concurrence_ref(rho)
     if single:
         return ConcurrenceResult(
             concurrence=float(c[0]),
@@ -240,10 +268,12 @@ def _triplet_block(rho: np.ndarray) -> np.ndarray:
     return rho[:, _TRIPLET_INDEX[:, None], _TRIPLET_INDEX] * _TRIPLET_SCALE
 
 
-def _cholesky_spin_flip_values(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cholesky_spin_flip_values(lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spin-flip lambda1-3 of exchange-symmetric pair matrices from a Cholesky factor.
 
-    Factors the block A over {ee, eg, gg} as A = L L^H. The triplet block is
+    ``lower`` holds the lower triangle of each matrix's block A over
+    {ee, eg, gg}, normalised to unit trace: a (6, P) array whose rows are
+    a00, a10, a30, a11, a31 and a33. Factors A = L L^H. The triplet block is
     T = S A S with S = diag(1, sqrt(2), 1), so for any such factor the
     eigenvalues of T F T* F are the squared singular values of the complex
     symmetric M = L^T (S F S) L, with S F S = [[0, 0, -1], [0, 2, 0], [-1, 0, 0]].
@@ -275,14 +305,13 @@ def _cholesky_spin_flip_values(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     operations on numpy scalars, which spares the fixed cost of about a
     hundred calls on (1,) arrays.
     """
-    # the lower triangle of A, one (P,) row per entry: a00, a10, a30, a11, a31, a33
-    lower = rho[:, _LOWER_ROWS, _LOWER_COLS].T
-    if len(rho) == 1:
+    if lower.shape[1] == 1:
         lower = lower[:, 0]
     a00, a10r, a30r, a11, a31r, a33 = lower.real
-    _, a10i, a30i, _, a31i, _ = lower.imag
+    a10i, a30i, a31i = lower.imag[1], lower.imag[2], lower.imag[4]
     # a pivot that is not positive turns the later entries into inf or nan;
-    # its row is masked out
+    # its row is masked out. Each computed row is dropped after its last
+    # read, so a large stack holds about twenty (P,) rows at a time, not fifty
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         l00 = np.sqrt(a00)
         # column 0 of L: (l10, l20) = (a10, a30) / l00
@@ -306,14 +335,19 @@ def _cholesky_spin_flip_values(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]
                          - l00 * (l21r * l21r - l21i * l21i))
         minor_i = l00 * ((4.0 * (l11 * (l10r * l21i + l10i * l21r)) - 4.0 * (d1 * l20i))
                          - l00 * (2.0 * (l21r * l21i)))
+        del l10r, l10i, l20r, l20i, l11, l21r, l21i, d1
         bb, dd = br * br + bi * bi, d * d
         inv1 = ((ar * ar + ai * ai) + 2.0 * bb) + (2.0 * c2 + dd)
         inv2 = (minor_r * minor_r + minor_i * minor_i) + c2 * ((2.0 * bb + 2.0 * dd) + c2)
+        del minor_r, minor_i, bb, dd
         det = c2 * d
+        del c2
         det2 = det * det
         roots, closed = _largest_roots(np.array([inv1, inv2]), np.array([inv2, det2 * inv1]),
                                        np.array([det2, det2 * det2]))
+        del inv1, inv2, det2
         sigma1, sigma12 = np.sqrt(roots)
+        del roots
         values = np.column_stack((sigma1, sigma12 / sigma1, det / sigma12))
     factored, closed = np.atleast_1d(factored, closed[0] & closed[1])
     rest = np.flatnonzero(factored & ~closed)
@@ -385,7 +419,13 @@ def concurrence_ref(rho: np.ndarray):
     sqrt(rho22*rho33) reduces to rho22; tiny negative diagonals from
     round-off are clamped before the square root.
     """
-    d = np.maximum(rho.diagonal(axis1=-2, axis2=-1).real, 0.0)
-    ref1 = 2.0 * (np.abs(rho[..., 0, 3]) - np.sqrt(d[..., 1] * d[..., 2]))
-    ref2 = 2.0 * (np.abs(rho[..., 1, 2]) - np.sqrt(d[..., 0] * d[..., 3]))
+    return _reference_values(rho.diagonal(axis1=-2, axis2=-1).real, rho[..., 0, 3],
+                             rho[..., 1, 2])
+
+
+def _reference_values(diagonal: np.ndarray, r14: np.ndarray, r23: np.ndarray):
+    """(C_ref_1, C_ref_2) from the real diagonals (..., 4) and the entries rho14 and rho23."""
+    d = np.maximum(diagonal, 0.0)
+    ref1 = 2.0 * (np.abs(r14) - np.sqrt(d[..., 1] * d[..., 2]))
+    ref2 = 2.0 * (np.abs(r23) - np.sqrt(d[..., 0] * d[..., 3]))
     return ref1, ref2

@@ -18,6 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
+def _check_real(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is a real number (not a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Inputs defining one operating point, every rate in units of gamma.
@@ -29,7 +35,9 @@ class SystemParams:
         any integral type but ``bool``, stored as a Python int.
     rabi : float
         Drive amplitude Omega >= 0. Zero is allowed here but rejected by the
-        steady-state formulas, which are singular at zero drive.
+        steady-state formulas, which are singular at zero drive. It and the
+        two shifts below take any real number but ``bool``; a complex or
+        string value raises ValueError.
     detuning : float
         Emitter-drive detuning Delta = omega_0 - omega_L.
     dipole_shift : float
@@ -47,6 +55,8 @@ class SystemParams:
             raise ValueError(f"n_qubits must be a positive integer, got {n!r}")
         # the exact row sums step big integers in N, which a numpy integer overflows
         object.__setattr__(self, "n_qubits", int(n))
+        for name in ("rabi", "detuning", "dipole_shift"):
+            _check_real(name, getattr(self, name))
         if not (self.rabi >= 0.0 and math.isfinite(self.rabi)):
             raise ValueError(f"rabi must be finite and >= 0, got {self.rabi!r}")
         for name in ("detuning", "dipole_shift"):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridTooCoarse
 from .pairwise import concurrence, steady_pair_density
-from .params import ParamBatch, SystemParams
+from .params import ParamBatch, SystemParams, _check_real
 # perfbench/tracer.py patches sweep.expectation (tests/test_bench_contract.py)
 from .steady import expectation
 
@@ -53,15 +53,20 @@ RECORD_FIELDS = np.dtype([
 
 MAX_SWEEP_POINTS = 10**6
 
-# A batch is evaluated in chunks of CHUNK_ELEMENTS // max(N + 1, 16) rows,
-# so no (rows, N + 1) coefficient array of a chunk holds more than
-# CHUNK_ELEMENTS entries and memory stays flat whatever the grid size
-# (512 rows at N <= 15, 109 at N = 74, 40 at N = 200); past the budget,
-# from N = CHUNK_ELEMENTS // 2 on, a chunk is one row. A larger chunk spreads
-# each chunk's fixed cost over more rows but raises peak memory; keep a
-# chunk at or below 4,096 rows. The CLI's oracle-check spends the same
-# budget on the (N + 1)^4 entries of each dense Liouvillian.
+# A batch is evaluated in chunks of CHUNK_ELEMENTS // max(N + 1, MIN_ROW_ENTRIES)
+# rows, at least one (_chunk_rows), so no (rows, N + 1) coefficient array of
+# a chunk holds more than CHUNK_ELEMENTS entries and memory stays flat
+# whatever the grid size (1,024 rows at N <= 7, 512 at N = 15, 109 at N = 74,
+# 40 at N = 200, 4 at N = 2,000); past the budget, from N = CHUNK_ELEMENTS // 2
+# on, a chunk is one row. A larger chunk spreads each chunk's fixed cost over
+# more rows but raises peak memory. The floor of MIN_ROW_ENTRIES entries a row
+# sets the chunk at small N, where a row's pair matrices and concurrence
+# temporaries outweigh its coefficients. Measured by perfbench (2-vCPU
+# machine), fig3 (25,200 rows at N = 2) peaks at 34.9 MB of RSS in 1,024-row
+# chunks, 0.8% above 512-row ones, and at about 36.4 MB (+5%) in 2,048-row
+# ones. The CLI's oracle-check has its own budget, cli.ORACLE_CHUNK_ELEMENTS.
 CHUNK_ELEMENTS = 1 << 13
+MIN_ROW_ENTRIES = 8
 
 # concurrence takes the pair matrices of consecutive chunks together, up to
 # this many rows, so its fixed cost per call (about 0.15 ms) is not paid for
@@ -85,9 +90,9 @@ class AxisSpec:
 
     ``pump`` axes are converted to rabi internally via
     rabi = pump * n_qubits / 2; rabi, detuning and dipole_shift values are
-    in units of gamma. The bounds and the span stop - start must be finite,
-    so ``values()`` never overflows, and ``points`` an integer >= 2 (not a
-    bool), so ``values()`` cannot raise.
+    in units of gamma. The bounds must be real numbers, not bools, and they
+    and the span stop - start finite, so ``values()`` never overflows, and
+    ``points`` an integer >= 2 (not a bool), so ``values()`` cannot raise.
     """
 
     name: str
@@ -98,6 +103,8 @@ class AxisSpec:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"axis name must be one of {AXIS_NAMES}, got {self.name!r}")
+        for bound in (self.start, self.stop):
+            _check_real(f"{self.name} axis bound", bound)
         if not math.isfinite(self.stop - self.start):
             raise ValueError(f"{self.name} axis needs finite bounds and span, "
                              f"got [{self.start}, {self.stop}]")
@@ -112,11 +119,16 @@ class AxisSpec:
         return np.linspace(self.start, self.stop, self.points)
 
 
+def _chunk_rows(n_qubits: int) -> int:
+    """Rows of one ``steady_pair_density`` chunk at N, at least one."""
+    return max(1, CHUNK_ELEMENTS // max(n_qubits + 1, MIN_ROW_ENTRIES))
+
+
 def evaluate_points(points: ParamBatch, precision: str = "standard") -> np.ndarray:
     """The pipeline over a batch; returns one RECORD_FIELDS record per point.
 
     The rows go through ``steady_pair_density`` in chunks of
-    CHUNK_ELEMENTS // max(N + 1, 16) rows, at least one, and through
+    ``_chunk_rows(N)`` rows (1,024 at N <= 7, 109 at N = 74), and through
     ``concurrence`` in stacks of whole chunks, as many as fit in
     CONCURRENCE_ROWS rows (at least one chunk).
     <Sz>/N and <S+S->/N^2 come from the pair matrix: one emitter's
@@ -125,7 +137,7 @@ def evaluate_points(points: ParamBatch, precision: str = "standard") -> np.ndarr
     coherence rho23 = rho22.
     """
     n = points.n_qubits
-    step = max(1, CHUNK_ELEMENTS // max(n + 1, 16))
+    step = _chunk_rows(n)
     stack = step * max(1, CONCURRENCE_ROWS // step)
     data = np.empty(len(points), dtype=RECORD_FIELDS)
     for start in range(0, len(points), stack):

@@ -1,4 +1,6 @@
 """Pair density construction and Wootters concurrence."""
+import re
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,45 @@ def test_non_hermitian_input_rejected():
     bad[0, 1], bad[1, 0] = 0.3, -0.3
     with pytest.raises(NumericalFailure):
         concurrence(bad)
+
+
+def hermitian_defect(stack):
+    """The defect the check reports: the largest |rho - rho^H| entry of the normalised stack."""
+    trace = np.trace(stack, axis1=1, axis2=2).real
+    rho = stack / trace[:, None, None]
+    return np.abs(rho - rho.conj().transpose(0, 2, 1)).max()
+
+
+@pytest.mark.parametrize("defects", [
+    # (row, column, added value) per matrix; the largest is in an upper
+    # entry, a lower entry or on the diagonal
+    ((0, 1, 3e-4 + 1e-4j), (2, 0, 1e-4j), (3, 3, 2e-5j)),
+    ((1, 3, 2e-6), (3, 2, -7e-4 + 2e-4j), (1, 1, 1e-4j)),
+    ((0, 2, 1e-5j), (2, 1, 3e-6), (2, 2, 6e-4j)),
+])
+def test_hermitian_check_reports_the_whole_matrix_defect(defects):
+    # the check compares only the upper triangle with its mirror, and the
+    # defect it reports is that of the whole normalised matrix, to every
+    # digit the message prints
+    rng = np.random.default_rng(8)
+    stack = 1.7 * np.array([random_symmetric_rho(rng) for _ in range(5)])
+    for k, (i, j, value) in enumerate(defects):
+        stack[k + 1, i, j] += value
+    for rho in (stack, *stack[1:4]):
+        expected = (f"density matrix departs from Hermitian by "
+                    f"{hermitian_defect(rho.reshape(-1, 4, 4)):.3e} > {pairwise.HERMITIAN_TOL}")
+        with pytest.raises(NumericalFailure, match=f"^{re.escape(expected)}$"):
+            concurrence(rho)
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (3, 1), (2, 2)])
+def test_defect_just_below_the_hermitian_tolerance_passes(i, j):
+    rho = random_symmetric_rho(np.random.default_rng(9))
+    # a diagonal entry differs from its own conjugate by twice its imaginary part
+    rho[i, j] += (0.45j if i == j else 0.9) * pairwise.HERMITIAN_TOL
+    assert 0.5 * pairwise.HERMITIAN_TOL < hermitian_defect(rho[None]) < pairwise.HERMITIAN_TOL
+    concurrence(rho)
+    concurrence(np.array([rho, random_symmetric_rho(np.random.default_rng(10))]))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.1, np.nan)])

@@ -37,6 +37,25 @@ def test_non_integral_or_bool_qubit_counts_raise(n_qubits):
         ParamBatch(n_qubits, rabi=np.ones(1), detuning=np.zeros(1), dipole_shift=np.zeros(1))
 
 
+@pytest.mark.parametrize("fields, name, got", [
+    ({"rabi": 1 + 1j}, "rabi", r"\(1\+1j\)"),
+    ({"rabi": "1"}, "rabi", "'1'"),
+    ({"rabi": 1.0, "detuning": 1j}, "detuning", "1j"),
+    ({"rabi": 1.0, "dipole_shift": "0"}, "dipole_shift", "'0'"),
+    ({"rabi": True}, "rabi", "True"),
+])
+def test_point_takes_only_real_numbers(fields, name, got):
+    # unchecked, these raised a TypeError from a comparison or math.isfinite
+    # that did not name the field
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {got}$"):
+        SystemParams(2, **fields)
+
+
+def test_point_takes_numpy_and_integer_reals():
+    p = SystemParams(2, rabi=np.float64(1.5), detuning=np.int64(-2), dipole_shift=3)
+    assert (p.rabi, p.detuning, p.dipole_shift) == (1.5, -2.0, 3.0)
+
+
 def test_gamma_is_the_unit_not_a_parameter():
     # every rate is in units of the single-emitter decay rate, so there is
     # no decay field to set

@@ -1,6 +1,7 @@
 """Grid sweeps, maximization and transition detection."""
 import importlib
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -43,6 +44,11 @@ def test_axis_validation():
         with pytest.raises(ValueError, match="^axis points must be an integer, got "):
             AxisSpec("pump", 0.1, 1.0, points)
     assert len(AxisSpec("pump", 0.1, 1.0, np.int64(3)).values()) == 3
+    # a complex or string bound would make the span check raise a TypeError
+    # that names no field
+    for start, stop, got in ((1j, 2.0, "1j"), (0.1, "2", "'2'"), (False, 1.0, "False")):
+        with pytest.raises(ValueError, match=f"^rabi axis bound must be a real number, got {got}"):
+            AxisSpec("rabi", start, stop, 3)
     ax = AxisSpec("pump", 0.1, 2.0, 20)
     vals = ax.values()
     assert vals[0] == 0.1 and vals[-1] == 2.0 and len(vals) == 20
@@ -90,9 +96,9 @@ def test_records_do_not_depend_on_chunk_size(monkeypatch, n, precision):
     size = 61
     points = ParamBatch(n, rng.uniform(0.05, 3.0, size) * n / 2, rng.uniform(-20.0, 5.0, size),
                         rng.uniform(-8.0, 8.0, size))
-    row = max(n + 1, 16)
+    row = max(n + 1, sweep_module.MIN_ROW_ENTRIES)
     runs = []
-    for budget in (size * row, 7 * row, row, 8):
+    for budget in (size * row, 7 * row, row, row // 2):
         monkeypatch.setattr(sweep_module, "CHUNK_ELEMENTS", budget)
         runs.append(evaluate_points(points, precision).tobytes())
     assert runs[0] == runs[1] == runs[2] == runs[3]
@@ -112,7 +118,7 @@ def test_large_ensemble_rows_do_not_depend_on_their_batch(n, precision):
     # row on its own at every batch shape, and concurrence picks each row's
     # route from that row alone. From N = 4,096 on a chunk is one row, and
     # concurrence takes up to CONCURRENCE_ROWS of them at once.
-    step = max(1, sweep_module.CHUNK_ELEMENTS // max(n + 1, 16))
+    step = sweep_module._chunk_rows(n)
     stack = step * max(1, sweep_module.CONCURRENCE_ROWS // step)
     size = max(3 * step, stack) + 5
     rng = np.random.default_rng(1000 + n)
@@ -131,7 +137,7 @@ def pump_curve(n, detuning, dipole, size=25):
 
 def chunked_records(monkeypatch, points, precision):
     """evaluate_points at the default chunks and at chunks of 7 rows and of one row."""
-    row = max(points.n_qubits + 1, 16)
+    row = max(points.n_qubits + 1, sweep_module.MIN_ROW_ENTRIES)
     runs = [evaluate_points(points, precision)]
     for budget in (7 * row, row):
         monkeypatch.setattr(sweep_module, "CHUNK_ELEMENTS", budget)
@@ -186,8 +192,30 @@ def test_one_large_chunk_matches_default_chunks(monkeypatch):
     points = ParamBatch(2, rng.uniform(0.025, 5.0, size), rng.uniform(-20.0, 5.0, size),
                         np.full(size, 5.0))
     default = evaluate_points(points)
-    monkeypatch.setattr(sweep_module, "CHUNK_ELEMENTS", size * 16)
+    monkeypatch.setattr(sweep_module, "CHUNK_ELEMENTS", size * sweep_module.MIN_ROW_ENTRIES)
     assert evaluate_points(points).tobytes() == default.tobytes()
+
+
+# tracemalloc peak of evaluate_points over one full default chunk, per row:
+# 922 bytes at N = 2 (1,024 rows) and 8,551 at N = 74 (109 rows), numpy 2.4.
+# A full-size normalised copy and Hermiticity check in concurrence adds about
+# 500 bytes a row at N = 2. The bounds leave about 150 KB for numpy's
+# iterator buffers (8,192 items of a broadcast operand, about 110 KB at
+# N = 74), which numpy versions allocate differently
+@pytest.mark.parametrize("n, bytes_per_row", [(2, 1_070), (74, 9_900)])
+def test_peak_allocation_of_a_full_chunk(n, bytes_per_row):
+    rows = sweep_module._chunk_rows(n)
+    rng = np.random.default_rng(n)
+    points = ParamBatch(n, rng.uniform(0.05, 3.0, rows) * n / 2, rng.uniform(-10.0, 5.0, rows),
+                        rng.choice([0.0, 2.0, 5.0], rows))
+    evaluate_points(points)  # fills the per-N caches
+    tracemalloc.start()
+    try:
+        evaluate_points(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bytes_per_row * rows, peak / rows
 
 
 def test_pump_axis_converts_to_rabi():

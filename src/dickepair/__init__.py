@@ -28,8 +28,8 @@ from .steady import (
 )
 from .pairwise import (
     ConcurrenceResult,
+    PairEntries,
     concurrence,
-    concurrence_ref,
     steady_pair_density,
     two_qubit_rho,
 )
@@ -53,8 +53,7 @@ __all__ = [
     "SystemParams", "ParamBatch", "DerivedParams", "derive_params",
     "logsum_complex",
     "ExpectationSet", "expectation", "expectation_set",
-    "ConcurrenceResult", "two_qubit_rho", "steady_pair_density", "concurrence",
-    "concurrence_ref",
+    "ConcurrenceResult", "PairEntries", "two_qubit_rho", "steady_pair_density", "concurrence",
     "build_liouvillian", "steady_state_null_space", "density_expectation_set",
     "oracle_pair_density",
     "AxisSpec", "SweepResult", "TransitionReport", "sweep",

@@ -268,7 +268,7 @@ def _run_oracle_check(ns: argparse.Namespace) -> _Table:
                  for f in ("s_plus", "s_z", "s_z2", "s_plus_sz", "s_plus2", "s_plus_s_minus")]
         # hypot rounds as abs() of a Python complex does; np.abs may differ in the last bit
         moment_err = np.max([np.hypot(d.real, d.imag) for d in diffs], axis=0)
-        rho_err = np.abs(pair - oracle_pair_density(states, n)).max(axis=(1, 2))
+        rho_err = np.abs(pair.matrices() - oracle_pair_density(states, n)).max(axis=(1, 2))
         blocks.append(np.column_stack([np.full(len(points), float(n)), points.rabi,
                                        points.detuning, points.dipole_shift,
                                        moment_err, rho_err]))

@@ -2,25 +2,29 @@
 
 For a permutation-symmetric N-qubit state the reduced state of any pair is
 the same 4x4 matrix in the basis {|ee>, |eg>, |ge>, |gg>}, and every entry is
-a linear combination of collective moments. The concurrence follows from the
-spin-flip construction R = rho (sy x sy) rho* (sy x sy), whose eigenvalues
-are taken from Hermitian routes: for a general 4x4 input, an ``eigh`` of rho,
-which also validates it (finite, Hermitian, positive semidefinite), then the
+a linear combination of collective moments. Its eg and ge rows and columns
+are equal, so six entries fix it: r11, r12, r14, r22, r24 and r44
+(:class:`PairEntries`). The concurrence follows from the spin-flip
+construction R = rho (sy x sy) rho* (sy x sy), whose eigenvalues are taken
+from Hermitian routes: for a general 4x4 input, an ``eigh`` of rho, which
+also validates it (finite, Hermitian, positive semidefinite), then the
 ``svd`` of sqrt(rho) (sy x sy) sqrt(rho)^T. A pair matrix of a symmetric
-ensemble has equal eg and ge rows and columns, so its singlet weight is
-exactly zero, lambda4 is exactly 0, and lambda1-3 come from its 3x3 block
-over the triplet {|ee>, |T0>, |gg>}. Where its Cholesky factor L completes
-(a last pivot of round-off size clamps to 0), they are the singular values
-of L^T F L: in closed form, as the largest roots of two cubics in its
-invariants, or by ``svd`` where those roots are ill-conditioned; where it
-does not, they come from the block's ``eigh`` and ``svd``. Every route works on
-(P, d, d) stacks: the pair matrices of a :class:`~dickepair.params.ParamBatch`
-are assembled as one stack and go through one batched call per route; a
-single matrix is the stack of one.
+ensemble has its singlet weight exactly zero, lambda4 exactly 0, and
+lambda1-3 from its 3x3 block over the triplet {|ee>, |T0>, |gg>}. Where its
+Cholesky factor L completes (a last pivot of round-off size clamps to 0),
+they are the singular values of L^T F L: in closed form, as the largest
+roots of two cubics in its invariants, or by ``svd`` where those roots are
+ill-conditioned; where it does not, they come from the block's ``eigh`` and
+``svd``. One triplet core serves both inputs: the six entries of a
+:class:`~dickepair.params.ParamBatch` (no 4x4 matrix is built), and the
+exchange-symmetric rows of a (P, 4, 4) stack once it is validated. Every
+route runs one batched call over its rows; a single matrix is the stack of
+one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,10 +34,10 @@ from .steady import ExpectationSet, _SteadyTables
 
 __all__ = [
     "ConcurrenceResult",
+    "PairEntries",
     "two_qubit_rho",
     "steady_pair_density",
     "concurrence",
-    "concurrence_ref",
     "SIGMA_YY",
 ]
 
@@ -50,7 +54,11 @@ SIGMA_YY = np.array(
 # the spin flip sy x sy on the triplet block {ee, T0, gg}; the block reads
 # the rows and columns ee, eg, gg and scales each T0 index by sqrt(2)
 _TRIPLET_FLIP = np.array([[0, 0, -1], [0, 1, 0], [-1, 0, 0]], dtype=complex)
-_TRIPLET_INDEX = np.array([0, 1, 3])
+# the row of a (6, P) lower triangle (a00, a10, a30, a11, a31, a33) at each
+# position of the block over {ee, eg, gg}; its strict upper triangle conjugates
+_BLOCK_ROWS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+# (np.triu_indices(3, 1) written out: its first call costs about 0.25 MB of RSS)
+_UPPER = (np.array([0, 0, 1]), np.array([1, 2, 2]))
 _TRIPLET_SCALE = np.array([
     [1.0, np.sqrt(2.0), 1.0],
     [np.sqrt(2.0), 2.0, np.sqrt(2.0)],
@@ -100,6 +108,28 @@ class ConcurrenceResult:
     c_ref_2: float
 
 
+class PairEntries(NamedTuple):
+    """The six entries that fix P exchange-symmetric pair matrices, each of shape (P,).
+
+    r11, r22 and r44 are real arrays (rho11, rho22 = rho33 = rho23 and
+    rho44); r12, r14 and r24 are complex (rho12 = rho13, rho14 and
+    rho24 = rho34). The rest of each matrix mirrors them, so it is
+    Hermitian with equal eg and ge rows and columns by construction.
+    ``matrices()`` builds the (P, 4, 4) stack they fix.
+    """
+
+    r11: np.ndarray
+    r12: np.ndarray
+    r14: np.ndarray
+    r22: np.ndarray
+    r24: np.ndarray
+    r44: np.ndarray
+
+    def matrices(self) -> np.ndarray:
+        """The (P, 4, 4) pair matrices, basis {ee, eg, ge, gg}."""
+        return _assemble(*self)
+
+
 def two_qubit_rho(moments: ExpectationSet, n_qubits: int) -> np.ndarray:
     """Pair density matrix from collective moments, basis {ee, eg, ge, gg}.
 
@@ -141,27 +171,29 @@ def _assemble(r11, r12, r14, r22, r24, r44) -> np.ndarray:
 
 
 def steady_pair_density(params: SystemParams | ParamBatch,
-                        precision: str = "standard") -> np.ndarray:
-    """Steady-state pair density matrix straight from the closed form.
+                        precision: str = "standard") -> PairEntries | np.ndarray:
+    """Steady-state pair density matrices straight from the closed form.
 
     Every entry is its own ladder sum with a nonnegative weight polynomial.
     In the weak-drive regime the diagonal entries are tiny differences of
     N^2-scale moments, and assembling them from moments (``two_qubit_rho``)
     loses all relative accuracy there; this path keeps it. At small N the
     dense oracle's ``oracle_pair_density`` is its independent reference.
-    A :class:`ParamBatch` of P points gives a (P, 4, 4) stack; one
-    :class:`SystemParams` gives its 4x4 matrix, the batch of one.
+    A :class:`ParamBatch` of P points gives the :class:`PairEntries` of its
+    P matrices, with no 4x4 matrix built (``.matrices()`` gives the
+    (P, 4, 4) stack); one :class:`SystemParams` gives its 4x4 matrix, the
+    batch of one.
     """
     if params.n_qubits < 2:
         raise PairUndefined(
             f"pair reduction needs at least 2 qubits, got {params.n_qubits}"
         )
-    rho = _assemble(*_SteadyTables(params, precision).pair_entries())
-    return rho if isinstance(params, ParamBatch) else rho[0]
+    entries = PairEntries(*_SteadyTables(params, precision).pair_entries())
+    return entries if isinstance(params, ParamBatch) else entries.matrices()[0]
 
 
-def concurrence(rho: np.ndarray) -> ConcurrenceResult:
-    """Wootters concurrence of a two-qubit density matrix or a (P, 4, 4) stack.
+def concurrence(rho: np.ndarray | PairEntries) -> ConcurrenceResult:
+    """Wootters concurrence of a two-qubit density matrix, a (P, 4, 4) stack or PairEntries.
 
     The input is renormalized to unit trace, guarding against accumulated
     round-off in the moments, and then validated: every matrix must be
@@ -192,12 +224,63 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     result does not depend on the others in its stack. A stack takes one
     batched call per route that has matrices, and every field of the
     result gains the leading axis P (an empty stack gives empty fields).
+
+    :class:`PairEntries` are Hermitian with equal eg and ge rows and columns
+    by construction, so only their finiteness and trace are checked, and
+    every row goes to the triplet routes with no 4x4 matrix built; the
+    fields have the leading axis P, and each row has the bits of its
+    ``.matrices()`` row.
     """
-    rho = np.asarray(rho, dtype=complex)
-    single = rho.shape == (4, 4)
+    if isinstance(rho, PairEntries):
+        single = False
+        lams, ref1, ref2 = _entry_spectra(rho)
+    else:
+        rho = np.asarray(rho, dtype=complex)
+        single = rho.shape == (4, 4)
+        lams, ref1, ref2 = _matrix_spectra(rho[None] if single else rho)
+    c = np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
     if single:
-        rho = rho[None]
-    elif rho.ndim != 3 or rho.shape[1:] != (4, 4):
+        return ConcurrenceResult(
+            concurrence=float(c[0]),
+            lambdas=tuple(lams[0].tolist()),
+            c_ref_1=float(ref1[0]),
+            c_ref_2=float(ref2[0]),
+        )
+    return ConcurrenceResult(concurrence=c, lambdas=lams, c_ref_1=ref1, c_ref_2=ref2)
+
+
+def _entry_spectra(entries: PairEntries):
+    """(lambdas, C_ref_1, C_ref_2) of the matrices that six entry arrays fix.
+
+    Checks that the entries are finite and the trace positive. Each entry
+    is divided by the trace as the complex entry of its matrix, so it has
+    the bits that ``_matrix_spectra`` reads off ``.matrices()``.
+    """
+    r11, r12, r14, r22, r24, r44 = entries
+    if not (np.isrealobj(r11) and np.isrealobj(r22) and np.isrealobj(r44)):
+        raise ValueError("PairEntries needs real r11, r22 and r44")
+    if not all(np.isfinite(x).all() for x in entries):
+        raise NumericalFailure("density matrix has non-finite entries")
+    trace = ((r11 + r22) + r22) + r44
+    if (trace <= 0).any():
+        raise NumericalFailure(f"density matrix has non-positive trace {trace.min()}")
+    # the lower triangle of the block over {ee, eg, gg}, the rows of _LOWER
+    lower = np.empty((6, len(trace)), dtype=complex)
+    lower[0], lower[3], lower[5] = r11, r22, r44
+    for row, entry in ((1, r12), (2, r14), (4, r24)):
+        np.conjugate(entry, out=lower[row])
+    lower /= trace
+    # rho22 = rho33 = rho23, and |rho14| = |conj(rho14)| bit for bit
+    a00, a11, a33 = lower[0].real, lower[3].real, lower[5].real
+    ref1, ref2 = _reference_values(a00, a11, a11, a33, lower[2], lower[3])
+    lams = np.zeros((len(trace), 4))
+    lams[:, :3] = _triplet_values(lower)
+    return lams, ref1, ref2
+
+
+def _matrix_spectra(rho: np.ndarray):
+    """(lambdas, C_ref_1, C_ref_2) of a (P, 4, 4) stack, which it validates."""
+    if rho.ndim != 3 or rho.shape[1:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix or a stack, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise NumericalFailure("density matrix has non-finite entries")
@@ -219,7 +302,7 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     # row, and a route with no rows does not run
     triplet = (halves[_EG] == halves[_GE]).all(axis=0)
     upper, mirror = halves[:10], halves[10:]
-    ref1, ref2 = _reference_values(upper[:4].real.T, upper[6], upper[7])
+    ref1, ref2 = _reference_values(*upper[:4].real, upper[6], upper[7])
     # |a - conj(b)| rounds as |b - conj(a)|, so the upper triangle against
     # its mirror gives the defect of the whole matrix; the worst matrix of
     # the stack decides
@@ -236,36 +319,41 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     lams = np.zeros((len(rho), 4))
     rows = np.flatnonzero(triplet)
     if rows.size:
-        values, factored = _cholesky_spin_flip_values(
-            lower if len(rows) == len(rho) else lower[:, rows])
-        lams[rows[factored], :3] = values
-        # a pivot that is not positive: the eigh route validates the row
-        rest = rows[~factored]
-        if rest.size:
-            block = _triplet_block(rho[rest] / trace[rest, None, None])
-            lams[rest, :3] = _spin_flip_values(block, _TRIPLET_FLIP)
+        lams[rows, :3] = _triplet_values(lower if len(rows) == len(rho) else lower[:, rows])
     rows = np.flatnonzero(~triplet)
     if rows.size:
         lams[rows] = _spin_flip_values(rho[rows] / trace[rows, None, None], SIGMA_YY)
-    c = np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
-    if single:
-        return ConcurrenceResult(
-            concurrence=float(c[0]),
-            lambdas=tuple(lams[0].tolist()),
-            c_ref_1=float(ref1[0]),
-            c_ref_2=float(ref2[0]),
-        )
-    return ConcurrenceResult(concurrence=c, lambdas=lams, c_ref_1=ref1, c_ref_2=ref2)
+    return lams, ref1, ref2
 
 
-def _triplet_block(rho: np.ndarray) -> np.ndarray:
-    """(P, 3, 3) blocks of exchange-symmetric pair matrices on {ee, T0, gg}.
+def _triplet_values(lower: np.ndarray) -> np.ndarray:
+    """Descending spin-flip lambda1-3, (P, 3), of exchange-symmetric pair matrices.
+
+    ``lower`` is the (6, P) lower triangle of each matrix's block over
+    {ee, eg, gg}, normalised to unit trace (see _cholesky_spin_flip_values).
+    A row the Cholesky route does not factor takes the triplet block's
+    ``eigh`` route, which validates it.
+    """
+    values, factored = _cholesky_spin_flip_values(lower)
+    if factored.all():
+        return values
+    lams = np.empty((len(factored), 3))
+    lams[factored] = values
+    rest = ~factored
+    lams[rest] = _spin_flip_values(_triplet_block(lower[:, rest]), _TRIPLET_FLIP)
+    return lams
+
+
+def _triplet_block(lower: np.ndarray) -> np.ndarray:
+    """(P, 3, 3) Hermitian blocks on {ee, T0, gg} from (6, P) lower triangles over {ee, eg, gg}.
 
     With T0 = (|eg> + |ge>)/sqrt(2) and equal eg and ge rows and columns,
     the T0 entries are those of eg scaled by sqrt(2), and <T0|rho|T0> is
     2 rho22.
     """
-    return rho[:, _TRIPLET_INDEX[:, None], _TRIPLET_INDEX] * _TRIPLET_SCALE
+    block = lower[_BLOCK_ROWS]
+    block[_UPPER] = np.conjugate(block[_UPPER])
+    return block.transpose(2, 0, 1) * _TRIPLET_SCALE
 
 
 def _cholesky_spin_flip_values(lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,22 +498,11 @@ def _spin_flip_values(rho: np.ndarray, flip: np.ndarray) -> np.ndarray:
     return np.linalg.svd(sqrt_rho @ flip @ sqrt_rho.conj(), compute_uv=False)
 
 
-def concurrence_ref(rho: np.ndarray):
-    """Analytic X-state reference concurrences (C_ref_1, C_ref_2) as arrays.
+def _reference_values(rho11, rho22, rho33, rho44, rho14, rho23):
+    """(C_ref_1, C_ref_2) from the real diagonal entries and the entries rho14 and rho23.
 
-    Takes a (..., 4, 4) array, in practice the (P, 4, 4) stack that
-    ``concurrence`` passes, and gives two (...) arrays: (P,) for a stack, 0-d
-    for one matrix. For exchange-symmetric matrices rho22 = rho33, so
-    sqrt(rho22*rho33) reduces to rho22; tiny negative diagonals from
-    round-off are clamped before the square root.
+    Tiny negative diagonals from round-off are clamped before the square root.
     """
-    return _reference_values(rho.diagonal(axis1=-2, axis2=-1).real, rho[..., 0, 3],
-                             rho[..., 1, 2])
-
-
-def _reference_values(diagonal: np.ndarray, r14: np.ndarray, r23: np.ndarray):
-    """(C_ref_1, C_ref_2) from the real diagonals (..., 4) and the entries rho14 and rho23."""
-    d = np.maximum(diagonal, 0.0)
-    ref1 = 2.0 * (np.abs(r14) - np.sqrt(d[..., 1] * d[..., 2]))
-    ref2 = 2.0 * (np.abs(r23) - np.sqrt(d[..., 0] * d[..., 3]))
+    ref1 = 2.0 * (np.abs(rho14) - np.sqrt(np.maximum(rho22, 0.0) * np.maximum(rho33, 0.0)))
+    ref2 = 2.0 * (np.abs(rho23) - np.sqrt(np.maximum(rho11, 0.0) * np.maximum(rho44, 0.0)))
     return ref1, ref2

@@ -1,7 +1,7 @@
 """Parameter sweeps, concurrence maximization and transition detection.
 
 A sweep turns its grid into one :class:`~dickepair.params.ParamBatch` and
-runs the pipeline (ladder sums -> pair density matrix -> concurrence) on
+runs the pipeline (ladder sums -> six pair-matrix entries -> concurrence) on
 chunks of its rows, each layer as a few array passes over the chunk; a
 single point is the batch of one. numpy reduces every row on its own, so a
 record does not depend on the chunk size or on the other rows, and repeated
@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GridTooCoarse
-from .pairwise import concurrence, steady_pair_density
+from .pairwise import PairEntries, concurrence, steady_pair_density
 from .params import ParamBatch, SystemParams, _check_real
 # perfbench/tracer.py patches sweep.expectation (tests/test_bench_contract.py)
 from .steady import expectation
@@ -60,10 +60,11 @@ MAX_SWEEP_POINTS = 10**6
 # 40 at N = 200, 4 at N = 2,000); past the budget, from N = CHUNK_ELEMENTS // 2
 # on, a chunk is one row. A larger chunk spreads each chunk's fixed cost over
 # more rows but raises peak memory. The floor of MIN_ROW_ENTRIES entries a row
-# sets the chunk at small N, where a row's pair matrices and concurrence
+# sets the chunk at small N, where a row's pair entries and concurrence
 # temporaries outweigh its coefficients. Measured by perfbench (2-vCPU
-# machine), fig3 (25,200 rows at N = 2) peaks at 34.9 MB of RSS in 1,024-row
-# chunks, 0.8% above 512-row ones, and at about 36.4 MB (+5%) in 2,048-row
+# machine), fig3 (25,200 rows at N = 2) peaks at 34.5 MB of RSS in 1,024-row
+# chunks carried as six entry arrays; as (P, 4, 4) stacks it peaked at
+# 34.9 MB, 0.8% above 512-row ones, and at about 36.4 MB (+5%) in 2,048-row
 # ones. The CLI's oracle-check has its own budget, cli.ORACLE_CHUNK_ELEMENTS.
 CHUNK_ELEMENTS = 1 << 13
 MIN_ROW_ENTRIES = 8
@@ -130,11 +131,14 @@ def evaluate_points(points: ParamBatch, precision: str = "standard") -> np.ndarr
     The rows go through ``steady_pair_density`` in chunks of
     ``_chunk_rows(N)`` rows (1,024 at N <= 7, 109 at N = 74), and through
     ``concurrence`` in stacks of whole chunks, as many as fit in
-    CONCURRENCE_ROWS rows (at least one chunk).
-    <Sz>/N and <S+S->/N^2 come from the pair matrix: one emitter's
-    <sigma_z>/2 is (rho11 - rho44)/2, and <S+S-> = N <sigma+ sigma-> + N(N-1)
-    <sigma+_1 sigma-_2> with <sigma+ sigma-> = rho11 + rho22 and the pair
-    coherence rho23 = rho22.
+    CONCURRENCE_ROWS rows (at least one chunk). A stack is carried as its
+    :class:`~dickepair.pairwise.PairEntries`, the chunks' six (P,) entry
+    arrays joined, so no 4x4 pair matrix is built, and a stack's entries
+    and spectra are released before the next stack's ladder sums run.
+    <Sz>/N and <S+S->/N^2 come from the real entries r11, r22 and r44: one
+    emitter's <sigma_z>/2 is (rho11 - rho44)/2, and <S+S-> = N <sigma+ sigma->
+    + N(N-1) <sigma+_1 sigma-_2> with <sigma+ sigma-> = rho11 + rho22 and the
+    pair coherence rho23 = rho22.
     """
     n = points.n_qubits
     step = _chunk_rows(n)
@@ -144,15 +148,17 @@ def evaluate_points(points: ParamBatch, precision: str = "standard") -> np.ndarr
         stop = min(start + stack, len(points))
         parts = [steady_pair_density(points.rows(s, min(s + step, stop)), precision=precision)
                  for s in range(start, stop, step)]
-        rho = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        res = concurrence(rho)
-        r11, r22, r44 = rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 3, 3].real
+        pair = parts[0] if len(parts) == 1 else PairEntries(*map(np.concatenate, zip(*parts)))
+        del parts
+        res = concurrence(pair)
         out = data[start:stop]
         out["c"], out["c_ref1"], out["c_ref2"] = res.concurrence, res.c_ref_1, res.c_ref_2
-        out["sz_norm"] = (r11 - r44) / 2.0
-        out["spsm_norm"] = (r11 + r22) / n + (n - 1) * r22 / n
+        out["sz_norm"] = (pair.r11 - pair.r44) / 2.0
+        out["spsm_norm"] = (pair.r11 + pair.r22) / n + (n - 1) * pair.r22 / n
         for j in range(4):
             out[f"lambda{j + 1}"] = res.lambdas[:, j]
+        # the next stack's ladder sums run without this one's entries and spectra
+        del pair, res
     return data
 
 

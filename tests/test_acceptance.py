@@ -59,8 +59,9 @@ def preset_curve(n_qubits: int, dipole: float, detuning: float, precision: str):
     points = ParamBatch(n_qubits, rabi=PUMPS_400 * n_qubits / 2.0,
                         detuning=np.full(len(PUMPS_400), float(detuning)),
                         dipole_shift=np.full(len(PUMPS_400), float(dipole)))
-    rho = steady_pair_density(points, precision=precision)
-    res = concurrence(rho)
+    pair = steady_pair_density(points, precision=precision)
+    res = concurrence(pair)
+    rho = pair.matrices()
     # np.trace sums a stack's diagonals in another order than one matrix's;
     # a contiguous row sum keeps the one-matrix order
     trace = np.ascontiguousarray(rho.diagonal(axis1=1, axis2=2)).sum(axis=1)

@@ -552,9 +552,10 @@ def test_oracle_check_catches_a_shifted_pair_matrix(tmp_path, monkeypatch, capsy
     real = cli.steady_pair_density
 
     def shifted(params, precision="standard"):
-        rho = real(params, precision=precision).copy()
-        rho[7, 0, 0] += 1e-6
-        return rho
+        pair = real(params, precision=precision)
+        r11 = pair.r11.copy()
+        r11[7] += 1e-6
+        return pair._replace(r11=r11)
 
     monkeypatch.setattr(cli, "steady_pair_density", shifted)
     out = tmp_path / "oracle.csv"

@@ -272,7 +272,7 @@ def test_a_single_point_keeps_nothing_and_is_the_batch_of_one(monkeypatch, n, pr
     assert all(ref() is None for ref in built)
     for p, (rho, moments) in zip(points, results):
         batch = ParamBatch.of(p)
-        assert rho.tobytes() == steady_pair_density(batch, precision)[0].tobytes()
+        assert rho.tobytes() == steady_pair_density(batch, precision).matrices()[0].tobytes()
         batch_moments = expectation_set(batch, precision)
         for field in dataclasses.fields(moments):
             one = getattr(moments, field.name)

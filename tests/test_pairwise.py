@@ -7,11 +7,11 @@ import pytest
 from dickepair import pairwise
 from dickepair import (
     NumericalFailure,
+    PairEntries,
     PairUndefined,
     ParamBatch,
     SystemParams,
     concurrence,
-    concurrence_ref,
     density_expectation_set,
     expectation_set,
     oracle_pair_density,
@@ -115,7 +115,7 @@ def test_pair_trace_is_one_to_a_few_ulp(n, precision):
     rng = np.random.default_rng(1000 + n)
     pumps = 10 ** rng.uniform(-3.0, 0.5, 400)
     rho = steady_pair_density(ParamBatch(n, pumps * n / 2, rng.uniform(-10.0, 5.0, 400),
-                                         rng.choice([0.0, 2.0, 5.0], 400)), precision)
+                                         rng.choice([0.0, 2.0, 5.0], 400)), precision).matrices()
     trace = np.trace(rho, axis1=1, axis2=2)
     assert np.abs(trace - 1.0).max() <= 4 * np.finfo(float).eps
 
@@ -176,6 +176,75 @@ def test_pair_entries_match_pochhammer_reference_at_n1000():
 def test_conditioned_path_needs_two_qubits():
     with pytest.raises(PairUndefined):
         steady_pair_density(SystemParams(n_qubits=1, rabi=1.0))
+
+
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+def test_batch_pair_entries_have_real_diagonals(precision):
+    # why concurrence skips the Hermiticity check on PairEntries: r11, r22 and
+    # r44 are real arrays, and the rest of each matrix mirrors the six entries
+    pump_curve = ParamBatch(74, np.linspace(0.1, 2.0, 7) * 37, np.full(7, -3.0), np.full(7, 2.0))
+    detuning_axis = ParamBatch(74, np.full(7, 0.9 * 37), np.linspace(-4.0, 4.0, 7), np.full(7, 2.0))
+    for points in (pump_curve, detuning_axis):
+        pair = steady_pair_density(points, precision)
+        assert isinstance(pair, PairEntries)
+        assert all(np.isrealobj(x) for x in (pair.r11, pair.r22, pair.r44))
+        assert all(x.shape == (7,) for x in pair)
+
+
+def steady_entries():
+    return steady_pair_density(ParamBatch(6, np.array([0.3, 1.5, 4.0]), np.array([-2.0, 0.0, 1.0]),
+                                          np.array([2.0, 0.0, 5.0])))
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("r11", np.nan), ("r22", np.inf), ("r44", -np.inf),
+    ("r12", complex(0.1, np.nan)), ("r14", complex(np.inf, 0.0)), ("r24", complex(0.0, -np.inf)),
+])
+def test_pair_entries_with_a_non_finite_entry_rejected(entry, value):
+    pair = steady_entries()
+    column = getattr(pair, entry).copy()
+    column[1] = value
+    bad = pair._replace(**{entry: column})
+    for form in (bad, bad.matrices()):
+        with pytest.raises(NumericalFailure, match="non-finite entries"):
+            concurrence(form)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0])
+def test_pair_entries_with_a_non_positive_trace_rejected(scale):
+    pair = steady_entries()
+    bad = pair._replace(r11=scale * pair.r11, r22=scale * pair.r22, r44=scale * pair.r44)
+    messages = []
+    for form in (bad, bad.matrices()):
+        with pytest.raises(NumericalFailure, match="non-positive trace") as err:
+            concurrence(form)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_pair_entries_need_real_diagonals():
+    pair = steady_entries()
+    with pytest.raises(ValueError, match="real r11, r22 and r44"):
+        concurrence(pair._replace(r22=pair.r22.astype(complex)))
+
+
+def test_pair_entries_and_their_matrices_give_the_same_bits():
+    # fig3's first 1,024 rows and random drives at larger N, weak to strong
+    preset = FIGURES["fig3"]
+    (dipole, _), = preset.curves
+    rabi, detuning = (g.ravel()[:1024] for g in np.meshgrid(
+        *(axis.values() for axis in preset.axes), indexing="ij"))
+    batches = [ParamBatch(preset.n_qubits, rabi, detuning, np.full(1024, dipole))]
+    rng = np.random.default_rng(31)
+    for n in (6, 74, 200):
+        pumps = 10 ** rng.uniform(-3.0, 3.0, 200)
+        batches.append(ParamBatch(n, pumps * n / 2, rng.uniform(-10.0, 5.0, 200),
+                                  rng.choice([0.0, 2.0, 5.0], 200)))
+    for points in batches:
+        pair = steady_pair_density(points)
+        by_entries, by_matrices = concurrence(pair), concurrence(pair.matrices())
+        for field in ("concurrence", "lambdas", "c_ref_1", "c_ref_2"):
+            assert getattr(by_entries, field).tobytes() == getattr(by_matrices, field).tobytes()
 
 
 def test_bell_state_concurrence():
@@ -335,7 +404,7 @@ def test_triplet_route_matches_high_precision_on_weak_drive():
     detunings = detuning_axis.values()[::2]
     rho = np.concatenate([
         steady_pair_density(ParamBatch(preset.n_qubits, np.full(len(detunings), rabi),
-                                       detunings, np.full(len(detunings), dipole)))
+                                       detunings, np.full(len(detunings), dipole))).matrices()
         for rabi in rabi_axis.values()[:2]
     ])
     assert len(rho) == 126
@@ -408,7 +477,7 @@ def test_mixed_stack_routes_each_matrix_on_its_own(monkeypatch):
     rng = np.random.default_rng(34)
     points = ParamBatch(6, rng.uniform(0.05, 3.0, 8) * 3, rng.uniform(-10.0, 5.0, 8),
                         rng.choice([0.0, 2.0, 5.0], 8))
-    pairs = steady_pair_density(points)
+    pairs = steady_pair_density(points).matrices()
     werner = 0.6 * bell_phi_plus() + 0.4 * np.eye(4) / 4
     general = [random_symmetric_rho(rng) for _ in range(7)] + [werner]
     stack = np.array([m for two in zip(pairs, general) for m in two])
@@ -450,7 +519,7 @@ def weak_drive_pair_matrices(n, rows):
     rng = np.random.default_rng(n)
     pumps = rng.uniform(0.001, 0.05, rows)
     return steady_pair_density(ParamBatch(n, pumps * n / 2, rng.uniform(-10.0, 5.0, rows),
-                                          rng.choice([0.0, 2.0, 5.0], rows)))
+                                          rng.choice([0.0, 2.0, 5.0], rows))).matrices()
 
 
 @pytest.mark.parametrize("n, bound", [(74, 1e-15), (200, 1e-14)])
@@ -517,7 +586,7 @@ def test_closed_form_and_svd_match_high_precision_on_hard_spectra(monkeypatch):
     # the guard sends to the svd of M) and strong-drive steady states with
     # nearly flat spectra; the largest error read 6.1e-16 (seeds 3-5)
     strong = [steady_pair_density(ParamBatch(n, np.geomspace(3.0, 1000.0, 6) * n / 2,
-                                             np.full(6, detuning), np.full(6, dipole)))
+                                             np.full(6, detuning), np.full(6, dipole))).matrices()
               for n in (2, 6, 74, 200) for detuning, dipole in ((0.0, 0.0), (-3.0, 2.0))]
     rho = np.concatenate([near_degenerate_triplet_states(np.random.default_rng(3))] + strong)
     svd_sizes = spy_on_factor_svd(monkeypatch)
@@ -550,11 +619,11 @@ def test_stack_with_one_bad_matrix_rejected(defect):
 
 
 def test_reference_concurrences():
-    ref1, ref2 = concurrence_ref(bell_phi_plus())
-    assert ref1 == pytest.approx(1.0)
-    assert ref2 == pytest.approx(-1.0)
-    ref1, ref2 = concurrence_ref(np.diag([0, 0, 0, 1.0]).astype(complex))
-    assert ref1 <= 0.0 and ref2 <= 0.0
+    res = concurrence(bell_phi_plus())
+    assert res.c_ref_1 == pytest.approx(1.0)
+    assert res.c_ref_2 == pytest.approx(-1.0)
+    res = concurrence(np.diag([0, 0, 0, 1.0]).astype(complex))
+    assert res.c_ref_1 <= 0.0 and res.c_ref_2 <= 0.0
 
 
 def test_concurrence_result_fields_consistent():
@@ -562,5 +631,7 @@ def test_concurrence_result_fields_consistent():
     res = concurrence(rho)
     lam = res.lambdas
     assert res.concurrence == pytest.approx(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-    r1, r2 = concurrence_ref(rho)
+    # 2(|rho14| - sqrt(rho22 rho33)) and 2(|rho23| - sqrt(rho11 rho44)), read off rho
+    r1 = 2.0 * (abs(rho[0, 3]) - np.sqrt(rho[1, 1].real * rho[2, 2].real))
+    r2 = 2.0 * (abs(rho[1, 2]) - np.sqrt(rho[0, 0].real * rho[3, 3].real))
     assert (res.c_ref_1, res.c_ref_2) == pytest.approx((r1, r2))

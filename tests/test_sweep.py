@@ -12,9 +12,12 @@ from dickepair import (
     GridTooCoarse,
     ParamBatch,
     SystemParams,
+    concurrence,
     detect_transition,
     expectation,
     find_max_concurrence,
+    pairwise,
+    steady_pair_density,
     sweep,
 )
 from dickepair.sweep import RECORD_FIELDS, evaluate_point, evaluate_points
@@ -196,10 +199,86 @@ def test_one_large_chunk_matches_default_chunks(monkeypatch):
     assert evaluate_points(points).tobytes() == default.tobytes()
 
 
+def matrix_path_record(params, precision):
+    """The RECORD_FIELDS bytes of one point read off its 4x4 pair matrix by the 4x4 path."""
+    n = params.n_qubits
+    rho = steady_pair_density(params, precision)
+    res = concurrence(rho)
+    r11, r22, r44 = rho[0, 0].real, rho[1, 1].real, rho[3, 3].real
+    return np.array([(res.concurrence, res.c_ref_1, res.c_ref_2, (r11 - r44) / 2.0,
+                      (r11 + r22) / n + (n - 1) * r22 / n, *res.lambdas)],
+                    dtype=RECORD_FIELDS).tobytes()
+
+
+# one point on each triplet route: the closed-form cubics, the svd of M (a
+# nearly flat spectrum), a last Cholesky pivot of round-off size that clamps
+# to 0, and the eigh of the triplet block (the ground state, where r11 is 0)
+TRIPLET_ROUTE_POINTS = {
+    "closed form": (SystemParams(6, 1.0, detuning=-3.0, dipole_shift=2.0).with_pump(0.9), []),
+    "svd of M": (SystemParams(74, 1.0).with_pump(1000.0), ["_factor_svd_values"]),
+    "clamped pivot": (SystemParams(200, 1.0, detuning=-2.0).with_pump(0.002), []),
+    "eigh": (SystemParams(1000, 1e-300), ["_spin_flip_values"]),
+}
+
+
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+@pytest.mark.parametrize("route", TRIPLET_ROUTE_POINTS)
+def test_entries_path_matches_the_matrix_path_on_every_triplet_route(monkeypatch, route,
+                                                                     precision):
+    # a sweep hands concurrence the six entries; every record has the bits
+    # of the point's 4x4 pair matrix through the 4x4 path, on each route
+    params, routes = TRIPLET_ROUTE_POINTS[route]
+    calls = []
+    for name in ("_factor_svd_values", "_spin_flip_values"):
+        def spy(*args, name=name, real=getattr(pairwise, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(pairwise, name, spy)
+    record = evaluate_points(ParamBatch.of(params), precision)
+    assert calls == routes
+    rho = steady_pair_density(params, precision)
+    if route == "clamped pivot":
+        block = rho[np.ix_([0, 1, 3], [0, 1, 3])] / np.trace(rho).real
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(block)
+        assert record["lambda3"][0] == 0.0
+    if route == "eigh":
+        assert rho[0, 0] == 0.0
+    assert record.tobytes() == matrix_path_record(params, precision)
+    # the point amid other rows at its N, in one stack
+    n = params.n_qubits
+    rng = np.random.default_rng(n)
+    points = ParamBatch(n, np.insert(rng.uniform(0.05, 3.0, 8) * n / 2, 4, params.rabi),
+                        np.insert(rng.uniform(-10.0, 5.0, 8), 4, params.detuning),
+                        np.insert(rng.choice([0.0, 2.0, 5.0], 8), 4, params.dipole_shift))
+    records = evaluate_points(points, precision)
+    for i in range(len(points)):
+        assert records[i:i + 1].tobytes() == matrix_path_record(points.point(i), precision), i
+
+
+def test_sweep_builds_no_pair_matrix(monkeypatch):
+    template = SystemParams(n_qubits=6, rabi=1.0, dipole_shift=2.0)
+    grid = (AxisSpec("pump", 0.1, 2.0, 9), AxisSpec("detuning", -4.0, 2.0, 7))
+    curve = (AxisSpec("pump", 0.1, 2.0, 40),)
+    large = SystemParams(n_qubits=74, rabi=1.0, detuning=-3.0, dipole_shift=2.0)
+    expected = [sweep(template, grid).data, sweep(large, curve).data]
+
+    def refuse(*args):
+        raise AssertionError("a sweep built a 4x4 pair matrix")
+
+    monkeypatch.setattr(pairwise, "_assemble", refuse)
+    monkeypatch.setattr(pairwise.PairEntries, "matrices", refuse)
+    with pytest.raises(AssertionError, match="4x4"):
+        steady_pair_density(template)
+    assert sweep(template, grid).data.tobytes() == expected[0].tobytes()
+    assert sweep(large, curve).data.tobytes() == expected[1].tobytes()
+
+
 # tracemalloc peak of evaluate_points over one full default chunk, per row:
-# 922 bytes at N = 2 (1,024 rows) and 8,551 at N = 74 (109 rows), numpy 2.4.
-# A full-size normalised copy and Hermiticity check in concurrence adds about
-# 500 bytes a row at N = 2. The bounds leave about 150 KB for numpy's
+# 602 bytes at N = 2 (1,024 rows) and 8,550 at N = 74 (109 rows), numpy 2.4;
+# a chunk carried as a (P, 4, 4) stack and checked by the 4x4 path read 922
+# at N = 2, and a full-size normalised copy and Hermiticity check there added
+# about 500 more. The bounds leave about 150 KB for numpy's
 # iterator buffers (8,192 items of a broadcast operand, about 110 KB at
 # N = 74), which numpy versions allocate differently
 @pytest.mark.parametrize("n, bytes_per_row", [(2, 1_070), (74, 9_900)])

@@ -17,9 +17,9 @@ roots of two cubics in its invariants, or by ``svd`` where those roots are
 ill-conditioned; where it does not, they come from the block's ``eigh`` and
 ``svd``. One triplet core serves both inputs: the six entries of a
 :class:`~dickepair.params.ParamBatch` (no 4x4 matrix is built), and the
-exchange-symmetric rows of a (P, 4, 4) stack once it is validated. Every
-route runs one batched call over its rows; a single matrix is the stack of
-one.
+exchange-symmetric rows of a (P, 4, 4) stack, read from the lower triangle
+of its normalised copy once that is validated. Every route runs one batched
+call over its rows; a single matrix is the stack of one.
 """
 from __future__ import annotations
 
@@ -38,10 +38,9 @@ __all__ = [
     "two_qubit_rho",
     "steady_pair_density",
     "concurrence",
-    "SIGMA_YY",
 ]
 
-SIGMA_YY = np.array(
+_SIGMA_YY = np.array(
     [
         [0, 0, 0, -1],
         [0, 0, 1, 0],
@@ -64,17 +63,9 @@ _TRIPLET_SCALE = np.array([
     [np.sqrt(2.0), 2.0, np.sqrt(2.0)],
     [1.0, np.sqrt(2.0), 1.0],
 ])
-# the diagonal and upper triangle of a 4x4 matrix by row-major index 4 i + j
-# (entries 00, 11, 22, 33, 01, 02, 03, 12, 13, 23), then its mirror image
-# (00, 11, 22, 33, 10, 20, 30, 21, 31, 32); rho14 and rho23 are entries 6 and 7
-_HALVES = np.array([0, 5, 10, 15, 1, 2, 3, 6, 7, 11, 0, 5, 10, 15, 4, 8, 12, 9, 13, 14])
-# the lower triangle of the block over {ee, eg, gg} in the mirror image:
+# the lower triangle of the block over {ee, eg, gg} in a 4x4 matrix:
 # a00, a10, a30, a11, a31, a33
-_LOWER = np.array([0, 4, 6, 1, 8, 3])
-# the eg row and column against the ge row and column, as positions in
-# _HALVES: entry (1, j) against (2, j), then (i, 1) against (i, 2)
-_EG, _GE = (np.array([_HALVES.tolist().index(k) for k in entries]) for entries in
-            ((4, 5, 6, 7, 1, 5, 9, 13), (8, 9, 10, 11, 2, 6, 10, 14)))
+_LOWER_ROWS, _LOWER_COLS = np.array([0, 1, 3, 1, 3, 3]), np.array([0, 0, 0, 1, 1, 3])
 
 HERMITIAN_TOL = 1e-9
 EIG_NEG_TOL = -1e-9
@@ -195,10 +186,13 @@ def steady_pair_density(params: SystemParams | ParamBatch,
 def concurrence(rho: np.ndarray | PairEntries) -> ConcurrenceResult:
     """Wootters concurrence of a two-qubit density matrix, a (P, 4, 4) stack or PairEntries.
 
-    The input is renormalized to unit trace, guarding against accumulated
-    round-off in the moments, and then validated: every matrix must be
-    finite with positive trace, Hermitian within 1e-9 and positive
-    semidefinite within -1e-9, else NumericalFailure. The spin-flip lambdas
+    The input must be finite with positive trace. It is renormalized to
+    unit trace, guarding against accumulated round-off in the moments, and
+    every normalised matrix must then be Hermitian within 1e-9 (the largest
+    |rho - rho^H| entry of the stack) and positive semidefinite within
+    -1e-9, else NumericalFailure. c_ref_1 and c_ref_2 read the diagonal and
+    the upper entries rho14 and rho23 of the normalised matrix, and the
+    triplet routes below read its lower triangle. The spin-flip lambdas
     come from the equivalent Hermitian problem: the eigenvalues of
     R = rho (sy x sy) rho* (sy x sy) are the squared singular values of
     sqrt(rho) (sy x sy) sqrt(rho)^T, and singular values are perfectly
@@ -226,10 +220,11 @@ def concurrence(rho: np.ndarray | PairEntries) -> ConcurrenceResult:
     result gains the leading axis P (an empty stack gives empty fields).
 
     :class:`PairEntries` are Hermitian with equal eg and ge rows and columns
-    by construction, so only their finiteness and trace are checked, and
-    every row goes to the triplet routes with no 4x4 matrix built; the
-    fields have the leading axis P, and each row has the bits of its
-    ``.matrices()`` row.
+    by construction. They must be six 1-D arrays of one length with real
+    r11, r22 and r44, else ValueError; past that only their finiteness and
+    trace are checked, and every row goes to the triplet routes with no 4x4
+    matrix built. The fields have the leading axis P, and each row has the
+    bits of its ``.matrices()`` row.
     """
     if isinstance(rho, PairEntries):
         single = False
@@ -252,11 +247,15 @@ def concurrence(rho: np.ndarray | PairEntries) -> ConcurrenceResult:
 def _entry_spectra(entries: PairEntries):
     """(lambdas, C_ref_1, C_ref_2) of the matrices that six entry arrays fix.
 
-    Checks that the entries are finite and the trace positive. Each entry
-    is divided by the trace as the complex entry of its matrix, so it has
-    the bits that ``_matrix_spectra`` reads off ``.matrices()``.
+    Checks that the entries are six 1-D arrays of one length, finite, and
+    of positive trace. Each entry is divided by the trace as the complex
+    entry of its matrix, so it has the bits that ``_matrix_spectra`` reads
+    off ``.matrices()``.
     """
     r11, r12, r14, r22, r24, r44 = entries
+    shapes = [np.shape(x) for x in entries]
+    if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 6:
+        raise ValueError(f"PairEntries needs six 1-D arrays of one length, got shapes {shapes}")
     if not (np.isrealobj(r11) and np.isrealobj(r22) and np.isrealobj(r44)):
         raise ValueError("PairEntries needs real r11, r22 and r44")
     if not all(np.isfinite(x).all() for x in entries):
@@ -264,7 +263,7 @@ def _entry_spectra(entries: PairEntries):
     trace = ((r11 + r22) + r22) + r44
     if (trace <= 0).any():
         raise NumericalFailure(f"density matrix has non-positive trace {trace.min()}")
-    # the lower triangle of the block over {ee, eg, gg}, the rows of _LOWER
+    # the lower triangle of the block over {ee, eg, gg}: a00, a10, a30, a11, a31, a33
     lower = np.empty((6, len(trace)), dtype=complex)
     lower[0], lower[3], lower[5] = r11, r22, r44
     for row, entry in ((1, r12), (2, r14), (4, r24)):
@@ -289,40 +288,26 @@ def _matrix_spectra(rho: np.ndarray):
     if (trace <= 0).any():
         raise NumericalFailure(f"density matrix has non-positive trace {trace.min()}")
 
-    # no normalised copy of the stack is made: the entries the checks and
-    # routes read are divided by the trace, and numpy divides a complex
-    # number by a real one entry by entry, so each has the bits of
-    # rho / trace. Row k of ``entries`` is entry k of every matrix, so the
-    # division runs along the stack
-    entries = rho.reshape(len(rho), 16).T
-    halves = entries[_HALVES]
-    halves /= trace
-    # a row whose eg and ge rows and columns are equal has the singlet in its
-    # kernel and takes the 3x3 triplet block; each row's route reads only that
-    # row, and a route with no rows does not run
-    triplet = (halves[_EG] == halves[_GE]).all(axis=0)
-    upper, mirror = halves[:10], halves[10:]
-    ref1, ref2 = _reference_values(*upper[:4].real, upper[6], upper[7])
-    # |a - conj(b)| rounds as |b - conj(a)|, so the upper triangle against
-    # its mirror gives the defect of the whole matrix; the worst matrix of
-    # the stack decides
-    np.subtract(upper, np.conjugate(mirror, out=mirror), out=upper)
-    asym = np.abs(upper).max(initial=0.0)
+    rho = rho / trace[:, None, None]
+    # the worst matrix of the stack decides
+    asym = np.abs(rho - np.conjugate(rho.transpose(0, 2, 1))).max(initial=0.0)
     if asym > HERMITIAN_TOL:
         raise NumericalFailure(
             f"density matrix departs from Hermitian by {asym:.3e} > {HERMITIAN_TOL}"
         )
-    # conjugated back, the mirror gives the lower triangle of the block
-    lower = mirror[_LOWER]
-    np.conjugate(lower, out=lower)
-    del halves, upper, mirror
+    ref1, ref2 = _reference_values(*np.diagonal(rho, axis1=1, axis2=2).real.T,
+                                   rho[:, 0, 3], rho[:, 1, 2])
+    # a row whose eg and ge rows and columns are equal has the singlet in its
+    # kernel and takes the 3x3 triplet block, read from its lower triangle;
+    # each row's route reads only that row, and a route with no rows does not run
+    triplet = (rho[:, 1] == rho[:, 2]).all(axis=1) & (rho[:, :, 1] == rho[:, :, 2]).all(axis=1)
     lams = np.zeros((len(rho), 4))
     rows = np.flatnonzero(triplet)
     if rows.size:
-        lams[rows, :3] = _triplet_values(lower if len(rows) == len(rho) else lower[:, rows])
+        lams[rows, :3] = _triplet_values(rho[rows[:, None], _LOWER_ROWS, _LOWER_COLS].T)
     rows = np.flatnonzero(~triplet)
     if rows.size:
-        lams[rows] = _spin_flip_values(rho[rows] / trace[rows, None, None], SIGMA_YY)
+        lams[rows] = _spin_flip_values(rho[rows], _SIGMA_YY)
     return lams, ref1, ref2
 
 

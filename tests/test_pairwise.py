@@ -228,6 +228,17 @@ def test_pair_entries_need_real_diagonals():
         concurrence(pair._replace(r22=pair.r22.astype(complex)))
 
 
+@pytest.mark.parametrize("reshape", [
+    lambda pair: pair._replace(r11=pair.r11[:1]),
+    lambda pair: PairEntries(*(x[0] for x in pair)),
+    lambda pair: PairEntries(*(np.stack([x, x]) for x in pair)),
+], ids=["one-short-entry", "0-d", "2-d"])
+def test_pair_entries_need_1d_arrays_of_one_length(reshape):
+    # broadcast, such entries would give rows that no caller passed in
+    with pytest.raises(ValueError, match="six 1-D arrays of one length"):
+        concurrence(reshape(steady_entries()))
+
+
 def test_pair_entries_and_their_matrices_give_the_same_bits():
     # fig3's first 1,024 rows and random drives at larger N, weak to strong
     preset = FIGURES["fig3"]
@@ -325,9 +336,8 @@ def hermitian_defect(stack):
     ((0, 2, 1e-5j), (2, 1, 3e-6), (2, 2, 6e-4j)),
 ])
 def test_hermitian_check_reports_the_whole_matrix_defect(defects):
-    # the check compares only the upper triangle with its mirror, and the
-    # defect it reports is that of the whole normalised matrix, to every
-    # digit the message prints
+    # the defect the check reports is the largest |rho - rho^H| entry of the
+    # normalised stack, to every digit the message prints, wherever it sits
     rng = np.random.default_rng(8)
     stack = 1.7 * np.array([random_symmetric_rho(rng) for _ in range(5)])
     for k, (i, j, value) in enumerate(defects):
@@ -347,6 +357,27 @@ def test_defect_just_below_the_hermitian_tolerance_passes(i, j):
     assert 0.5 * pairwise.HERMITIAN_TOL < hermitian_defect(rho[None]) < pairwise.HERMITIAN_TOL
     concurrence(rho)
     concurrence(np.array([rho, random_symmetric_rho(np.random.default_rng(10))]))
+
+
+def test_each_value_reads_its_own_triangle():
+    # defects within tolerance, in the lower triangle of the eg and ge rows
+    # alike (so the rows keep the triplet route) and in the upper entry rho14
+    rho = steady_entries().matrices()
+    rho[:, 1, 0] += 3e-12 + 2e-12j
+    rho[:, 2, 0] += 3e-12 + 2e-12j
+    rho[:, 0, 3] += 5e-12
+    lower_half = np.tril(np.ones((4, 4), dtype=bool))
+    mirrored = np.conjugate(rho.transpose(0, 2, 1))
+    from_lower = concurrence(np.where(lower_half, rho, mirrored))
+    from_upper = concurrence(np.where(lower_half.T, rho, mirrored))
+    result = concurrence(rho)
+    # the Cholesky and eigh routes read the lower triangle, c_ref_1 and
+    # c_ref_2 the diagonal and the upper entries rho14 and rho23
+    assert result.lambdas.tobytes() == from_lower.lambdas.tobytes()
+    assert result.lambdas.tobytes() != from_upper.lambdas.tobytes()
+    for field in ("c_ref_1", "c_ref_2"):
+        assert getattr(result, field).tobytes() == getattr(from_upper, field).tobytes()
+    assert result.c_ref_1.tobytes() != from_lower.c_ref_1.tobytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.1, np.nan)])

@@ -4,13 +4,18 @@
 it to the command's runner, which reads its flags from it: ``_params``
 builds the operating point of the physics flags, a figure takes its
 template from ``FIGURES``, and ``oracle-check`` its sizes from ``--n``.
+:func:`main` parses a command with a parser that holds the subparsers of
+the commands the process has run so far, built on first use; top-level
+help, no arguments and an unknown command get the parser of every
+command. Both print the same help and errors.
 
 All physics flags are dimensionless ratios to the decay rate gamma, which is
 fixed at 1 and is not a flag. Output is plain CSV preceded by ``#`` metadata
 lines carrying every parameter, the precision mode and the package version;
 floats are written with 17 significant digits so parsing recovers them
 exactly. Every cell is byte for byte ``'%.17g' % (x + 0.0)``: rows go out in
-blocks of about BLOCK_CELLS cells, which :func:`~dickepair.csvfloat.csv_rows`
+blocks of about BLOCK_CELLS cells, each a new array filled column by column
+from the table's columns, which :func:`~dickepair.csvfloat.csv_rows`
 formats with its numpy kernel, or with ``%`` for a block under
 KERNEL_MIN_CELLS cells (single-point commands, ``maximize``,
 ``oracle-check``) and for each cell the kernel cannot certify (NaN,
@@ -145,10 +150,17 @@ def _write_csv(fh, meta: list[str], header: list[str], blocks) -> None:
 
 
 def _column_blocks(columns):
-    """Blocks of about BLOCK_CELLS cells, at least one row, from equal-length columns."""
+    """Blocks of about BLOCK_CELLS cells, at least one row, from equal-length columns.
+
+    Each block is a new array, filled column by column: a caller may keep a
+    block, so none is reused.
+    """
     rows = max(1, BLOCK_CELLS // len(columns))
     for start in range(0, len(columns[0]), rows):
-        yield np.column_stack([col[start:start + rows] for col in columns])
+        block = np.empty((min(rows, len(columns[0]) - start), len(columns)))
+        for j, col in enumerate(columns):
+            block[:, j] = col[start:start + rows]
+        yield block
 
 
 def _one_row(row) -> list[np.ndarray]:
@@ -337,37 +349,20 @@ def _add_output(sp):
     sp.add_argument("--precision", choices=("standard", "extended"), default="standard")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared afterwards.
+def _add_point(sp):
+    _add_common(sp)
+    _add_output(sp)
 
-    Parsing leaves no state in the parser (every ``append`` option starts
-    from a None default), so one parser serves every call of :func:`main`.
-    """
-    parser = argparse.ArgumentParser(
-        prog="dickepair",
-        description="Steady-state pairwise entanglement of a driven, collectively "
-                    "damped qubit ensemble.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("expect", "collective moments at one operating point"),
-        ("rho", "two-qubit density matrix entries at one operating point"),
-        ("concurrence", "concurrence and spin-flip spectrum at one operating point"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        _add_common(sp)
-        _add_output(sp)
-
-    sp = sub.add_parser("sweep", help="grid sweep over 1 or 2 axes")
+def _add_sweep(sp):
     _add_common(sp, drive_required=False)
     sp.add_argument("--axis", action="append", type=_parse_axis, required=True,
                     metavar="NAME:START:STOP:POINTS",
                     help="axis over rabi, detuning, dipole_shift or pump (max 2)")
     _add_output(sp)
 
-    sp = sub.add_parser("maximize", help="maximize concurrence over drive and/or detuning")
+
+def _add_maximize(sp):
     _add_common(sp, drive_required=False)
     sp.add_argument("--axis", action="append", type=_parse_axis, required=True,
                     metavar="NAME:LO:HI:COARSE",
@@ -375,16 +370,65 @@ def build_parser() -> argparse.ArgumentParser:
                          "at least 33, bracket the optimum")
     _add_output(sp)
 
-    sp = sub.add_parser("figure", help="reproduce a result-figure data set")
+
+def _add_figure(sp):
     sp.add_argument("name", choices=sorted(FIGURES))
     _add_output(sp)
 
-    sp = sub.add_parser("oracle-check", help="compare closed form against the dense solver")
+
+def _add_oracle_check(sp):
     sp.add_argument("--n", type=int, action="append",
                     help="ensemble size to check (repeatable, default "
                          f"{' '.join(map(str, DEFAULT_ORACLE_SIZES))})")
     _add_output(sp)
 
+
+# each command's help line and the function that adds its flags, in the
+# order of `dickepair --help`
+_SUBCOMMANDS = {
+    "expect": ("collective moments at one operating point", _add_point),
+    "rho": ("two-qubit density matrix entries at one operating point", _add_point),
+    "concurrence": ("concurrence and spin-flip spectrum at one operating point", _add_point),
+    "sweep": ("grid sweep over 1 or 2 axes", _add_sweep),
+    "maximize": ("maximize concurrence over drive and/or detuning", _add_maximize),
+    "figure": ("reproduce a result-figure data set", _add_figure),
+    "oracle-check": ("compare closed form against the dense solver", _add_oracle_check),
+}
+
+
+@functools.cache
+def _parsers(full: bool) -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """A top-level parser and its command action, built once per process and shape.
+
+    The full shape holds every command and lists them all in its help and
+    errors. The other starts with none and gains a command's subparser when
+    :func:`build_parser` first asks for it; its usage names every command,
+    as the full one's does.
+    """
+    parser = argparse.ArgumentParser(
+        prog="dickepair",
+        description="Steady-state pairwise entanglement of a driven, collectively "
+                    "damped qubit ensemble.",
+    )
+    names = None if full else "{" + ",".join(_SUBCOMMANDS) + "}"
+    return parser, parser.add_subparsers(dest="command", required=True, metavar=names)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared afterwards.
+
+    Without ``command`` it holds every command. With a ``command`` of
+    ``_SUBCOMMANDS`` it holds the commands asked for so far in this process,
+    which parse their arguments and print their messages as in the full
+    parser. Parsing leaves no state in the parser (every ``append`` option
+    starts from a None default), so one parser serves every call of
+    :func:`main`.
+    """
+    parser, commands = _parsers(command is None)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        if name not in commands.choices:
+            help_text, add_arguments = _SUBCOMMANDS[name]
+            add_arguments(commands.add_parser(name, help=help_text))
     return parser
 
 
@@ -442,9 +486,12 @@ def _keep_freed_memory() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    # a call that names no command first (top-level help, no arguments, an
+    # unknown command) gets the full parser, whose messages list them all
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        ns = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+        ns = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

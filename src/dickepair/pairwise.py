@@ -220,7 +220,7 @@ def concurrence(rho: np.ndarray | PairEntries) -> ConcurrenceResult:
     result gains the leading axis P (an empty stack gives empty fields).
 
     :class:`PairEntries` are Hermitian with equal eg and ge rows and columns
-    by construction. They must be six 1-D arrays of one length with real
+    by construction. They must be six 1-D numpy arrays of one length with real
     r11, r22 and r44, else ValueError; past that only their finiteness and
     trace are checked, and every row goes to the triplet routes with no 4x4
     matrix built. The fields have the leading axis P, and each row has the
@@ -247,14 +247,15 @@ def concurrence(rho: np.ndarray | PairEntries) -> ConcurrenceResult:
 def _entry_spectra(entries: PairEntries):
     """(lambdas, C_ref_1, C_ref_2) of the matrices that six entry arrays fix.
 
-    Checks that the entries are six 1-D arrays of one length, finite, and
-    of positive trace. Each entry is divided by the trace as the complex
+    Checks that the entries are six 1-D numpy arrays of one length, finite,
+    and of positive trace. Each entry is divided by the trace as the complex
     entry of its matrix, so it has the bits that ``_matrix_spectra`` reads
     off ``.matrices()``.
     """
     r11, r12, r14, r22, r24, r44 = entries
     shapes = [np.shape(x) for x in entries]
-    if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 6:
+    if (len(shapes[0]) != 1 or shapes.count(shapes[0]) != 6
+            or not all(isinstance(x, np.ndarray) for x in entries)):
         raise ValueError(f"PairEntries needs six 1-D arrays of one length, got shapes {shapes}")
     if not (np.isrealobj(r11) and np.isrealobj(r22) and np.isrealobj(r44)):
         raise ValueError("PairEntries needs real r11, r22 and r44")

@@ -56,18 +56,19 @@ MAX_SWEEP_POINTS = 10**6
 # A batch is evaluated in chunks of CHUNK_ELEMENTS // max(N + 1, MIN_ROW_ENTRIES)
 # rows, at least one (_chunk_rows), so no (rows, N + 1) coefficient array of
 # a chunk holds more than CHUNK_ELEMENTS entries and memory stays flat
-# whatever the grid size (1,024 rows at N <= 7, 512 at N = 15, 109 at N = 74,
-# 40 at N = 200, 4 at N = 2,000); past the budget, from N = CHUNK_ELEMENTS // 2
-# on, a chunk is one row. A larger chunk spreads each chunk's fixed cost over
-# more rows but raises peak memory. The floor of MIN_ROW_ENTRIES entries a row
-# sets the chunk at small N, where a row's pair entries and concurrence
-# temporaries outweigh its coefficients. Measured by perfbench (2-vCPU
-# machine), fig3 (25,200 rows at N = 2) peaks at 34.5 MB of RSS in 1,024-row
-# chunks carried as six entry arrays; as (P, 4, 4) stacks it peaked at
-# 34.9 MB, 0.8% above 512-row ones, and at about 36.4 MB (+5%) in 2,048-row
-# ones. The CLI's oracle-check has its own budget, cli.ORACLE_CHUNK_ELEMENTS.
+# whatever the grid size (1,638 rows at N <= 4, 1,024 at N = 7, 512 at
+# N = 15, 109 at N = 74, 40 at N = 200, 4 at N = 2,000); past the budget, from
+# N = CHUNK_ELEMENTS // 2 on, a chunk is one row. A larger chunk spreads each
+# chunk's fixed cost over more rows but raises peak memory. The floor of
+# MIN_ROW_ENTRIES entries a row sets the chunk at small N, where a row's pair
+# entries and concurrence temporaries outweigh its coefficients. Measured by
+# perfbench (2-vCPU machine, medians of 6 runs), fig3 (25,200 rows at N = 2)
+# took 0.1256 s and peaked at 34.34 MB of RSS in 1,024-row chunks, 0.1201 s
+# and 34.36 MB in 1,638-row ones, and 0.1201 s and 34.57 MB in 2,048-row
+# ones, where the sweep, not the CSV blocks, sets the peak. The CLI's
+# oracle-check has its own budget, cli.ORACLE_CHUNK_ELEMENTS.
 CHUNK_ELEMENTS = 1 << 13
-MIN_ROW_ENTRIES = 8
+MIN_ROW_ENTRIES = 5
 
 # concurrence takes the pair matrices of consecutive chunks together, up to
 # this many rows, so its fixed cost per call (about 0.15 ms) is not paid for
@@ -129,7 +130,7 @@ def evaluate_points(points: ParamBatch, precision: str = "standard") -> np.ndarr
     """The pipeline over a batch; returns one RECORD_FIELDS record per point.
 
     The rows go through ``steady_pair_density`` in chunks of
-    ``_chunk_rows(N)`` rows (1,024 at N <= 7, 109 at N = 74), and through
+    ``_chunk_rows(N)`` rows (1,638 at N <= 4, 109 at N = 74), and through
     ``concurrence`` in stacks of whole chunks, as many as fit in
     CONCURRENCE_ROWS rows (at least one chunk). A stack is carried as its
     :class:`~dickepair.pairwise.PairEntries`, the chunks' six (P,) entry

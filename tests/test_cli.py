@@ -623,7 +623,7 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli.build_parser.cache_clear()
+    cli._parsers.cache_clear()
     try:
         reused = []
         for argv in PARSER_REUSE_CALLS:
@@ -632,18 +632,65 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
             reused.append((code, captured.out, captured.err))
         parsers_per_call_run = len(built)
         built.clear()
-        cli.build_parser.cache_clear()
-        cli.build_parser()
-        assert parsers_per_call_run == len(built)  # one tree for all the calls
+        cli._parsers.cache_clear()
+        # the full tree for --help, and one top parser with a subparser per other command
+        for command in {argv[0] if argv[0] in cli._SUBCOMMANDS else None
+                        for argv in PARSER_REUSE_CALLS}:
+            cli.build_parser(command)
+        assert parsers_per_call_run == len(built)  # one tree of each shape for all the calls
 
         assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 0, 0]
         for argv, result in zip(PARSER_REUSE_CALLS, reused):
-            cli.build_parser.cache_clear()
+            cli._parsers.cache_clear()
             code = main(argv)
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == result, argv
     finally:
-        cli.build_parser.cache_clear()
+        cli._parsers.cache_clear()
+
+
+def test_a_figure_call_builds_one_subparser(tmp_path, monkeypatch):
+    built = []
+    real_add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return real_add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    cli._parsers.cache_clear()
+    try:
+        assert main(["figure", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+        assert built == ["figure"]
+        assert main(["--help"]) == 0
+        assert built == ["figure", *cli._SUBCOMMANDS]
+    finally:
+        cli._parsers.cache_clear()
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        parser.parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+def test_help_and_errors_read_the_same_from_both_parser_shapes(command, capsys):
+    # help, a bad flag, a bad value, a missing flag value and unrecognized
+    # arguments, whose message carries the top-level usage
+    calls = [[command, "--help"], [command, "--bogus"], [command, "--n", "x"],
+             [command, "--out"], [command, "extra", "args"], [command, "-h", "--bogus"]]
+    if command == "figure":
+        calls += [["figure", "fig9"], ["figure", "fig3", "--precision", "quad"],
+                  ["figure", "fig3", "-x"]]
+    for argv in calls:
+        lean = _parse_outcome(cli.build_parser(command), argv, capsys)
+        full = _parse_outcome(cli.build_parser(), argv, capsys)
+        assert lean == full and lean[0] in (0, 2), argv
 
 
 def test_tracer_spans_the_batched_oracle(tmp_path, monkeypatch):

@@ -232,7 +232,8 @@ def test_pair_entries_need_real_diagonals():
     lambda pair: pair._replace(r11=pair.r11[:1]),
     lambda pair: PairEntries(*(x[0] for x in pair)),
     lambda pair: PairEntries(*(np.stack([x, x]) for x in pair)),
-], ids=["one-short-entry", "0-d", "2-d"])
+    lambda pair: PairEntries([0.5], [0j], [0j], [0.25], [0j], [0.0]),
+], ids=["one-short-entry", "0-d", "2-d", "lists"])
 def test_pair_entries_need_1d_arrays_of_one_length(reshape):
     # broadcast, such entries would give rows that no caller passed in
     with pytest.raises(ValueError, match="six 1-D arrays of one length"):

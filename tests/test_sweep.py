@@ -275,7 +275,7 @@ def test_sweep_builds_no_pair_matrix(monkeypatch):
 
 
 # tracemalloc peak of evaluate_points over one full default chunk, per row:
-# 602 bytes at N = 2 (1,024 rows) and 8,550 at N = 74 (109 rows), numpy 2.4;
+# 600 bytes at N = 2 (1,638 rows) and 8,550 at N = 74 (109 rows), numpy 2.4;
 # a chunk carried as a (P, 4, 4) stack and checked by the 4x4 path read 922
 # at N = 2, and a full-size normalised copy and Hermiticity check there added
 # about 500 more. The bounds leave about 150 KB for numpy's
